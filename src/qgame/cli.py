@@ -22,6 +22,7 @@ from .equilibrium import (
     epsilon_nash,
     probability_tables,
     sweep,
+    weigh_outcomes,
 )
 from .scheme import (
     GameMatrix,
@@ -155,6 +156,12 @@ class _Resolver:
             raise ValueError(f"format must be 'csv' or 'json', got {value!r}")
         return value
 
+    def summary(self) -> bool:
+        value = self.get("summary", "false")
+        if value not in ("true", "false"):
+            raise ValueError(f"summary must be 'true' or 'false', got {value!r}")
+        return value == "true"
+
     def grid(self) -> StrategyGrid:
         spec = self.get("grid")
         steps = parse_grid(spec) if spec is not None else DEFAULT_GRID
@@ -243,9 +250,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     deltas = parse_angle_list(opts.require("delta"))
     grid = opts.grid()
     eps = opts.eps()
-    summary = opts.get("summary", "false") == "true"
 
-    if summary:
+    if opts.summary():
         rows = []
         for r in sweep(game, gammas, deltas, grid, eps):
             rows.append({
@@ -261,8 +267,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for gamma, delta in _pair_up(gammas, deltas):
             scheme = SchemeParams(gamma, delta)
             probs = probability_tables(scheme, grid)
-            alice = np.einsum("o,oab->ab", game.alice_by_outcome(), probs)
-            bob = np.einsum("o,oab->ab", game.bob_by_outcome(), probs)
+            alice, bob = weigh_outcomes(game, probs)
             for a, s1 in enumerate(points):
                 for b, s2 in enumerate(points):
                     rows.append({

@@ -1,9 +1,10 @@
 """Grid-certified best replies and epsilon-Nash profiles over the strategy space.
 
-The search always runs on the simulation path (payoff tables built by state
-evolution), so it works for arbitrary 2x2 bimatrices, not only Battle of the
-Sexes. Certificates are exact for the grid: eps_cert is the largest payoff any
-player could gain by a unilateral on-grid deviation.
+The search always runs on the simulation path (payoff tables built from nine
+state evolutions by bilinearity, never from the closed forms), so it works
+for arbitrary 2x2 bimatrices, not only Battle of the Sexes. Certificates are
+exact for the grid: eps_cert is the largest payoff any player could gain by a
+unilateral on-grid deviation.
 """
 
 from __future__ import annotations
@@ -20,13 +21,19 @@ from .scheme import (
     PayoffPair,
     SchemeParams,
     StrategyParams,
-    initial_state,
+    final_state,
     measurement_basis,
-    payoffs_oracle,
-    strategy_op,
 )
 
 TIE_TOL = 1e-12
+
+# U(theta, phi) = v0 I + v1 iZ + v2 C with real coefficients
+# v = (cos(theta/2) cos(phi), cos(theta/2) sin(phi), sin(theta/2)); these
+# three corner strategies give U = I, iZ and C.
+_CORNERS = (StrategyParams(0.0, 0.0), StrategyParams(0.0, math.pi / 2),
+            StrategyParams(math.pi, 0.0))
+# the six (p, p') index pairs with p <= p' of a symmetric 3x3 matrix
+_PAIR_P, _PAIR_Q = np.triu_indices(3)
 
 
 @dataclass(frozen=True)
@@ -95,31 +102,76 @@ class SweepRow:
     max_formula_dev: float | None
 
 
+def _features(thetas, phis) -> np.ndarray:
+    """Rows f(s): the upper triangle of v v^T with off-diagonal entries
+    doubled, so that f(s) @ x == v^T X v for a symmetric 3x3 matrix X whose
+    upper triangle is x. Shape (..., 6) for angle arrays of shape (...)."""
+    half = thetas / 2
+    v = np.stack([np.cos(half) * np.cos(phis), np.cos(half) * np.sin(phis),
+                  np.sin(half)], axis=-1)
+    return v[..., _PAIR_P] * v[..., _PAIR_Q] * np.where(_PAIR_P == _PAIR_Q, 1.0, 2.0)
+
+
+def _grid_features(grid: StrategyGrid) -> np.ndarray:
+    """_features of grid.points(), in that order: shape (n, 6)."""
+    thetas = np.repeat(grid.theta_values(), grid.phi_steps)
+    phis = np.tile(grid.phi_values(), grid.theta_steps)
+    return _features(thetas, phis)
+
+
+def _outcome_kernels(scheme: SchemeParams) -> np.ndarray:
+    """Kernels K of shape (4, 6, 6) with P_o(s1, s2) = f(s1) @ K[o] @ f(s2).
+
+    An outcome amplitude is bilinear in the players' coefficient vectors,
+    A_o = v1^T N_o v2, where N_o[p, q] is the amplitude of the corner profile
+    (p, q). N comes from the simulation path (nine state evolutions and one
+    measurement basis), so the closed forms stay an independent check.
+    |A_o|^2 is then a quadratic form in v1 v1^T and v2 v2^T.
+    """
+    directions = np.stack(measurement_basis(scheme.delta).states())
+    states = np.stack([final_state(scheme.gamma, p, q)
+                       for p in _CORNERS for q in _CORNERS])
+    amps = (directions.conj() @ states.T).reshape(4, 3, 3)
+    # pair[o, p, p', q, q'] = Re(N_o[p, q] conj(N_o[p', q']))
+    pair = np.einsum("opq,ors->oprqs", amps, amps.conj()).real
+    # symmetrizing p <-> p' also makes it symmetric in q <-> q', because
+    # swapping both pairs at once conjugates the product
+    pair = (pair + pair.transpose(0, 2, 1, 3, 4)) / 2
+    return pair[:, _PAIR_P, _PAIR_Q][:, :, _PAIR_P, _PAIR_Q]
+
+
+def _probabilities(kernels: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Outcome probabilities for Alice's feature rows against Bob's, shape
+    (4, len(alice), len(bob)). Rounding can leave true zeros at about -1e-16;
+    they are clipped to 0."""
+    probs = (alice @ kernels) @ bob.T
+    np.maximum(probs, 0.0, out=probs)
+    return probs
+
+
 def probability_tables(scheme: SchemeParams, grid: StrategyGrid) -> np.ndarray:
     """Outcome probabilities for every grid profile, shape (4, n, n).
 
     Axis 0 is the outcome (OO, OT, TO, TT); entry [:, a, b] pairs Alice's
-    grid point a with Bob's grid point b, both in points() order. Same math
-    as payoffs_oracle, batched."""
-    ops = np.stack([strategy_op(p) for p in grid.points()])
-    psi0 = initial_state(scheme.gamma).reshape(2, 2)
-    amps = np.einsum("aik,bjl,kl->abij", ops, ops, psi0)
-    basis = measurement_basis(scheme.delta)
-    probs = []
-    for direction in basis.states():
-        overlap = np.einsum("ij,abij->ab", direction.conj().reshape(2, 2), amps)
-        probs.append(overlap.real ** 2 + overlap.imag ** 2)
-    return np.stack(probs)
+    grid point a with Bob's grid point b, both in points() order. Each table
+    is the rank-6 product F @ K[o] @ F.T of the grid features and the
+    outcome kernels, which come from nine state evolutions by bilinearity."""
+    features = _grid_features(grid)
+    return _probabilities(_outcome_kernels(scheme), features, features)
+
+
+def weigh_outcomes(game: GameMatrix, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's payoffs from outcome probabilities of shape (4, ...)."""
+    alice = np.einsum("o,o...->...", game.alice_by_outcome(), probs)
+    bob = np.einsum("o,o...->...", game.bob_by_outcome(), probs)
+    return alice, bob
 
 
 def payoff_tables(game: GameMatrix, scheme: SchemeParams,
                   grid: StrategyGrid) -> tuple[np.ndarray, np.ndarray]:
     """Simulated payoffs for every profile; entry [a, b] pairs Alice's grid
     point a with Bob's grid point b, both in points() order."""
-    probs = probability_tables(scheme, grid)
-    alice = np.einsum("o,oab->ab", game.alice_by_outcome(), probs)
-    bob = np.einsum("o,oab->ab", game.bob_by_outcome(), probs)
-    return alice, bob
+    return weigh_outcomes(game, probability_tables(scheme, grid))
 
 
 def _certificates(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
@@ -135,16 +187,19 @@ def best_response(game: GameMatrix, scheme: SchemeParams, opponent: StrategyPara
 
     Returns the maximum payoff and every grid point within TIE_TOL of it;
     phase symmetries make genuine ties common, so the whole tie set is kept.
+    The values are one row of the same kernel product as payoff_tables.
     """
     if responder not in ("alice", "bob"):
         raise ValueError(f"responder must be 'alice' or 'bob', got {responder!r}")
-    points = grid.points()
+    kernels = _outcome_kernels(scheme)
+    features = _grid_features(grid)
+    fixed = _features(opponent.theta, opponent.phi)[np.newaxis]
     if responder == "alice":
-        values = [payoffs_oracle(game, scheme, p, opponent).alice for p in points]
+        values = weigh_outcomes(game, _probabilities(kernels, features, fixed)[:, :, 0])[0]
     else:
-        values = [payoffs_oracle(game, scheme, opponent, p).bob for p in points]
-    top = max(values)
-    ties = [p for p, v in zip(points, values) if v >= top - TIE_TOL]
+        values = weigh_outcomes(game, _probabilities(kernels, fixed, features)[:, 0, :])[1]
+    top = float(values.max())
+    ties = [p for p, v in zip(grid.points(), values) if v >= top - TIE_TOL]
     return top, ties
 
 

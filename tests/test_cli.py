@@ -159,6 +159,24 @@ class TestConfigFile:
         assert code == 1
         assert "key = value" in err
 
+    def test_config_summary_true(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("summary = true\n")
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--bos", "2,1,0",
+                               "--gamma", "0", "--delta", "0", "--grid", "2,1")
+        assert code == 0
+        assert json.loads(out)[0]["equilibria"] == 2
+
+    @pytest.mark.parametrize("value", ["yes", "1", "True"])
+    def test_config_summary_rejects_other_booleans(self, capsys, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"summary = {value}\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--bos", "2,1,0",
+                                 "--gamma", "0", "--delta", "0", "--grid", "2,1")
+        assert code == 1
+        assert out == ""
+        assert "'true'" in err and "'false'" in err and repr(value) in err
+
 
 class TestVerify:
     def test_default_run_passes(self, capsys):

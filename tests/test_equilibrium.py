@@ -1,4 +1,6 @@
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +18,9 @@ from qgame.scheme import (
     SchemeParams,
     StrategyParams,
     battle_of_sexes,
+    final_state,
+    measurement_basis,
+    outcome_probabilities,
     payoffs_oracle,
 )
 
@@ -77,6 +82,76 @@ class TestPayoffTables:
         probs = probability_tables(SchemeParams(1.0, 0.5), StrategyGrid(4, 3))
         np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-9)
         assert (probs >= -1e-15).all()
+
+    def test_probabilities_never_negative(self):
+        # at gamma = delta = pi/2 many probabilities are exactly zero, and the
+        # rank-6 product rounds some of them to about -1e-16 before clipping
+        probs = probability_tables(QUANTUM, StrategyGrid(33, 17))
+        assert probs.min() >= 0.0
+
+    def test_tables_call_basis_once_and_no_scalar_path(self, monkeypatch):
+        # a traced `qgame verify` run counts these calls exactly; the tables
+        # must add one measurement basis and nothing from the scalar paths
+        counts = Counter()
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name != "qgame" and not module_name.startswith("qgame."):
+                continue
+            for name in ("measurement_basis", "payoffs_oracle", "payoff_general"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        scheme, grid = SchemeParams(0.7, 0.4), StrategyGrid(5, 3)
+        probability_tables(scheme, grid)
+        assert counts == {"measurement_basis": 1}
+        payoff_tables(bos210(), scheme, grid)
+        epsilon_nash(bos210(), scheme, grid, eps=1e-9)
+        best_response(bos210(), scheme, StrategyParams(0, 0), "bob", grid)
+        assert counts == {"measurement_basis": 4}
+
+
+PRISONERS = GameMatrix(alice=((3, 0), (5, 1)), bob=((3, 5), (0, 1)))
+PENNIES = GameMatrix(alice=((1, -1), (-1, 1)), bob=((-1, 1), (1, -1)))
+
+
+class TestOracleEquivalence:
+    """Tables against references built profile by profile on the scalar
+    simulation path, and the equilibria those references certify."""
+
+    GAMES = (bos210(), battle_of_sexes(3.704, 1.902, 0.864), PRISONERS, PENNIES)
+    SCHEMES = ((0.0, 0.0), (HP, HP), (HP, 0.0), (0.0, HP), (0.7, 0.4), (1.3, 0.9))
+    GRIDS = (StrategyGrid(5, 3), StrategyGrid(5, 4, phi_range="full"), StrategyGrid(2, 1))
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["5x3", "5x4-full", "2x1"])
+    @pytest.mark.parametrize("gamma,delta", SCHEMES)
+    def test_tables_and_equilibria_match_scalar_oracle(self, gamma, delta, grid):
+        scheme = SchemeParams(gamma, delta)
+        pts = grid.points()
+        basis = measurement_basis(delta)
+        want = np.array([[outcome_probabilities(final_state(gamma, s1, s2), basis)
+                          for s2 in pts] for s1 in pts]).transpose(2, 0, 1)
+        np.testing.assert_allclose(probability_tables(scheme, grid), want,
+                                   rtol=0, atol=1e-12)
+        index = {(p.theta, p.phi): i for i, p in enumerate(pts)}
+        for game in self.GAMES:
+            oracle = [[payoffs_oracle(game, scheme, s1, s2) for s2 in pts] for s1 in pts]
+            want_a = np.array([[o.alice for o in row] for row in oracle])
+            want_b = np.array([[o.bob for o in row] for row in oracle])
+            alice, bob = payoff_tables(game, scheme, grid)
+            np.testing.assert_allclose(alice, want_a, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(bob, want_b, rtol=0, atol=1e-12)
+            # eps = 0 would count genuine ties by rounding luck
+            cert = np.maximum(want_a.max(axis=0) - want_a,
+                              want_b.max(axis=1)[:, np.newaxis] - want_b)
+            for eps in (1e-12, 1e-9, 1e-6):
+                got = {(index[(r.s1.theta, r.s1.phi)], index[(r.s2.theta, r.s2.phi)])
+                       for r in epsilon_nash(game, scheme, grid, eps)}
+                assert got == {tuple(ab) for ab in np.argwhere(cert <= eps).tolist()}
 
 
 class TestBestResponse:
