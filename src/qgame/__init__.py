@@ -30,7 +30,6 @@ from .equilibrium import (
     probability_tables,
     sweep,
 )
-from .linalg import apply_local, inner_product, is_unitary
 from .scheme import (
     GameMatrix,
     MeasurementBasis,
@@ -62,7 +61,6 @@ __all__ = [
     "StrategyParams",
     "SweepRow",
     "VerificationReport",
-    "apply_local",
     "battle_of_sexes",
     "best_response",
     "bos_coefficients",
@@ -70,8 +68,6 @@ __all__ = [
     "final_state",
     "flip_op",
     "initial_state",
-    "inner_product",
-    "is_unitary",
     "measurement_basis",
     "outcome_probabilities",
     "payoff_case_a_i",

@@ -49,23 +49,25 @@ def _require_bos(game: GameMatrix) -> tuple[float, float, float]:
     return game.bos
 
 
+def _coefficients(alpha, beta, delta: float) -> tuple[float, float, float]:
+    """xi, eta, chi for any alpha, beta; the formula behind bos_coefficients."""
+    c2, s2 = math.cos(delta / 2) ** 2, math.sin(delta / 2) ** 2
+    chi = 0.5 * (alpha - beta) * math.sin(delta)
+    return alpha * c2 + beta * s2, alpha * s2 + beta * c2, chi
+
+
 def bos_coefficients(alpha: float, beta: float, delta: float) -> BosCoefficients:
     """xi, eta, chi for measurement angle delta; xi + eta = alpha + beta."""
     if not alpha > beta:
         raise ValueError(f"requires alpha > beta, got {alpha!r}, {beta!r}")
-    c2, s2 = math.cos(delta / 2) ** 2, math.sin(delta / 2) ** 2
-    return BosCoefficients(
-        xi=alpha * c2 + beta * s2,
-        eta=alpha * s2 + beta * c2,
-        chi=0.5 * (alpha - beta) * math.sin(delta),
-    )
+    return BosCoefficients(*_coefficients(alpha, beta, delta))
 
 
 def _general(alpha, beta, sigma, gamma, delta, theta1, phi1, theta2, phi2):
-    """Both players' general payoffs; numpy-broadcastable over all angles."""
-    xi = alpha * np.cos(delta / 2) ** 2 + beta * np.sin(delta / 2) ** 2
-    eta = alpha * np.sin(delta / 2) ** 2 + beta * np.cos(delta / 2) ** 2
-    chi = 0.5 * (alpha - beta) * np.sin(delta)
+    """Both players' general payoffs. delta is a scalar; gamma and the
+    strategy angles are numpy-broadcastable. alpha > beta is not required:
+    swapping them exchanges the players' roles."""
+    xi, eta, chi = _coefficients(alpha, beta, delta)
     cg2 = np.cos(gamma / 2) ** 2
     sg2 = np.sin(gamma / 2) ** 2
     sing = np.sin(gamma)

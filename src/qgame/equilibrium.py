@@ -27,6 +27,11 @@ from .scheme import (
 
 TIE_TOL = 1e-12
 
+# Largest (4, n, n) float64 probability table that probability_tables will
+# allocate (n grid points, 32 n^2 bytes). epsilon_nash peaks at about 1.5
+# times the table size: the payoff tables exist alongside it for a while.
+MAX_TABLE_BYTES = 2**30
+
 # U(theta, phi) = v0 I + v1 iZ + v2 C with real coefficients
 # v = (cos(theta/2) cos(phi), cos(theta/2) sin(phi), sin(theta/2)); these
 # three corner strategies give U = I, iZ and C.
@@ -58,10 +63,6 @@ class StrategyGrid:
             raise ValueError(
                 f"phi_range must be one of {sorted(PHI_RANGES)}, got {self.phi_range!r}"
             )
-
-    @property
-    def theta_interval(self) -> tuple[float, float]:
-        return (0.0, math.pi)
 
     @property
     def phi_interval(self) -> tuple[float, float]:
@@ -155,7 +156,15 @@ def probability_tables(scheme: SchemeParams, grid: StrategyGrid) -> np.ndarray:
     Axis 0 is the outcome (OO, OT, TO, TT); entry [:, a, b] pairs Alice's
     grid point a with Bob's grid point b, both in points() order. Each table
     is the rank-6 product F @ K[o] @ F.T of the grid features and the
-    outcome kernels, which come from nine state evolutions by bilinearity."""
+    outcome kernels, which come from nine state evolutions by bilinearity.
+
+    Raises ValueError before allocating anything when the tables would take
+    more than MAX_TABLE_BYTES."""
+    n = grid.theta_steps * grid.phi_steps
+    if 32 * n * n > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"a {grid.theta_steps}x{grid.phi_steps} grid needs {32 * n * n} bytes of "
+            f"probability tables, over the limit of {MAX_TABLE_BYTES} bytes")
     features = _grid_features(grid)
     return _probabilities(_outcome_kernels(scheme), features, features)
 

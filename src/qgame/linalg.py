@@ -1,8 +1,8 @@
-"""Fixed-size complex linear algebra for two-qubit game states.
+"""Shared constants for two-qubit game states.
 
-Everything here works on 2x2 complex matrices (single-player operators) and
-length-4 complex state vectors over the ordered basis |OO>, |OT>, |TO>, |TT>,
-Alice's letter first. No general N-dimensional machinery on purpose.
+States are length-4 complex vectors over the ordered basis |OO>, |OT>, |TO>,
+|TT>, Alice's letter first; single-player operators are 2x2 complex
+matrices. The arithmetic itself is plain numpy in scheme.py.
 """
 
 from __future__ import annotations
@@ -10,11 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-9
-
-# Basis indices of the two-qubit amplitude vector.
-OO, OT, TO, TT = 0, 1, 2, 3
-
-BASIS_LABELS = ("oo", "ot", "to", "tt")
 
 
 def _frozen(values) -> np.ndarray:
@@ -29,59 +24,3 @@ KET_OO = _frozen([1, 0, 0, 0])
 KET_OT = _frozen([0, 1, 0, 0])
 KET_TO = _frozen([0, 0, 1, 0])
 KET_TT = _frozen([0, 0, 0, 1])
-
-
-def _require_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must have finite entries, got {arr!r}")
-
-
-def as_mat2(entries) -> np.ndarray:
-    """Coerce to a finite 2x2 complex matrix."""
-    m = np.asarray(entries, dtype=np.complex128)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    _require_finite("matrix", m)
-    return m
-
-
-def two_qubit_state(amplitudes, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Coerce to a finite, unit-norm 4-amplitude state vector."""
-    s = np.asarray(amplitudes, dtype=np.complex128)
-    if s.shape != (4,):
-        raise ValueError(f"expected 4 amplitudes, got shape {s.shape}")
-    _require_finite("state", s)
-    norm = state_norm(s)
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"state must be normalized within {tol}, got norm {norm!r}")
-    return s
-
-
-def state_norm(state) -> float:
-    return float(np.linalg.norm(np.asarray(state, dtype=np.complex128)))
-
-
-def inner_product(x, y) -> complex:
-    """<x|y> with the conjugate on the first argument."""
-    x = np.asarray(x, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    _require_finite("x", x)
-    _require_finite("y", y)
-    return complex(np.vdot(x, y))
-
-
-def apply_local(a, b, state) -> np.ndarray:
-    """Apply (a tensor b) to a two-qubit state; a acts on Alice's qubit."""
-    a = as_mat2(a)
-    b = as_mat2(b)
-    s = np.asarray(state, dtype=np.complex128)
-    _require_finite("state", s)
-    return np.kron(a, b) @ s
-
-
-def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the max-norm of m m^dagger - I is at most tol."""
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    m = as_mat2(m)
-    return bool(np.max(np.abs(m @ m.conj().T - I2)) <= tol)

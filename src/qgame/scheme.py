@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, apply_local, inner_product, two_qubit_state
+from .linalg import DEFAULT_TOL
 
 HALF_PI = math.pi / 2
 TWO_PI = 2.0 * math.pi
@@ -155,14 +155,16 @@ class MeasurementBasis:
     psi_tt: np.ndarray
 
     def __post_init__(self) -> None:
-        states = self.states()
-        for s in states:
-            two_qubit_state(s)
-        gram = np.array([[inner_product(x, y) for y in states] for x in states])
-        if np.max(np.abs(gram - np.eye(4))) > DEFAULT_TOL:
+        rows = np.array(self.states(), dtype=np.complex128)
+        if rows.shape != (4, 4):
+            raise ValueError(f"measurement basis needs four 4-amplitude states, got shape "
+                             f"{rows.shape}")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("measurement basis states must have finite entries")
+        # Gram matrix <x|y> and the sum of the projectors |x><x|
+        if np.max(np.abs(rows.conj() @ rows.T - np.eye(4))) > DEFAULT_TOL:
             raise ValueError("measurement basis states must be orthonormal")
-        completeness = sum(np.outer(s, s.conj()) for s in states)
-        if np.max(np.abs(completeness - np.eye(4))) > DEFAULT_TOL:
+        if np.max(np.abs(rows.T @ rows.conj() - np.eye(4))) > DEFAULT_TOL:
             raise ValueError("measurement basis projectors must sum to the identity")
 
     def states(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -207,7 +209,7 @@ def strategy_op(s: StrategyParams) -> np.ndarray:
 
 def final_state(gamma: float, s1: StrategyParams, s2: StrategyParams) -> np.ndarray:
     """(U1 tensor U2) applied to the entangled initial state."""
-    return apply_local(strategy_op(s1), strategy_op(s2), initial_state(gamma))
+    return np.kron(strategy_op(s1), strategy_op(s2)) @ initial_state(gamma)
 
 
 def measurement_basis(delta: float) -> MeasurementBasis:
@@ -224,7 +226,10 @@ def measurement_basis(delta: float) -> MeasurementBasis:
 
 def outcome_probabilities(state, basis: MeasurementBasis) -> tuple[float, float, float, float]:
     """|<psi_b|state>|^2 for each outcome, in order OO, OT, TO, TT."""
-    probs = tuple(abs(inner_product(b, state)) ** 2 for b in basis.states())
+    state = np.asarray(state, dtype=np.complex128)
+    if state.shape != (4,) or not np.all(np.isfinite(state)):
+        raise ValueError(f"state must be 4 finite amplitudes, got {state!r}")
+    probs = tuple(abs(complex(np.vdot(b, state))) ** 2 for b in basis.states())
     return probs  # type: ignore[return-value]
 
 

@@ -278,6 +278,13 @@ class TestEquilibria:
         assert code == 1
         assert "theta_steps" in err
 
+    def test_oversized_grid_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "equilibria", "--bos", "2,1,0", "--gamma", "0",
+                                 "--delta", "0", "--grid", "181,91")
+        assert code == 1
+        assert out == ""
+        assert "181x91" in err and "limit" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "equilibria", "--bos", "2,1,0", "--gamma", "0",
                                "--delta", "0", "--grid", "2,1", "--format", "csv")

@@ -1,11 +1,14 @@
 import math
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from qgame import equilibrium
 from qgame.equilibrium import (
+    MAX_TABLE_BYTES,
     StrategyGrid,
     best_response,
     epsilon_nash,
@@ -113,6 +116,38 @@ class TestPayoffTables:
         epsilon_nash(bos210(), scheme, grid, eps=1e-9)
         best_response(bos210(), scheme, StrategyParams(0, 0), "bob", grid)
         assert counts == {"measurement_basis": 4}
+
+
+class TestTableSizeLimit:
+    def test_oversized_grid_rejected_before_allocating(self):
+        # 181x91 needs 32 * 16471^2 bytes, about 8.7 GB
+        grid = StrategyGrid(181, 91)
+        assert 32 * (181 * 91) ** 2 > MAX_TABLE_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"181x91.*limit of {MAX_TABLE_BYTES} bytes"):
+                probability_tables(QUANTUM, grid)
+            with pytest.raises(ValueError, match="limit"):
+                payoff_tables(bos210(), QUANTUM, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_epsilon_nash_and_sweep_rejected(self):
+        grid = StrategyGrid(181, 91)
+        with pytest.raises(ValueError, match="limit"):
+            epsilon_nash(bos210(), QUANTUM, grid, eps=1e-9)
+        with pytest.raises(ValueError, match="limit"):
+            sweep(bos210(), [0.0], [0.0], grid, eps=1e-9)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        grid = StrategyGrid(3, 2)  # 32 * 6^2 = 1152 bytes
+        monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 1152)
+        assert probability_tables(QUANTUM, grid).nbytes == 1152
+        monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 1151)
+        with pytest.raises(ValueError, match="3x2 grid needs 1152 bytes"):
+            probability_tables(QUANTUM, grid)
 
 
 PRISONERS = GameMatrix(alice=((3, 0), (5, 1)), bob=((3, 5), (0, 1)))

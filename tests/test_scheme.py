@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qgame.linalg import KET_OO, KET_OT, KET_TO, KET_TT, inner_product, is_unitary
+from qgame.linalg import KET_OO, KET_OT, KET_TO, KET_TT
 from qgame.scheme import (
     GameMatrix,
     MeasurementBasis,
@@ -136,7 +136,8 @@ class TestOperators:
         for _ in range(1000):
             s = StrategyParams(float(rng.uniform(0, math.pi)),
                                float(rng.uniform(0, 2 * math.pi)))
-            assert is_unitary(strategy_op(s), 1e-12)
+            u = strategy_op(s)
+            assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
 
 
 class TestFinalState:
@@ -176,7 +177,7 @@ class TestMeasurementBasis:
 
     def test_gram_matrix_is_identity(self):
         states = measurement_basis(0.3).states()
-        gram = np.array([[inner_product(x, y) for y in states] for x in states])
+        gram = np.array([[np.vdot(x, y) for y in states] for x in states])
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
     def test_completeness_over_random_delta(self):
@@ -194,6 +195,20 @@ class TestMeasurementBasis:
         with pytest.raises(ValueError, match="orthonormal"):
             MeasurementBasis(psi_oo=KET_OO, psi_ot=KET_OO, psi_to=KET_TO, psi_tt=KET_TT)
 
+    def test_hand_built_basis_must_be_normalized(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            MeasurementBasis(psi_oo=2 * KET_OO, psi_ot=KET_OT, psi_to=KET_TO, psi_tt=KET_TT)
+
+    def test_hand_built_basis_must_be_finite(self):
+        bad = np.array([np.nan, 0, 0, 0], dtype=complex)
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementBasis(psi_oo=bad, psi_ot=KET_OT, psi_to=KET_TO, psi_tt=KET_TT)
+
+    def test_hand_built_basis_needs_four_amplitudes(self):
+        short = np.array([1, 0, 0], dtype=complex)
+        with pytest.raises(ValueError, match="4-amplitude"):
+            MeasurementBasis(psi_oo=short, psi_ot=short, psi_to=short, psi_tt=short)
+
 
 class TestOutcomeProbabilities:
     def test_computational_on_ket(self):
@@ -208,6 +223,15 @@ class TestOutcomeProbabilities:
         state = np.array([1j * ISQ2, 0, 0, ISQ2])
         probs = outcome_probabilities(state, measurement_basis(HP))
         np.testing.assert_allclose(probs, (0, 0, 0, 1), atol=1e-15)
+
+    def test_rejects_nan_state(self):
+        with pytest.raises(ValueError, match="finite"):
+            outcome_probabilities(np.array([np.nan, 0, 0, 1]), measurement_basis(0.3))
+
+    @pytest.mark.parametrize("state", [np.ones(3), np.eye(2), np.ones(5)])
+    def test_rejects_state_not_of_shape_4(self, state):
+        with pytest.raises(ValueError, match="4 finite amplitudes"):
+            outcome_probabilities(state, measurement_basis(0.3))
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(23)
