@@ -12,12 +12,14 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from .closedform import payoff_general
 from .equilibrium import (
     StrategyGrid,
+    _check_table_size,
     _pair_up,
     epsilon_nash,
     probability_tables,
@@ -196,11 +198,70 @@ def _csv_table(fields, rows) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
+    _emit_chunks([text], out)
+
+
+def _emit_chunks(chunks: Iterable[str], out: str | None) -> None:
+    """Write each piece as it is produced; --out is opened before the first."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+
+
+def _sweep_chunks(game: GameMatrix, schemes: list[SchemeParams], grid: StrategyGrid,
+                  fmt: str) -> Iterator[str]:
+    """Per-profile sweep rows for every scheme and grid profile, in pieces.
+
+    The pieces join to the bytes of _csv_table(SWEEP_FIELDS, rows) for csv
+    and of json.dumps(rows, indent=2) + "\\n" for json: start, the rows
+    separated by sep, end. A row is head(gamma, delta, theta1, phi1) followed
+    by tail(theta2, phi2, six value specs). Each block is the n rows of one
+    scheme and one Alice grid point, from a single %-format of the row
+    template repeated n times. Only one scheme's tables are held at a time.
+    """
+    if fmt == "csv":
+        num, spec = _fmt_csv, "%.15g"
+        start, sep, end = ",".join(SWEEP_FIELDS) + "\n", "\n", "\n"
+
+        def head(texts):
+            return ",".join(texts) + ","
+
+        def tail(texts):
+            return ",".join(texts)
+    else:
+        # json writes a finite float as its repr, which %s gives too
+        num, spec = json.dumps, "%s"
+        start, sep, end = "[\n", ",\n", "\n]\n"
+
+        def head(texts):
+            return "  {\n" + "".join(f'    "{f}": {t},\n' for f, t in zip(SWEEP_FIELDS, texts))
+
+        def tail(texts):
+            fields = zip(SWEEP_FIELDS[4:], texts)
+            return ",\n".join(f'    "{f}": {t}' for f, t in fields) + "\n  }"
+
+    # formatted numbers hold no "%", so they can sit inside a %-template
+    points = [(num(s.theta), num(s.phi)) for s in grid.points()]
+    tails = [tail([theta, phi] + [spec] * 6) for theta, phi in points]
+    yield start
+    for i, scheme in enumerate(schemes):
+        probs = probability_tables(scheme, grid)
+        alice, bob = weigh_outcomes(game, probs)
+        values = np.stack([alice, bob, *probs], axis=-1)  # (n, n, 6), SWEEP_FIELDS order
+        # json writes inf and nan as Infinity and NaN, not as %s would
+        spell_out = fmt == "json" and not np.isfinite(values).all()
+        prefix = [num(scheme.gamma), num(scheme.delta)]
+        for a, (theta, phi) in enumerate(points):
+            row_head = head(prefix + [theta, phi])
+            cells = values[a].ravel().tolist()
+            if spell_out:
+                cells = [num(c) for c in cells]
+            if i or a:
+                yield sep
+            yield (row_head + (sep + row_head).join(tails)) % tuple(cells)
+    yield end
 
 
 def cmd_payoff(args: argparse.Namespace) -> int:
@@ -251,37 +312,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = opts.grid()
     eps = opts.eps()
 
-    if opts.summary():
-        rows = []
-        for r in sweep(game, gammas, deltas, grid, eps):
-            rows.append({
-                "gamma": r.gamma, "delta": r.delta, "equilibria": r.equilibria,
-                "best_payoff_a": None if r.best is None else r.best.alice,
-                "best_payoff_b": None if r.best is None else r.best.bob,
-                "max_formula_dev": r.max_formula_dev,
-            })
-        fields = SUMMARY_FIELDS
-    else:
-        points = grid.points()
-        rows = []
-        for gamma, delta in _pair_up(gammas, deltas):
-            scheme = SchemeParams(gamma, delta)
-            probs = probability_tables(scheme, grid)
-            alice, bob = weigh_outcomes(game, probs)
-            for a, s1 in enumerate(points):
-                for b, s2 in enumerate(points):
-                    rows.append({
-                        "gamma": gamma, "delta": delta,
-                        "theta1": s1.theta, "phi1": s1.phi,
-                        "theta2": s2.theta, "phi2": s2.phi,
-                        "payoff_a": float(alice[a, b]), "payoff_b": float(bob[a, b]),
-                        "p_oo": float(probs[0, a, b]), "p_ot": float(probs[1, a, b]),
-                        "p_to": float(probs[2, a, b]), "p_tt": float(probs[3, a, b]),
-                    })
-        fields = SWEEP_FIELDS
+    if not opts.summary():
+        fmt = opts.fmt()
+        # everything that can reject the input runs before the first byte
+        schemes = [SchemeParams(g, d) for g, d in _pair_up(gammas, deltas)]
+        _check_table_size(grid)
+        _emit_chunks(_sweep_chunks(game, schemes, grid, fmt), opts.get("out"))
+        return 0
 
+    rows = [{
+        "gamma": r.gamma, "delta": r.delta, "equilibria": r.equilibria,
+        "best_payoff_a": None if r.best is None else r.best.alice,
+        "best_payoff_b": None if r.best is None else r.best.bob,
+        "max_formula_dev": r.max_formula_dev,
+    } for r in sweep(game, gammas, deltas, grid, eps)]
     if opts.fmt() == "csv":
-        _emit(_csv_table(fields, rows), opts.get("out"))
+        _emit(_csv_table(SUMMARY_FIELDS, rows), opts.get("out"))
     else:
         _emit(json.dumps(rows, indent=2) + "\n", opts.get("out"))
     return 0

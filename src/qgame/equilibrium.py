@@ -150,6 +150,15 @@ def _probabilities(kernels: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> n
     return probs
 
 
+def _check_table_size(grid: StrategyGrid) -> None:
+    """Raise ValueError if the grid's probability tables exceed MAX_TABLE_BYTES."""
+    n = grid.theta_steps * grid.phi_steps
+    if 32 * n * n > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"a {grid.theta_steps}x{grid.phi_steps} grid needs {32 * n * n} bytes of "
+            f"probability tables, over the limit of {MAX_TABLE_BYTES} bytes")
+
+
 def probability_tables(scheme: SchemeParams, grid: StrategyGrid) -> np.ndarray:
     """Outcome probabilities for every grid profile, shape (4, n, n).
 
@@ -160,11 +169,7 @@ def probability_tables(scheme: SchemeParams, grid: StrategyGrid) -> np.ndarray:
 
     Raises ValueError before allocating anything when the tables would take
     more than MAX_TABLE_BYTES."""
-    n = grid.theta_steps * grid.phi_steps
-    if 32 * n * n > MAX_TABLE_BYTES:
-        raise ValueError(
-            f"a {grid.theta_steps}x{grid.phi_steps} grid needs {32 * n * n} bytes of "
-            f"probability tables, over the limit of {MAX_TABLE_BYTES} bytes")
+    _check_table_size(grid)
     features = _grid_features(grid)
     return _probabilities(_outcome_kernels(scheme), features, features)
 
@@ -188,6 +193,11 @@ def _certificates(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     best_reply_b = bob.max(axis=1)    # Bob's best against each Alice point
     return np.maximum(best_reply_a[np.newaxis, :] - alice,
                       best_reply_b[:, np.newaxis] - bob)
+
+
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be nonnegative, got {eps!r}")
 
 
 def best_response(game: GameMatrix, scheme: SchemeParams, opponent: StrategyParams,
@@ -219,8 +229,7 @@ def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
     Results are ordered lexicographically by grid indices (Alice's point
     first), so runs are reproducible. An empty list is a valid outcome.
     """
-    if not (math.isfinite(eps) and eps >= 0):
-        raise ValueError(f"eps must be nonnegative, got {eps!r}")
+    _check_eps(eps)
     alice, bob = payoff_tables(game, scheme, grid)
     cert = _certificates(alice, bob)
     points = grid.points()
@@ -261,6 +270,7 @@ def sweep(game: GameMatrix, gamma_values, delta_values, grid: StrategyGrid,
     worst observed |simulation - closed form| when the game has the
     battle-of-sexes structure.
     """
+    _check_eps(eps)
     points = grid.points()
     thetas = np.array([p.theta for p in points])
     phis = np.array([p.phi for p in points])

@@ -2,10 +2,13 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from qgame.cli import main, parse_angle
+from qgame.cli import SWEEP_FIELDS, _csv_table, main, parse_angle, parse_angle_list
+from qgame.equilibrium import StrategyGrid, _pair_up, probability_tables, weigh_outcomes
+from qgame.scheme import GameMatrix, SchemeParams, battle_of_sexes
 
 HP = math.pi / 2
 
@@ -236,6 +239,96 @@ class TestSweep:
         for line in lines[1:]:
             tokens = line.split(",")
             assert [f"{float(t):.15g}" for t in tokens] == tokens
+
+
+    @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
+    def test_summary_rejects_invalid_eps(self, capsys, eps):
+        code, out, err = run_cli(capsys, "sweep", "--bos", "2,1,0", "--gamma", "0",
+                                 "--delta", "0", "--grid", "5,3", "--summary", f"--eps={eps}")
+        assert (code, out) == (1, "")
+        assert "eps must be nonnegative" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("bad,message", [
+        (["--gamma", "0.5,2.0", "--delta", "0.1"], "gamma must be in"),
+        (["--gamma", "0.5", "--delta", "0.1", "--grid", "181,91"], "181x91"),
+    ], ids=["second-pair-out-of-range", "oversized-grid"])
+    def test_invalid_input_writes_nothing(self, capsys, tmp_path, fmt, to_file, bad, message):
+        # rows stream, so every check must run before the first byte
+        target = tmp_path / "rows"
+        out_args = ["--out", str(target)] if to_file else []
+        code, out, err = run_cli(capsys, "sweep", "--bos", "2,1,0", *bad,
+                                 "--format", fmt, *out_args)
+        assert (code, out) == (1, "")
+        assert message in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["--bos", "2,1,0", "--gamma", "pi/2", "--delta", "pi/4", "--grid", "1,1"],
+        ["--bos", "2,1,0", "--gamma", "0,pi/2", "--delta", "0.3,pi/4", "--grid", "5,3"],
+        ["--bos", "3,2,0.5", "--gamma", "0,pi/4,pi/2", "--delta", "pi/4", "--grid", "4,3",
+         "--phi-range", "full"],
+        ["--matrix", "3,3,0,5,5,0,1,1", "--gamma", "0.123456789", "--delta", "0,pi/2",
+         "--grid", "2,3"],
+        # payoffs just above the largest float overflow: json writes Infinity
+        ["--matrix", ",".join(["1.7976931348623157e308,1"] * 4), "--gamma", "pi/4",
+         "--delta", "0.3", "--grid", "3,2"],
+    ], ids=["1x1", "5x3-2pairs", "full-3pairs", "matrix", "overflow"])
+    def test_rows_match_row_dict_reference(self, capsys, fmt, argv):
+        code, out, err = run_cli(capsys, "sweep", *argv, "--format", fmt)
+        assert code == 0, err
+        rows = reference_sweep_rows(argv)
+        if fmt == "csv":
+            assert out == _csv_table(SWEEP_FIELDS, rows)
+        else:
+            assert out == json.dumps(rows, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_pairs(self, tmp_path, fmt):
+        def peak(pairs):
+            gammas = ",".join(["0.4"] * pairs)
+            tracemalloc.start()
+            try:
+                code = main(["sweep", "--bos", "2,1,0", "--gamma", gammas, "--delta", "0.2",
+                             "--grid", "9,5", "--format", fmt, "--out", str(tmp_path / "rows")])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (code1, one), (code4, four) = peak(1), peak(4)
+        assert code1 == code4 == 0
+        assert four < 2 * one, (one, four)
+
+
+def reference_sweep_rows(argv):
+    """The per-profile rows as one list of dicts, built profile by profile."""
+    opts = dict(zip(argv[::2], argv[1::2]))
+    if "--bos" in opts:
+        game = battle_of_sexes(*(float(v) for v in opts["--bos"].split(",")))
+    else:
+        v = [float(x) for x in opts["--matrix"].split(",")]
+        game = GameMatrix(alice=((v[0], v[2]), (v[4], v[6])),
+                          bob=((v[1], v[3]), (v[5], v[7])))
+    steps = [int(x) for x in opts["--grid"].split(",")]
+    grid = StrategyGrid(steps[0], steps[1], opts.get("--phi-range", "narrow"))
+    rows = []
+    for gamma, delta in _pair_up(parse_angle_list(opts["--gamma"]),
+                                 parse_angle_list(opts["--delta"])):
+        probs = probability_tables(SchemeParams(gamma, delta), grid)
+        alice, bob = weigh_outcomes(game, probs)
+        for a, s1 in enumerate(grid.points()):
+            for b, s2 in enumerate(grid.points()):
+                rows.append({
+                    "gamma": gamma, "delta": delta,
+                    "theta1": s1.theta, "phi1": s1.phi,
+                    "theta2": s2.theta, "phi2": s2.phi,
+                    "payoff_a": float(alice[a, b]), "payoff_b": float(bob[a, b]),
+                    "p_oo": float(probs[0, a, b]), "p_ot": float(probs[1, a, b]),
+                    "p_to": float(probs[2, a, b]), "p_tt": float(probs[3, a, b]),
+                })
+    return rows
 
 
 class TestEquilibria:

@@ -333,6 +333,13 @@ class TestSweep:
         assert rows[0].max_formula_dev is None
         assert rows[0].best is None and rows[0].equilibria == 0
 
+    @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
+    def test_invalid_eps_rejected_like_epsilon_nash(self, eps):
+        for search in (lambda: sweep(bos210(), [0.0], [0.0], pure_grid(), eps=eps),
+                       lambda: epsilon_nash(bos210(), CLASSICAL, pure_grid(), eps=eps)):
+            with pytest.raises(ValueError, match="eps must be nonnegative"):
+                search()
+
     def test_egalitarian_selection(self):
         # at gamma = delta = 0 both pure equilibria tie on min(): (2,1) vs (1,2);
         # the sum also ties, so the first in grid order is reported

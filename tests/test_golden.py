@@ -38,6 +38,8 @@ CASES = {
                           "--format", "csv"],
     "sweep_rows.csv": ["sweep", "--bos", "2,1,0", "--gamma", "0,pi/2", "--delta", "0.3,pi/4",
                        "--grid", "5,3", "--format", "csv"],
+    "sweep_rows.json": ["sweep", "--matrix", "3,3,0,5,5,0,1,1", "--gamma", "pi/4",
+                        "--delta", "0,pi/4", "--grid", "3,2", "--phi-range", "full"],
     "sweep_summary.json": ["sweep", "--bos", "3,2,0.5", "--gamma", "0,pi/4,pi/2",
                            "--delta", "0,0.6,pi/2", "--grid", "9,5", "--summary"],
     "equilibria_narrow.json": ["equilibria", "--bos", "2,1,0", "--gamma", "pi/2",
