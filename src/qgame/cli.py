@@ -19,11 +19,11 @@ import numpy as np
 from .closedform import payoff_general
 from .equilibrium import (
     StrategyGrid,
-    _check_table_size,
-    _pair_up,
+    check_eps,
     epsilon_nash,
     probability_tables,
     sweep,
+    sweep_schemes,
     weigh_outcomes,
 )
 from .scheme import (
@@ -170,7 +170,9 @@ class _Resolver:
         return StrategyGrid(steps[0], steps[1], self.phi_range())
 
     def eps(self) -> float:
-        return float(self.get("eps", str(DEFAULT_EPS)))
+        eps = float(self.get("eps", str(DEFAULT_EPS)))
+        check_eps(eps)
+        return eps
 
     def seed(self) -> int:
         raw = self.get("seed", "0")
@@ -231,7 +233,8 @@ def _sweep_chunks(game: GameMatrix, schemes: list[SchemeParams], grid: StrategyG
         def tail(texts):
             return ",".join(texts)
     else:
-        # json writes a finite float as its repr, which %s gives too
+        # json writes a float as its repr, which %s gives too; every value is
+        # finite because GameMatrix bounds the payoffs by MAX_PAYOFF
         num, spec = json.dumps, "%s"
         start, sep, end = "[\n", ",\n", "\n]\n"
 
@@ -250,17 +253,12 @@ def _sweep_chunks(game: GameMatrix, schemes: list[SchemeParams], grid: StrategyG
         probs = probability_tables(scheme, grid)
         alice, bob = weigh_outcomes(game, probs)
         values = np.stack([alice, bob, *probs], axis=-1)  # (n, n, 6), SWEEP_FIELDS order
-        # json writes inf and nan as Infinity and NaN, not as %s would
-        spell_out = fmt == "json" and not np.isfinite(values).all()
         prefix = [num(scheme.gamma), num(scheme.delta)]
         for a, (theta, phi) in enumerate(points):
             row_head = head(prefix + [theta, phi])
-            cells = values[a].ravel().tolist()
-            if spell_out:
-                cells = [num(c) for c in cells]
             if i or a:
                 yield sep
-            yield (row_head + (sep + row_head).join(tails)) % tuple(cells)
+            yield (row_head + (sep + row_head).join(tails)) % tuple(values[a].ravel().tolist())
     yield end
 
 
@@ -315,8 +313,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not opts.summary():
         fmt = opts.fmt()
         # everything that can reject the input runs before the first byte
-        schemes = [SchemeParams(g, d) for g, d in _pair_up(gammas, deltas)]
-        _check_table_size(grid)
+        schemes = sweep_schemes(gammas, deltas, grid)
         _emit_chunks(_sweep_chunks(game, schemes, grid, fmt), opts.get("out"))
         return 0
 

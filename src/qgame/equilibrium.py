@@ -76,10 +76,15 @@ class StrategyGrid:
         # the full range is periodic, so its upper endpoint is excluded
         return np.linspace(lo, hi, self.phi_steps, endpoint=self.phi_range != "full")
 
+    def angles(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flattened (thetas, phis) of all grid points, theta-major."""
+        thetas, phis = np.meshgrid(self.theta_values(), self.phi_values(), indexing="ij")
+        return thetas.ravel(), phis.ravel()
+
     def points(self) -> list[StrategyParams]:
-        """All grid strategies, theta-major (lexicographic by grid index)."""
-        return [StrategyParams(float(t), float(p))
-                for t in self.theta_values() for p in self.phi_values()]
+        """All grid strategies in angles() order (lexicographic by grid index)."""
+        thetas, phis = self.angles()
+        return [StrategyParams(t, p) for t, p in zip(thetas.tolist(), phis.tolist())]
 
 
 @dataclass(frozen=True)
@@ -111,13 +116,6 @@ def _features(thetas, phis) -> np.ndarray:
     v = np.stack([np.cos(half) * np.cos(phis), np.cos(half) * np.sin(phis),
                   np.sin(half)], axis=-1)
     return v[..., _PAIR_P] * v[..., _PAIR_Q] * np.where(_PAIR_P == _PAIR_Q, 1.0, 2.0)
-
-
-def _grid_features(grid: StrategyGrid) -> np.ndarray:
-    """_features of grid.points(), in that order: shape (n, 6)."""
-    thetas = np.repeat(grid.theta_values(), grid.phi_steps)
-    phis = np.tile(grid.phi_values(), grid.theta_steps)
-    return _features(thetas, phis)
 
 
 def _outcome_kernels(scheme: SchemeParams) -> np.ndarray:
@@ -170,7 +168,7 @@ def probability_tables(scheme: SchemeParams, grid: StrategyGrid) -> np.ndarray:
     Raises ValueError before allocating anything when the tables would take
     more than MAX_TABLE_BYTES."""
     _check_table_size(grid)
-    features = _grid_features(grid)
+    features = _features(*grid.angles())
     return _probabilities(_outcome_kernels(scheme), features, features)
 
 
@@ -195,7 +193,8 @@ def _certificates(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
                       best_reply_b[:, np.newaxis] - bob)
 
 
-def _check_eps(eps: float) -> None:
+def check_eps(eps: float) -> None:
+    """Validate an equilibrium tolerance: finite and nonnegative."""
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be nonnegative, got {eps!r}")
 
@@ -211,7 +210,7 @@ def best_response(game: GameMatrix, scheme: SchemeParams, opponent: StrategyPara
     if responder not in ("alice", "bob"):
         raise ValueError(f"responder must be 'alice' or 'bob', got {responder!r}")
     kernels = _outcome_kernels(scheme)
-    features = _grid_features(grid)
+    features = _features(*grid.angles())
     fixed = _features(opponent.theta, opponent.phi)[np.newaxis]
     if responder == "alice":
         values = weigh_outcomes(game, _probabilities(kernels, features, fixed)[:, :, 0])[0]
@@ -229,7 +228,7 @@ def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
     Results are ordered lexicographically by grid indices (Alice's point
     first), so runs are reproducible. An empty list is a valid outcome.
     """
-    _check_eps(eps)
+    check_eps(eps)
     alice, bob = payoff_tables(game, scheme, grid)
     cert = _certificates(alice, bob)
     points = grid.points()
@@ -244,7 +243,10 @@ def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
     return results
 
 
-def _pair_up(gamma_values, delta_values) -> list[tuple[float, float]]:
+def sweep_schemes(gamma_values, delta_values, grid: StrategyGrid) -> list[SchemeParams]:
+    """A sweep's schemes in input order, gamma_values and delta_values paired
+    elementwise (a singleton broadcasts). Every input check of a sweep, the
+    table size included, raises ValueError here, before any table is built."""
     gammas = [float(g) for g in gamma_values]
     deltas = [float(d) for d in delta_values]
     if len(gammas) == 1 and len(deltas) > 1:
@@ -256,44 +258,39 @@ def _pair_up(gamma_values, delta_values) -> list[tuple[float, float]]:
             f"gamma and delta lists must pair up elementwise, got lengths "
             f"{len(gammas)} and {len(deltas)}"
         )
-    return list(zip(gammas, deltas))
+    schemes = [SchemeParams(g, d) for g, d in zip(gammas, deltas)]
+    _check_table_size(grid)
+    return schemes
 
 
 def sweep(game: GameMatrix, gamma_values, delta_values, grid: StrategyGrid,
           eps: float) -> list[SweepRow]:
-    """Summaries for each (gamma, delta) pair, in input order.
+    """Summaries for each (gamma, delta) pair of sweep_schemes, in input order.
 
-    gamma_values and delta_values are paired elementwise (a singleton
-    broadcasts against the other list). Each row records the equilibrium
-    count, the payoff pair of the most egalitarian equilibrium (largest
-    min(alice, bob), then largest sum, then first in grid order), and the
-    worst observed |simulation - closed form| when the game has the
-    battle-of-sexes structure.
+    Each row records the equilibrium count, the payoff pair of the most
+    egalitarian equilibrium (largest min(alice, bob), then largest sum, then
+    first in grid order), and the worst observed |simulation - closed form|
+    when the game has the battle-of-sexes structure.
     """
-    _check_eps(eps)
-    points = grid.points()
-    thetas = np.array([p.theta for p in points])
-    phis = np.array([p.phi for p in points])
+    check_eps(eps)
+    thetas, phis = grid.angles()
     rows = []
-    for gamma, delta in _pair_up(gamma_values, delta_values):
-        scheme = SchemeParams(gamma, delta)
+    for scheme in sweep_schemes(gamma_values, delta_values, grid):
         alice, bob = payoff_tables(game, scheme, grid)
-        cert = _certificates(alice, bob)
-        hits = np.argwhere(cert <= eps)
+        a, b = np.nonzero(_certificates(alice, bob) <= eps)
         best: PayoffPair | None = None
-        best_key: tuple[float, float] | None = None
-        for a, b in hits:
-            pair = (float(alice[a, b]), float(bob[a, b]))
-            key = (min(pair), pair[0] + pair[1])
-            if best_key is None or key > best_key:
-                best_key = key
-                best = PayoffPair(*pair)
+        if len(a):
+            pa, pb = alice[a, b], bob[a, b]
+            # lexsort's last key is the primary one; the final entry is the
+            # largest, and -index makes the earliest profile win a full tie
+            top = np.lexsort((-np.arange(len(a)), pa + pb, np.minimum(pa, pb)))[-1]
+            best = PayoffPair(float(pa[top]), float(pb[top]))
         dev: float | None = None
         if game.bos is not None:
-            al, bo = _general(*game.bos, gamma, delta,
+            al, bo = _general(*game.bos, scheme.gamma, scheme.delta,
                               thetas[:, np.newaxis], phis[:, np.newaxis],
                               thetas[np.newaxis, :], phis[np.newaxis, :])
             dev = float(max(np.abs(al - alice).max(), np.abs(bo - bob).max()))
-        rows.append(SweepRow(gamma=gamma, delta=delta, equilibria=int(len(hits)),
+        rows.append(SweepRow(gamma=scheme.gamma, delta=scheme.delta, equilibria=len(a),
                              best=best, max_formula_dev=dev))
     return rows

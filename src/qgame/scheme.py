@@ -28,6 +28,10 @@ PHI_RANGES = {
     "full": (0.0, TWO_PI),
 }
 
+# Largest payoff magnitude of a game: tables stay below 1e300, certificates
+# (differences of two payoffs) below 2e300, closed forms below 4e300.
+MAX_PAYOFF = 1e300
+
 
 def _check_interval(name: str, value: float, lo: float, hi: float, label: str,
                     open_upper: bool = False) -> None:
@@ -90,8 +94,9 @@ def _as_cells(name, cells) -> tuple[tuple[float, float], tuple[float, float]]:
         raise ValueError(f"{name} must be 2x2, got {cells!r}")
     for row in rows:
         for v in row:
-            if not math.isfinite(v):
-                raise ValueError(f"{name} entries must be finite, got {v!r}")
+            if not abs(v) <= MAX_PAYOFF:  # also false for nan
+                raise ValueError(f"{name} entries must be finite and at most "
+                                 f"{MAX_PAYOFF:g} in magnitude, got {v!r}")
     return rows
 
 

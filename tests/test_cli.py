@@ -7,10 +7,12 @@ import tracemalloc
 import pytest
 
 from qgame.cli import SWEEP_FIELDS, _csv_table, main, parse_angle, parse_angle_list
-from qgame.equilibrium import StrategyGrid, _pair_up, probability_tables, weigh_outcomes
-from qgame.scheme import GameMatrix, SchemeParams, battle_of_sexes
+from qgame.equilibrium import StrategyGrid, probability_tables, sweep_schemes, weigh_outcomes
+from qgame.scheme import GameMatrix, battle_of_sexes
 
 HP = math.pi / 2
+# payoffs at the largest float, over MAX_PAYOFF: weighting them would overflow to inf
+OVERFLOWING = ["--matrix", ",".join(["1.7976931348623157e308,1"] * 4)]
 
 
 def run_cli(capsys, *argv):
@@ -251,15 +253,19 @@ class TestSweep:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     @pytest.mark.parametrize("bad,message", [
-        (["--gamma", "0.5,2.0", "--delta", "0.1"], "gamma must be in"),
-        (["--gamma", "0.5", "--delta", "0.1", "--grid", "181,91"], "181x91"),
-    ], ids=["second-pair-out-of-range", "oversized-grid"])
+        (["--bos", "2,1,0", "--gamma", "0.5,2.0", "--delta", "0.1"], "gamma must be in"),
+        (["--bos", "2,1,0", "--gamma", "0.5", "--delta", "0.1", "--grid", "181,91"], "181x91"),
+        ([*OVERFLOWING, "--gamma", "pi/4", "--delta", "0.3", "--grid", "3,2"],
+         "at most 1e+300 in magnitude"),
+        *[(["--bos", "2,1,0", "--gamma", "0.5", "--delta", "0.1", "--grid", "3,2",
+            f"--eps={eps}"], "eps must be nonnegative") for eps in ("-1", "nan", "inf")],
+    ], ids=["second-pair-out-of-range", "oversized-grid", "overflowing-payoffs",
+            "eps-negative", "eps-nan", "eps-inf"])
     def test_invalid_input_writes_nothing(self, capsys, tmp_path, fmt, to_file, bad, message):
         # rows stream, so every check must run before the first byte
         target = tmp_path / "rows"
         out_args = ["--out", str(target)] if to_file else []
-        code, out, err = run_cli(capsys, "sweep", "--bos", "2,1,0", *bad,
-                                 "--format", fmt, *out_args)
+        code, out, err = run_cli(capsys, "sweep", *bad, "--format", fmt, *out_args)
         assert (code, out) == (1, "")
         assert message in err
         assert not target.exists()
@@ -272,10 +278,7 @@ class TestSweep:
          "--phi-range", "full"],
         ["--matrix", "3,3,0,5,5,0,1,1", "--gamma", "0.123456789", "--delta", "0,pi/2",
          "--grid", "2,3"],
-        # payoffs just above the largest float overflow: json writes Infinity
-        ["--matrix", ",".join(["1.7976931348623157e308,1"] * 4), "--gamma", "pi/4",
-         "--delta", "0.3", "--grid", "3,2"],
-    ], ids=["1x1", "5x3-2pairs", "full-3pairs", "matrix", "overflow"])
+    ], ids=["1x1", "5x3-2pairs", "full-3pairs", "matrix"])
     def test_rows_match_row_dict_reference(self, capsys, fmt, argv):
         code, out, err = run_cli(capsys, "sweep", *argv, "--format", fmt)
         assert code == 0, err
@@ -314,14 +317,14 @@ def reference_sweep_rows(argv):
     steps = [int(x) for x in opts["--grid"].split(",")]
     grid = StrategyGrid(steps[0], steps[1], opts.get("--phi-range", "narrow"))
     rows = []
-    for gamma, delta in _pair_up(parse_angle_list(opts["--gamma"]),
-                                 parse_angle_list(opts["--delta"])):
-        probs = probability_tables(SchemeParams(gamma, delta), grid)
+    for scheme in sweep_schemes(parse_angle_list(opts["--gamma"]),
+                                parse_angle_list(opts["--delta"]), grid):
+        probs = probability_tables(scheme, grid)
         alice, bob = weigh_outcomes(game, probs)
         for a, s1 in enumerate(grid.points()):
             for b, s2 in enumerate(grid.points()):
                 rows.append({
-                    "gamma": gamma, "delta": delta,
+                    "gamma": scheme.gamma, "delta": scheme.delta,
                     "theta1": s1.theta, "phi1": s1.phi,
                     "theta2": s2.theta, "phi2": s2.phi,
                     "payoff_a": float(alice[a, b]), "payoff_b": float(bob[a, b]),
@@ -377,6 +380,16 @@ class TestEquilibria:
         assert code == 1
         assert out == ""
         assert "181x91" in err and "limit" in err
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_overflowing_game_exits_one(self, capsys, tmp_path, to_file):
+        target = tmp_path / "equilibria.json"
+        out_args = ["--out", str(target)] if to_file else []
+        code, out, err = run_cli(capsys, "equilibria", *OVERFLOWING, "--gamma", "pi/4",
+                                 "--delta", "0.3", "--grid", "3,2", *out_args)
+        assert (code, out) == (1, "")
+        assert "at most 1e+300 in magnitude" in err
+        assert not target.exists()
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "equilibria", "--bos", "2,1,0", "--gamma", "0",

@@ -15,9 +15,11 @@ from qgame.equilibrium import (
     payoff_tables,
     probability_tables,
     sweep,
+    sweep_schemes,
 )
 from qgame.scheme import (
     GameMatrix,
+    PayoffPair,
     SchemeParams,
     StrategyParams,
     battle_of_sexes,
@@ -60,6 +62,15 @@ class TestStrategyGrid:
         pts = StrategyGrid(2, 2).points()
         assert [(p.theta, p.phi) for p in pts] == [
             (0.0, 0.0), (0.0, HP), (math.pi, 0.0), (math.pi, HP)]
+
+    @pytest.mark.parametrize("grid", [StrategyGrid(5, 3), StrategyGrid(4, 6, "full"),
+                                      StrategyGrid(1, 1), StrategyGrid(3, 1, "full")],
+                             ids=["narrow", "full", "1x1", "1-phi-step"])
+    def test_angles_match_points_exactly(self, grid):
+        thetas, phis = grid.angles()
+        theta_major = [(t, p) for t in grid.theta_values() for p in grid.phi_values()]
+        assert list(zip(thetas, phis)) == theta_major
+        assert [(p.theta, p.phi) for p in grid.points()] == theta_major
 
     def test_validation(self):
         with pytest.raises(ValueError, match="theta_steps"):
@@ -345,3 +356,76 @@ class TestSweep:
         # the sum also ties, so the first in grid order is reported
         rows = sweep(bos210(), [0.0], [0.0], pure_grid(), eps=1e-9)
         assert (rows[0].best.alice, rows[0].best.bob) == pytest.approx((2.0, 1.0))
+
+    @pytest.mark.parametrize("gammas,deltas,grid,message", [
+        ([0.3, 2.0], [0.1], pure_grid(), "gamma must be in"),
+        ([0.0, 0.5], [0.0, 0.1, 0.2], pure_grid(), "pair up"),
+        ([0.0], [0.0], StrategyGrid(181, 91), "181x91"),
+    ], ids=["second-pair-out-of-range", "mismatched-lengths", "oversized-grid"])
+    def test_inputs_rejected_before_any_table(self, monkeypatch, gammas, deltas, grid,
+                                              message):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return probability_tables(*args)
+
+        monkeypatch.setattr(equilibrium, "probability_tables", counting)
+        with pytest.raises(ValueError, match=message):
+            sweep_schemes(gammas, deltas, grid)
+        with pytest.raises(ValueError, match=message):
+            sweep(bos210(), gammas, deltas, grid, eps=1e-9)
+        assert calls == []
+
+
+def reference_best(alice, bob, eps):
+    """Summary pick profile by profile: largest min, then largest sum, then
+    first in grid order."""
+    cert = equilibrium._certificates(alice, bob)
+    best = best_key = None
+    for a, b in np.argwhere(cert <= eps):
+        pair = (float(alice[a, b]), float(bob[a, b]))
+        key = (min(pair), pair[0] + pair[1])
+        if best_key is None or key > best_key:
+            best_key = key
+            best = PayoffPair(*pair)
+    return best
+
+
+class TestSweepSelection:
+    """sweep's vectorized summary pick against the profile-by-profile rule."""
+
+    def check(self, game, gamma, delta, grid, eps):
+        row, = sweep(game, [gamma], [delta], grid, eps)
+        alice, bob = payoff_tables(game, SchemeParams(gamma, delta), grid)
+        assert row.best == reference_best(alice, bob, eps)
+        return row
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_games_and_grids(self, seed):
+        rng = np.random.default_rng(seed)
+        cells = rng.integers(-3, 4, size=(2, 2, 2)).astype(float)
+        game = GameMatrix(alice=cells[0], bob=cells[1])
+        grid = StrategyGrid(int(rng.integers(2, 8)), int(rng.integers(1, 6)),
+                            str(rng.choice(["narrow", "full"])))
+        gamma, delta = rng.uniform(0, HP, size=2)
+        for eps in (1e-9, 1e-3, 0.5):
+            self.check(game, gamma, delta, grid, eps)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-9])
+    def test_classical_ties(self, eps):
+        # at gamma = delta = 0 phase copies make hundreds of tied profiles
+        row = self.check(bos210(), 0.0, 0.0, StrategyGrid(33, 17), eps)
+        assert row.equilibria > 300
+
+    def test_sum_breaks_min_ties(self):
+        # pure equilibria (1, 2) at OO and (1, 3) at TT tie on min; TT wins
+        game = GameMatrix(alice=((1, 0), (0, 1)), bob=((2, 0), (0, 3)))
+        row = self.check(game, 0.0, 0.0, pure_grid(), 1e-9)
+        assert (row.equilibria, row.best) == (2, PayoffPair(1.0, 3.0))
+
+    def test_constant_game_certifies_every_profile(self):
+        constant = GameMatrix(alice=((1, 1), (1, 1)), bob=((1, 1), (1, 1)))
+        grid = StrategyGrid(9, 5)
+        row = self.check(constant, 0.7, 0.3, grid, 1e-9)
+        assert row.equilibria == 45 ** 2

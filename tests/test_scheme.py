@@ -5,6 +5,7 @@ import pytest
 
 from qgame.linalg import KET_OO, KET_OT, KET_TO, KET_TT
 from qgame.scheme import (
+    MAX_PAYOFF,
     GameMatrix,
     MeasurementBasis,
     PayoffPair,
@@ -82,6 +83,15 @@ class TestGameMatrix:
     def test_nonfinite_entries_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             GameMatrix(alice=((math.inf, 0), (0, 1)), bob=((1, 0), (0, 2)))
+
+    def test_payoff_magnitude_limit_is_inclusive(self):
+        # at the limit tables, certificates and closed forms stay finite
+        GameMatrix(alice=((MAX_PAYOFF, 0), (0, -MAX_PAYOFF)), bob=((1, 0), (0, 2)))
+        battle_of_sexes(MAX_PAYOFF, 0.0, -MAX_PAYOFF)
+        above = math.nextafter(MAX_PAYOFF, math.inf)
+        for cell in (above, -above):
+            with pytest.raises(ValueError, match="at most 1e\\+300 in magnitude"):
+                GameMatrix(alice=((1, 0), (0, 2)), bob=((1, cell), (0, 2)))
 
 
 class TestInitialState:
