@@ -48,9 +48,6 @@ SUMMARY_FIELDS = ("gamma", "delta", "equilibria", "best_payoff_a",
 EQUILIBRIA_FIELDS = ("theta1", "phi1", "theta2", "phi2", "payoff_a",
                      "payoff_b", "eps_cert")
 
-DEFAULT_GRID = (33, 17)
-DEFAULT_EPS = 1e-9
-
 
 def parse_angle(text: str) -> float:
     token = text.strip()
@@ -96,9 +93,14 @@ def parse_grid(text: str) -> tuple[int, int]:
     return t, p
 
 
-def load_config(path: str) -> dict[str, str]:
-    """Flat key = value file; full-line # comments and blank lines allowed."""
-    values: dict[str, str] = {}
+def load_config(path: str) -> list[str]:
+    """A flat key = value file as command-line tokens for the subcommand's parser.
+
+    Each line becomes --key=value (the = form keeps values that start with -),
+    so a config line is checked exactly like the flag; summary = true|false
+    becomes --summary or nothing. Full-line # comments and blank lines allowed.
+    """
+    tokens: list[str] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -106,83 +108,33 @@ def load_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
-    return values
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key == "config":
+                raise ValueError(f"{path}:{lineno}: a config file cannot name another one")
+            if key != "summary":
+                tokens.append(f"--{key}={value}")
+            elif value not in ("true", "false"):
+                raise ValueError(f"summary must be 'true' or 'false', got {value!r}")
+            elif value == "true":
+                tokens.append("--summary")
+    return tokens
 
 
-class _Resolver:
-    """Option lookup with precedence: command line, then config file."""
+def _game(args: argparse.Namespace) -> GameMatrix:
+    if args.bos is not None and args.matrix is not None:
+        raise ValueError("give either --bos or --matrix, not both")
+    if args.matrix is not None:
+        v = _split_floats(args.matrix, 8, "matrix")
+        # order: a_oo,b_oo,a_ot,b_ot,a_to,b_to,a_tt,b_tt
+        return GameMatrix(alice=((v[0], v[2]), (v[4], v[6])),
+                          bob=((v[1], v[3]), (v[5], v[7])))
+    if args.bos is None:
+        raise ValueError("a game is required: --bos A,B,S or --matrix (8 values)")
+    return battle_of_sexes(*_split_floats(args.bos, 3, "bos"))
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = load_config(args.config) if getattr(args, "config", None) else {}
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        cli = getattr(self.args, key.replace("-", "_"), None)
-        if cli is not None:
-            return cli
-        return self.config.get(key, default)
-
-    def require(self, key: str) -> str:
-        value = self.get(key)
-        if value is None:
-            raise ValueError(f"missing required option --{key}")
-        return value
-
-    def game(self, default_bos: str | None = None) -> GameMatrix:
-        bos = self.get("bos")
-        matrix = self.get("matrix")
-        if bos is not None and matrix is not None:
-            raise ValueError("give either --bos or --matrix, not both")
-        if matrix is not None:
-            v = _split_floats(matrix, 8, "matrix")
-            # order: a_oo,b_oo,a_ot,b_ot,a_to,b_to,a_tt,b_tt
-            return GameMatrix(alice=((v[0], v[2]), (v[4], v[6])),
-                              bob=((v[1], v[3]), (v[5], v[7])))
-        if bos is None:
-            bos = default_bos
-        if bos is None:
-            raise ValueError("a game is required: --bos A,B,S or --matrix (8 values)")
-        return battle_of_sexes(*_split_floats(bos, 3, "bos"))
-
-    def phi_range(self) -> str:
-        value = self.get("phi-range", "narrow")
-        if value not in ("narrow", "full"):
-            raise ValueError(f"phi-range must be 'narrow' or 'full', got {value!r}")
-        return value
-
-    def fmt(self) -> str:
-        value = self.get("format", "json")
-        if value not in ("csv", "json"):
-            raise ValueError(f"format must be 'csv' or 'json', got {value!r}")
-        return value
-
-    def summary(self) -> bool:
-        value = self.get("summary", "false")
-        if value not in ("true", "false"):
-            raise ValueError(f"summary must be 'true' or 'false', got {value!r}")
-        return value == "true"
-
-    def grid(self) -> StrategyGrid:
-        spec = self.get("grid")
-        steps = parse_grid(spec) if spec is not None else DEFAULT_GRID
-        return StrategyGrid(steps[0], steps[1], self.phi_range())
-
-    def eps(self) -> float:
-        eps = float(self.get("eps", str(DEFAULT_EPS)))
-        check_eps(eps)
-        return eps
-
-    def seed(self) -> int:
-        raw = self.get("seed", "0")
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise ValueError(f"seed must be a nonnegative integer, got {raw!r}") from None
-        if seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-        return seed
+def _grid(args: argparse.Namespace) -> StrategyGrid:
+    return StrategyGrid(*parse_grid(args.grid), args.phi_range)
 
 
 def _fmt_csv(value) -> str:
@@ -263,13 +215,10 @@ def _sweep_chunks(game: GameMatrix, schemes: list[SchemeParams], grid: StrategyG
 
 
 def cmd_payoff(args: argparse.Namespace) -> int:
-    opts = _Resolver(args)
-    phi_range = opts.phi_range()
-    game = opts.game()
-    scheme = SchemeParams(parse_angle(opts.require("gamma")),
-                          parse_angle(opts.require("delta")))
-    s1 = parse_strategy(opts.require("s1"), phi_range)
-    s2 = parse_strategy(opts.require("s2"), phi_range)
+    game = _game(args)
+    scheme = SchemeParams(parse_angle(args.gamma), parse_angle(args.delta))
+    s1 = parse_strategy(args.s1, args.phi_range)
+    s2 = parse_strategy(args.s2, args.phi_range)
     probs = outcome_probabilities(final_state(scheme.gamma, s1, s2),
                                   measurement_basis(scheme.delta))
     oracle = payoffs_oracle(game, scheme, s1, s2)
@@ -279,8 +228,8 @@ def cmd_payoff(args: argparse.Namespace) -> int:
         "payoff_a": oracle.alice, "payoff_b": oracle.bob,
         "p_oo": probs[0], "p_ot": probs[1], "p_to": probs[2], "p_tt": probs[3],
     }
-    if opts.fmt() == "csv":
-        _emit(_csv_table(SWEEP_FIELDS, [row]), opts.get("out"))
+    if args.format == "csv":
+        _emit(_csv_table(SWEEP_FIELDS, [row]), args.out)
         return 0
     if game.bos is not None:
         form = payoff_general(game, scheme, s1, s2)
@@ -288,33 +237,36 @@ def cmd_payoff(args: argparse.Namespace) -> int:
         row["closed_form_b"] = form.bob
         row["abs_diff_a"] = abs(form.alice - oracle.alice)
         row["abs_diff_b"] = abs(form.bob - oracle.bob)
-    _emit(json.dumps(row, indent=2) + "\n", opts.get("out"))
+    _emit(json.dumps(row, indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    opts = _Resolver(args)
-    if opts.get("matrix") is not None:
+    if args.matrix is not None:
         raise ValueError("verify runs on battle-of-sexes games only; use --bos")
-    game = opts.game(default_bos="2,1,0")
-    report = run_verification(game, seed=opts.seed())
-    _emit(report.render(), opts.get("out"))
+    game = _game(args)
+    try:
+        seed = int(args.seed)
+    except ValueError:
+        raise ValueError(f"seed must be a nonnegative integer, got {args.seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    report = run_verification(game, seed=seed)
+    _emit(report.render(), args.out)
     return 0 if report.passed else 2
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    opts = _Resolver(args)
-    game = opts.game()
-    gammas = parse_angle_list(opts.require("gamma"))
-    deltas = parse_angle_list(opts.require("delta"))
-    grid = opts.grid()
-    eps = opts.eps()
+    game = _game(args)
+    gammas = parse_angle_list(args.gamma)
+    deltas = parse_angle_list(args.delta)
+    grid = _grid(args)
+    check_eps(args.eps)
 
-    if not opts.summary():
-        fmt = opts.fmt()
+    if not args.summary:
         # everything that can reject the input runs before the first byte
         schemes = sweep_schemes(gammas, deltas, grid)
-        _emit_chunks(_sweep_chunks(game, schemes, grid, fmt), opts.get("out"))
+        _emit_chunks(_sweep_chunks(game, schemes, grid, args.format), args.out)
         return 0
 
     rows = [{
@@ -322,22 +274,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "best_payoff_a": None if r.best is None else r.best.alice,
         "best_payoff_b": None if r.best is None else r.best.bob,
         "max_formula_dev": r.max_formula_dev,
-    } for r in sweep(game, gammas, deltas, grid, eps)]
-    if opts.fmt() == "csv":
-        _emit(_csv_table(SUMMARY_FIELDS, rows), opts.get("out"))
+    } for r in sweep(game, gammas, deltas, grid, args.eps)]
+    if args.format == "csv":
+        _emit(_csv_table(SUMMARY_FIELDS, rows), args.out)
     else:
-        _emit(json.dumps(rows, indent=2) + "\n", opts.get("out"))
+        _emit(json.dumps(rows, indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_equilibria(args: argparse.Namespace) -> int:
-    opts = _Resolver(args)
-    game = opts.game()
-    scheme = SchemeParams(parse_angle(opts.require("gamma")),
-                          parse_angle(opts.require("delta")))
-    grid = opts.grid()
-    eps = opts.eps()
-    results = epsilon_nash(game, scheme, grid, eps)
+    game = _game(args)
+    scheme = SchemeParams(parse_angle(args.gamma), parse_angle(args.delta))
+    grid = _grid(args)
+    check_eps(args.eps)
+    results = epsilon_nash(game, scheme, grid, args.eps)
     print(f"equilibria found: {len(results)}", file=sys.stderr)
     rows = [{
         "theta1": r.s1.theta, "phi1": r.s1.phi,
@@ -345,15 +295,15 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
         "payoff_a": r.payoffs.alice, "payoff_b": r.payoffs.bob,
         "eps_cert": r.eps_cert,
     } for r in results]
-    if opts.fmt() == "csv":
-        _emit(_csv_table(EQUILIBRIA_FIELDS, rows), opts.get("out"))
+    if args.format == "csv":
+        _emit(_csv_table(EQUILIBRIA_FIELDS, rows), args.out)
     else:
         payload = {
-            "gamma": scheme.gamma, "delta": scheme.delta, "eps": eps,
+            "gamma": scheme.gamma, "delta": scheme.delta, "eps": args.eps,
             "theta_steps": grid.theta_steps, "phi_steps": grid.phi_steps,
             "phi_range": grid.phi_range, "count": len(results), "profiles": rows,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", opts.get("out"))
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
@@ -369,18 +319,21 @@ def _add_common(sp: argparse.ArgumentParser, *, strategies: bool = False,
     sp.add_argument("--bos", help="battle of sexes payoffs A,B,S with A > B > S")
     sp.add_argument("--matrix",
                     help="full bimatrix a_oo,b_oo,a_ot,b_ot,a_to,b_to,a_tt,b_tt")
-    sp.add_argument("--gamma", help="initial-state entanglement angle(s)")
-    sp.add_argument("--delta", help="measurement entanglement angle(s)")
+    sp.add_argument("--gamma", required=True, help="initial-state entanglement angle(s)")
+    sp.add_argument("--delta", required=True, help="measurement entanglement angle(s)")
     if strategies:
-        sp.add_argument("--s1", help="Alice's strategy theta,phi")
-        sp.add_argument("--s2", help="Bob's strategy theta,phi")
+        sp.add_argument("--s1", required=True, help="Alice's strategy theta,phi")
+        sp.add_argument("--s2", required=True, help="Bob's strategy theta,phi")
     if grid:
-        sp.add_argument("--grid", help="strategy grid theta_steps,phi_steps "
-                                       f"(default {DEFAULT_GRID[0]},{DEFAULT_GRID[1]})")
-        sp.add_argument("--eps", help=f"equilibrium tolerance (default {DEFAULT_EPS})")
-    sp.add_argument("--phi-range", choices=["narrow", "full"],
-                    help="phase angle range: narrow [0, pi/2] or full [0, 2*pi)")
-    sp.add_argument("--format", choices=["csv", "json"], help="output format (default json)")
+        sp.add_argument("--grid", default="33,17",
+                        help="strategy grid theta_steps,phi_steps (default %(default)s)")
+        sp.add_argument("--eps", type=float, default=1e-9,
+                        help="equilibrium tolerance (default %(default)s)")
+    sp.add_argument("--phi-range", choices=["narrow", "full"], default="narrow",
+                    help="phase angle range: narrow [0, pi/2] or full [0, 2*pi) "
+                         "(default %(default)s)")
+    sp.add_argument("--format", choices=["csv", "json"], default="json",
+                    help="output format (default %(default)s)")
     sp.add_argument("--out", help="write output to this path instead of stdout")
     sp.add_argument("--config", help="flat key = value config file; flags override it")
 
@@ -397,16 +350,18 @@ def build_parser() -> argparse.ArgumentParser:
     payoff.set_defaults(func=cmd_payoff)
 
     verify = sub.add_parser("verify", help="run the closed-form vs simulation suite")
-    verify.add_argument("--bos", help="battle of sexes payoffs A,B,S (default 2,1,0)")
+    verify.add_argument("--bos", default="2,1,0",
+                        help="battle of sexes payoffs A,B,S (default %(default)s)")
     verify.add_argument("--matrix", help=argparse.SUPPRESS)
-    verify.add_argument("--seed", help="seed for the verification draws (default 0)")
+    verify.add_argument("--seed", default="0",
+                        help="seed for the verification draws (default %(default)s)")
     verify.add_argument("--out", help="write the report to this path")
-    verify.add_argument("--config", help="flat key = value config file")
+    verify.add_argument("--config", help="flat key = value config file; flags override it")
     verify.set_defaults(func=cmd_verify)
 
     sw = sub.add_parser("sweep", help="payoff rows over scheme/strategy grids")
     _add_common(sw, grid=True)
-    sw.add_argument("--summary", action="store_const", const="true", default=None,
+    sw.add_argument("--summary", action="store_true",
                     help="one summary row per (gamma, delta) pair instead of "
                          "per-profile rows")
     sw.set_defaults(func=cmd_sweep)
@@ -419,13 +374,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
+    # find --config first; its lines go right after the subcommand, so the
+    # flags that follow win by argparse's last-occurrence rule
+    pre = _Parser(prog="qgame", add_help=False)
+    pre.add_argument("--config")
     try:
+        config = pre.parse_known_args(argv)[0].config
+        if config is not None:
+            argv[1:1] = load_config(config)
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -38,6 +38,11 @@ UNITARITY_DRAWS = 1_000
 ORACLE_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 
+# Largest payoff magnitude of a game to verify. ORACLE_TOL is absolute, and one
+# rounding of a payoff this size (about 1e6 * 2.2e-16 = 2e-10) stays below it;
+# from about 2e22 rounding alone fails du_corrected_vs_oracle.
+VERIFY_MAX_PAYOFF = 1e6
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -308,6 +313,9 @@ def run_verification(game: GameMatrix | None = None, seed: int = 0) -> Verificat
         game = battle_of_sexes(2.0, 1.0, 0.0)
     if game.bos is None:
         raise ValueError("verification needs a battle-of-sexes game")
+    if max(abs(v) for v in game.bos) > VERIFY_MAX_PAYOFF:
+        raise ValueError(f"verification needs payoffs at most {VERIFY_MAX_PAYOFF:g} "
+                         f"in magnitude, got bos {game.bos}")
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
     checks.append(_check_general_vs_oracle(rng))

@@ -4,8 +4,11 @@ import subprocess
 import sys
 import tracemalloc
 
+from types import SimpleNamespace
+
 import pytest
 
+from qgame import cli
 from qgame.cli import SWEEP_FIELDS, _csv_table, main, parse_angle, parse_angle_list
 from qgame.equilibrium import StrategyGrid, probability_tables, sweep_schemes, weigh_outcomes
 from qgame.scheme import GameMatrix, battle_of_sexes
@@ -182,6 +185,183 @@ class TestConfigFile:
         assert out == ""
         assert "'true'" in err and "'false'" in err and repr(value) in err
 
+    @pytest.mark.parametrize("argv", [["payoff", "--config"],
+                                      ["sweep", "--bos", "2,1,0", "--config"]])
+    def test_config_without_value(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "--config" in err
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        path = str(tmp_path / "absent.cfg")
+        code, out, err = run_cli(capsys, "payoff", "--config", path)
+        assert (code, out) == (1, "")
+        assert path in err
+
+    def test_config_cannot_name_another(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"config = {cfg}\n")
+        code, out, err = run_cli(capsys, "payoff", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert "cannot name another" in err
+
+    @pytest.mark.parametrize("command,line,key", [
+        ("sweep", "grdi = 2,1", "--grdi"),
+        ("sweep", "sumary = true", "--sumary"),
+        ("payoff", "seed = 3", "--seed"),
+        ("verify", "grid = 2,1", "--grid"),
+        ("equilibria", "summary = true", "--summary"),
+    ], ids=["typo", "typo-bool", "payoff-seed", "verify-grid", "equilibria-summary"])
+    def test_unknown_or_foreign_key(self, capsys, tmp_path, command, line, key):
+        # every other input is valid, so only the key can fail the run
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        flags = {"payoff": ["--bos", "2,1,0", "--gamma", "0", "--delta", "0",
+                            "--s1", "0,0", "--s2", "0,0"],
+                 "verify": []}.get(command, ["--bos", "2,1,0", "--gamma", "0",
+                                             "--delta", "0", "--grid", "2,1"])
+        target = tmp_path / "result"
+        code, out, err = run_cli(capsys, command, "--config", str(cfg), *flags,
+                                 "--out", str(target))
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments" in err and key in err
+        assert not target.exists()
+
+
+def fake_verification(game, seed):
+    return SimpleNamespace(passed=True, render=lambda: f"bos {game.bos} seed {seed}\n")
+
+
+# every option of every subcommand: (value, other value, invalid value), None
+# where an option has none; {out} stands for a scratch directory. A flag with
+# the other value must override a config line with the value.
+OPTIONS = {
+    "payoff": {
+        "bos": ("3,2,0.5", "5,3,1", "1,2,0"),
+        "matrix": ("3,3,0,5,5,0,1,1", "1,-1,-1,1,-1,1,1,-1", "1,2,3"),
+        "gamma": ("pi/2", "0.2", "2.0"),
+        "delta": ("0.1", "pi/4", "-0.5"),
+        "s1": ("0.5,0.1", "pi,pi/2", "0,3.0"),
+        "s2": ("pi,0", "1.1,0.9", "0,0,0"),
+        "phi-range": ("full", "narrow", "wide"),
+        "format": ("csv", "json", "yaml"),
+        "out": ("{out}/a", "{out}/b", "{out}/missing/a"),
+    },
+    "verify": {
+        "bos": ("3,2,1", "5,3,1", "1,2,0"),
+        "matrix": (None, None, "3,3,0,5,5,0,1,1"),
+        "seed": ("3", "4", "-1"),
+        "out": ("{out}/a", "{out}/b", "{out}/missing/a"),
+    },
+    "sweep": {
+        "bos": ("3,2,0.5", "5,3,1", "1,2,0"),
+        "matrix": ("3,3,0,5,5,0,1,1", "1,-1,-1,1,-1,1,1,-1", "1,2,3"),
+        "gamma": ("0.1,0.2", "pi/2", "0.5,2.0"),
+        "delta": ("0.1", "pi/4,0", "-0.5"),
+        "grid": ("2,2", "3,1", "0,1"),
+        "eps": ("0.5", "0", "-1"),
+        "phi-range": ("full", "narrow", "wide"),
+        "format": ("csv", "json", "yaml"),
+        "out": ("{out}/a", "{out}/b", "{out}/missing/a"),
+        "summary": ("false", "true", "yes"),
+    },
+    "equilibria": {
+        "bos": ("3,2,0.5", "5,3,1", "1,2,0"),
+        "matrix": ("3,3,0,5,5,0,1,1", "1,-1,-1,1,-1,1,1,-1", "1,2,3"),
+        "gamma": ("pi/2", "0.2", "2.0"),
+        "delta": ("0.1", "pi/4", "-0.5"),
+        "grid": ("2,2", "3,1", "0,1"),
+        "eps": ("1e-6", "0", "-1"),
+        "phi-range": ("full", "narrow", "wide"),
+        "format": ("csv", "json", "yaml"),
+        "out": ("{out}/a", "{out}/b", "{out}/missing/a"),
+    },
+}
+BASE = {
+    "payoff": {"bos": "2,1,0", "gamma": "pi/4", "delta": "0.3", "s1": "0.3,0.2",
+               "s2": "1.1,0.9"},
+    "verify": {},
+    "sweep": {"bos": "2,1,0", "gamma": "0,pi/4", "delta": "0.3", "grid": "3,2"},
+    "equilibria": {"bos": "2,1,0", "gamma": "pi/4", "delta": "0.3", "grid": "3,2"},
+}
+# cases in which the other value alone would not change the output
+OVERRIDE_EXTRA = {
+    ("payoff", "phi-range"): {"s1": "0,3.0"},  # only validation reads phi-range
+    ("sweep", "eps"): {"summary": "true"},  # rows mode does not use eps
+}
+
+
+def flag_tokens(options):
+    tokens = []
+    for key, value in options.items():
+        if key == "summary" and value in ("true", "false"):
+            tokens += ["--summary"] if value == "true" else []
+        elif value.startswith("-") or key == "summary":
+            tokens.append(f"--{key}={value}")
+        else:
+            tokens += [f"--{key}", value]
+    return tokens
+
+
+def invoke(capsys, tmp_path, command, config, flags):
+    """Exit code, stdout and the --out files of one run, config given as a dict."""
+    outdir = tmp_path / "outs"
+    outdir.mkdir(exist_ok=True)
+
+    def fill(options):
+        return {k: v.format(out=outdir) for k, v in options.items()}
+
+    argv = [command]
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in fill(config).items()))
+        argv += ["--config", str(cfg)]
+    code = main(argv + flag_tokens(fill(flags)))
+    files = {}
+    for path in outdir.iterdir():
+        files[path.name] = path.read_text()
+        path.unlink()
+    return code, capsys.readouterr().out, files
+
+
+def _option_cases():
+    return [pytest.param(command, key, value, int(value == values[2]),
+                         id=f"{command}-{key}-{value}")
+            for command, options in OPTIONS.items() for key, values in options.items()
+            for value in values if value is not None]
+
+
+class TestConfigMatchesFlags:
+    @pytest.fixture(autouse=True)
+    def _fast_verify(self, monkeypatch):
+        # the option handling is under test, not the suite
+        monkeypatch.setattr(cli, "run_verification", fake_verification)
+
+    @staticmethod
+    def base(command, key):
+        drop = {key, "bos"} if key == "matrix" else {key}
+        return {k: v for k, v in BASE[command].items() if k not in drop}
+
+    @pytest.mark.parametrize("command,key,value,code", _option_cases())
+    def test_line_equals_flag(self, capsys, tmp_path, command, key, value, code):
+        base = self.base(command, key)
+        by_config = invoke(capsys, tmp_path, command, {**base, key: value}, {})
+        by_flag = invoke(capsys, tmp_path, command, None, {**base, key: value})
+        assert by_config == by_flag
+        assert by_config[0] == code
+
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command, options in OPTIONS.items()
+        for key, values in options.items() if values[1] is not None])
+    def test_flag_overrides_line(self, capsys, tmp_path, command, key):
+        value, other, _ = OPTIONS[command][key]
+        base = {**self.base(command, key), **OVERRIDE_EXTRA.get((command, key), {})}
+        both = invoke(capsys, tmp_path, command, {**base, key: value}, {key: other})
+        flag_only = invoke(capsys, tmp_path, command, None, {**base, key: other})
+        config_only = invoke(capsys, tmp_path, command, {**base, key: value}, {})
+        assert both == flag_only
+        assert both != config_only
+
 
 class TestVerify:
     def test_default_run_passes(self, capsys):
@@ -196,6 +376,15 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--matrix", "3,3,0,5,5,0,1,1")
         assert code == 1
         assert "--bos" in err
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_payoffs_above_bound_exit_one(self, capsys, tmp_path, to_file):
+        target = tmp_path / "report.txt"
+        out_args = ["--out", str(target)] if to_file else []
+        code, out, err = run_cli(capsys, "verify", "--bos", "1e23,0,-1e23", *out_args)
+        assert (code, out) == (1, "")
+        assert "at most 1e+06 in magnitude" in err
+        assert not target.exists()
 
 
 class TestSweep:

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
+from qgame import verification
 from qgame.scheme import GameMatrix, battle_of_sexes
-from qgame.verification import run_verification
+from qgame.verification import VERIFY_MAX_PAYOFF, run_verification
 
 REQUIRED_CHECKS = {
     "general_vs_oracle",
@@ -64,3 +67,19 @@ def test_requires_bos_game():
     plain = GameMatrix(alice=((3, 0), (5, 1)), bob=((3, 5), (0, 1)))
     with pytest.raises(ValueError, match="battle-of-sexes"):
         run_verification(plain, seed=0)
+
+
+def test_payoff_bound_checked_before_any_draw(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verification, "payoffs_oracle", lambda *a: calls.append(a))
+    above = math.nextafter(VERIFY_MAX_PAYOFF, math.inf)
+    for game in (battle_of_sexes(above, 0.0, -1.0), battle_of_sexes(1.0, 0.0, -above),
+                 battle_of_sexes(1e23, 0.0, -1e23)):
+        with pytest.raises(ValueError, match="at most 1e\\+06 in magnitude"):
+            run_verification(game, seed=0)
+    assert calls == []
+
+
+def test_payoff_bound_is_inclusive():
+    bound = VERIFY_MAX_PAYOFF
+    assert run_verification(battle_of_sexes(bound, 0.0, -bound), seed=0).passed
