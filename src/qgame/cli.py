@@ -13,14 +13,15 @@ import json
 import math
 import sys
 from collections.abc import Iterable, Iterator
+from itertools import chain
 
 import numpy as np
 
 from .closedform import payoff_general
 from .equilibrium import (
     StrategyGrid,
+    certified_profiles,
     check_eps,
-    epsilon_nash,
     probability_tables,
     sweep,
     sweep_schemes,
@@ -97,8 +98,8 @@ def load_config(path: str) -> list[str]:
     """A flat key = value file as command-line tokens for the subcommand's parser.
 
     Each line becomes --key=value (the = form keeps values that start with -),
-    so a config line is checked exactly like the flag; summary = true|false
-    becomes --summary or nothing. Full-line # comments and blank lines allowed.
+    so a config line is checked exactly like the flag. Full-line # comments
+    and blank lines allowed.
     """
     tokens: list[str] = []
     with open(path, encoding="utf-8") as fh:
@@ -111,12 +112,7 @@ def load_config(path: str) -> list[str]:
             key, value = (part.strip() for part in line.split("=", 1))
             if key == "config":
                 raise ValueError(f"{path}:{lineno}: a config file cannot name another one")
-            if key != "summary":
-                tokens.append(f"--{key}={value}")
-            elif value not in ("true", "false"):
-                raise ValueError(f"summary must be 'true' or 'false', got {value!r}")
-            elif value == "true":
-                tokens.append("--summary")
+            tokens.append(f"--{key}={value}")
     return tokens
 
 
@@ -133,10 +129,6 @@ def _game(args: argparse.Namespace) -> GameMatrix:
     return battle_of_sexes(*_split_floats(args.bos, 3, "bos"))
 
 
-def _grid(args: argparse.Namespace) -> StrategyGrid:
-    return StrategyGrid(*parse_grid(args.grid), args.phi_range)
-
-
 def _fmt_csv(value) -> str:
     if value is None:
         return ""
@@ -151,10 +143,6 @@ def _csv_table(fields, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    _emit_chunks([text], out)
-
-
 def _emit_chunks(chunks: Iterable[str], out: str | None) -> None:
     """Write each piece as it is produced; --out is opened before the first."""
     if out is None:
@@ -164,54 +152,51 @@ def _emit_chunks(chunks: Iterable[str], out: str | None) -> None:
             fh.writelines(chunks)
 
 
-def _sweep_chunks(game: GameMatrix, schemes: list[SchemeParams], grid: StrategyGrid,
-                  fmt: str) -> Iterator[str]:
-    """Per-profile sweep rows for every scheme and grid profile, in pieces.
+def _table_chunks(fields: tuple[str, ...], fmt: str, grid: StrategyGrid, pad: int,
+                  blocks: Iterable[tuple]) -> Iterator[str]:
+    """Per-profile rows in pieces: the bytes of _csv_table(fields, rows) for csv,
+    of json.dumps(rows, indent=2) + "\n" nested pad - 2 spaces deep for json.
 
-    The pieces join to the bytes of _csv_table(SWEEP_FIELDS, rows) for csv
-    and of json.dumps(rows, indent=2) + "\\n" for json: start, the rows
-    separated by sep, end. A row is head(gamma, delta, theta1, phi1) followed
-    by tail(theta2, phi2, six value specs). Each block is the n rows of one
-    scheme and one Alice grid point, from a single %-format of the row
-    template repeated n times. Only one scheme's tables are held at a time.
+    A block is (prefix values, Alice's grid index a, Bob's grid indices, one
+    row of values per Bob index), written by a single %-format of its rows'
+    template; a row is head(prefix, theta1, phi1) + tail(theta2, phi2, specs).
     """
+    bob = fields.index("theta2")  # Bob's point and the values follow
     if fmt == "csv":
         num, spec = _fmt_csv, "%.15g"
-        start, sep, end = ",".join(SWEEP_FIELDS) + "\n", "\n", "\n"
+        start = empty = ",".join(fields) + "\n"
+        sep = end = ""
 
         def head(texts):
             return ",".join(texts) + ","
 
         def tail(texts):
-            return ",".join(texts)
+            return ",".join(texts) + "\n"
     else:
         # json writes a float as its repr, which %s gives too; every value is
         # finite because GameMatrix bounds the payoffs by MAX_PAYOFF
         num, spec = json.dumps, "%s"
-        start, sep, end = "[\n", ",\n", "\n]\n"
+        indent = " " * pad
+        start, sep, end, empty = "[\n", ",\n", f"\n{indent[2:]}]\n", "[]\n"
 
         def head(texts):
-            return "  {\n" + "".join(f'    "{f}": {t},\n' for f, t in zip(SWEEP_FIELDS, texts))
+            lines = zip(fields, texts)
+            return indent + "{\n" + "".join(f'{indent}  "{f}": {t},\n' for f, t in lines)
 
         def tail(texts):
-            fields = zip(SWEEP_FIELDS[4:], texts)
-            return ",\n".join(f'    "{f}": {t}' for f, t in fields) + "\n  }"
+            lines = zip(fields[bob:], texts)
+            return ",\n".join(f'{indent}  "{f}": {t}' for f, t in lines) + f"\n{indent}}}"
 
     # formatted numbers hold no "%", so they can sit inside a %-template
-    points = [(num(s.theta), num(s.phi)) for s in grid.points()]
-    tails = [tail([theta, phi] + [spec] * 6) for theta, phi in points]
-    yield start
-    for i, scheme in enumerate(schemes):
-        probs = probability_tables(scheme, grid)
-        alice, bob = weigh_outcomes(game, probs)
-        values = np.stack([alice, bob, *probs], axis=-1)  # (n, n, 6), SWEEP_FIELDS order
-        prefix = [num(scheme.gamma), num(scheme.delta)]
-        for a, (theta, phi) in enumerate(points):
-            row_head = head(prefix + [theta, phi])
-            if i or a:
-                yield sep
-            yield (row_head + (sep + row_head).join(tails)) % tuple(values[a].ravel().tolist())
-    yield end
+    points = [[num(s.theta), num(s.phi)] for s in grid.points()]
+    tails = [tail(point + [spec] * (len(fields) - bob - 2)) for point in points]
+    lead = start  # the first block opens the table; without one it is empty
+    for prefix, a, bs, values in blocks:
+        row_head = head([num(v) for v in prefix] + points[a])
+        template = row_head + (sep + row_head).join([tails[b] for b in bs.tolist()])
+        yield lead + template % tuple(values.ravel().tolist())
+        lead = sep
+    yield end if lead == sep else empty
 
 
 def cmd_payoff(args: argparse.Namespace) -> int:
@@ -229,7 +214,7 @@ def cmd_payoff(args: argparse.Namespace) -> int:
         "p_oo": probs[0], "p_ot": probs[1], "p_to": probs[2], "p_tt": probs[3],
     }
     if args.format == "csv":
-        _emit(_csv_table(SWEEP_FIELDS, [row]), args.out)
+        _emit_chunks([_csv_table(SWEEP_FIELDS, [row])], args.out)
         return 0
     if game.bos is not None:
         form = payoff_general(game, scheme, s1, s2)
@@ -237,7 +222,7 @@ def cmd_payoff(args: argparse.Namespace) -> int:
         row["closed_form_b"] = form.bob
         row["abs_diff_a"] = abs(form.alice - oracle.alice)
         row["abs_diff_b"] = abs(form.bob - oracle.bob)
-    _emit(json.dumps(row, indent=2) + "\n", args.out)
+    _emit_chunks([json.dumps(row, indent=2) + "\n"], args.out)
     return 0
 
 
@@ -252,58 +237,67 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     report = run_verification(game, seed=seed)
-    _emit(report.render(), args.out)
+    _emit_chunks([report.render()], args.out)
     return 0 if report.passed else 2
+
+
+def _sweep_blocks(game: GameMatrix, schemes: list[SchemeParams], grid: StrategyGrid):
+    """Every scheme's rows, one block per Alice grid point; one scheme's tables at a time."""
+    bobs = np.arange(grid.theta_steps * grid.phi_steps)
+    for scheme in schemes:
+        probs = probability_tables(scheme, grid)
+        alice, bob = weigh_outcomes(game, probs)
+        values = np.stack([alice, bob, *probs], axis=-1)  # (n, n, 6), SWEEP_FIELDS order
+        for a, row in enumerate(values):
+            yield (scheme.gamma, scheme.delta), a, bobs, row
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     game = _game(args)
     gammas = parse_angle_list(args.gamma)
     deltas = parse_angle_list(args.delta)
-    grid = _grid(args)
+    grid = StrategyGrid(*parse_grid(args.grid), args.phi_range)
     check_eps(args.eps)
 
-    if not args.summary:
-        # everything that can reject the input runs before the first byte
-        schemes = sweep_schemes(gammas, deltas, grid)
-        _emit_chunks(_sweep_chunks(game, schemes, grid, args.format), args.out)
+    if args.summary == "true":
+        rows = [{
+            "gamma": r.gamma, "delta": r.delta, "equilibria": r.equilibria,
+            "best_payoff_a": None if r.best is None else r.best.alice,
+            "best_payoff_b": None if r.best is None else r.best.bob,
+            "max_formula_dev": r.max_formula_dev,
+        } for r in sweep(game, gammas, deltas, grid, args.eps)]
+        if args.format == "csv":
+            _emit_chunks([_csv_table(SUMMARY_FIELDS, rows)], args.out)
+        else:
+            _emit_chunks([json.dumps(rows, indent=2) + "\n"], args.out)
         return 0
 
-    rows = [{
-        "gamma": r.gamma, "delta": r.delta, "equilibria": r.equilibria,
-        "best_payoff_a": None if r.best is None else r.best.alice,
-        "best_payoff_b": None if r.best is None else r.best.bob,
-        "max_formula_dev": r.max_formula_dev,
-    } for r in sweep(game, gammas, deltas, grid, args.eps)]
-    if args.format == "csv":
-        _emit(_csv_table(SUMMARY_FIELDS, rows), args.out)
-    else:
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
+    # everything that can reject the input runs before the first byte
+    blocks = _sweep_blocks(game, sweep_schemes(gammas, deltas, grid), grid)
+    _emit_chunks(_table_chunks(SWEEP_FIELDS, args.format, grid, 2, blocks), args.out)
     return 0
 
 
 def cmd_equilibria(args: argparse.Namespace) -> int:
     game = _game(args)
     scheme = SchemeParams(parse_angle(args.gamma), parse_angle(args.delta))
-    grid = _grid(args)
-    check_eps(args.eps)
-    results = epsilon_nash(game, scheme, grid, args.eps)
-    print(f"equilibria found: {len(results)}", file=sys.stderr)
-    rows = [{
-        "theta1": r.s1.theta, "phi1": r.s1.phi,
-        "theta2": r.s2.theta, "phi2": r.s2.phi,
-        "payoff_a": r.payoffs.alice, "payoff_b": r.payoffs.bob,
-        "eps_cert": r.eps_cert,
-    } for r in results]
-    if args.format == "csv":
-        _emit(_csv_table(EQUILIBRIA_FIELDS, rows), args.out)
-    else:
+    grid = StrategyGrid(*parse_grid(args.grid), args.phi_range)
+    a, b, values = certified_profiles(game, scheme, grid, args.eps)
+    print(f"equilibria found: {len(a)}", file=sys.stderr)
+    # one block per Alice grid point, whose profiles are contiguous in a
+    firsts = np.flatnonzero(np.diff(a, prepend=-1)).tolist()
+    blocks = (((), a[lo], b[lo:hi], values[lo:hi])
+              for lo, hi in zip(firsts, firsts[1:] + [len(a)]))
+    head, tail = "", ""
+    if args.format == "json":
         payload = {
             "gamma": scheme.gamma, "delta": scheme.delta, "eps": args.eps,
             "theta_steps": grid.theta_steps, "phi_steps": grid.phi_steps,
-            "phi_range": grid.phi_range, "count": len(results), "profiles": rows,
+            "phi_range": grid.phi_range, "count": len(a), "profiles": [],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        head, tail = (json.dumps(payload, indent=2) + "\n").rsplit("[]\n", 1)
+    table = _table_chunks(EQUILIBRIA_FIELDS, args.format, grid, 4, blocks)
+    _emit_chunks(chain([head], table, [tail]), args.out)
     return 0
 
 
@@ -361,9 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="payoff rows over scheme/strategy grids")
     _add_common(sw, grid=True)
-    sw.add_argument("--summary", action="store_true",
-                    help="one summary row per (gamma, delta) pair instead of "
-                         "per-profile rows")
+    sw.add_argument("--summary", nargs="?", const="true", choices=("true", "false"),
+                    default="false", help="one summary row per (gamma, delta) pair "
+                                          "instead of per-profile rows")
     sw.set_defaults(func=cmd_sweep)
 
     eq = sub.add_parser("equilibria", help="grid-certified epsilon-Nash profiles")

@@ -221,6 +221,17 @@ def best_response(game: GameMatrix, scheme: SchemeParams, opponent: StrategyPara
     return top, ties
 
 
+def certified_profiles(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
+                       eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """epsilon_nash as arrays: Alice's and Bob's grid indices a and b of the m
+    profiles, in its order, and their (m, 3) payoff_a, payoff_b and eps_cert."""
+    check_eps(eps)
+    alice, bob = payoff_tables(game, scheme, grid)
+    cert = _certificates(alice, bob)
+    a, b = np.nonzero(cert <= eps)
+    return a, b, np.stack([alice[a, b], bob[a, b], cert[a, b]], axis=1)
+
+
 def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
                  eps: float) -> list[ProfileResult]:
     """Every grid profile no player can improve by more than eps on-grid.
@@ -228,19 +239,10 @@ def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
     Results are ordered lexicographically by grid indices (Alice's point
     first), so runs are reproducible. An empty list is a valid outcome.
     """
-    check_eps(eps)
-    alice, bob = payoff_tables(game, scheme, grid)
-    cert = _certificates(alice, bob)
+    a, b, values = certified_profiles(game, scheme, grid, eps)
     points = grid.points()
-    results = []
-    for a, b in np.argwhere(cert <= eps):
-        results.append(ProfileResult(
-            s1=points[a],
-            s2=points[b],
-            payoffs=PayoffPair(float(alice[a, b]), float(bob[a, b])),
-            eps_cert=float(cert[a, b]),
-        ))
-    return results
+    return [ProfileResult(points[i], points[j], PayoffPair(pa, pb), cert)
+            for i, j, (pa, pb, cert) in zip(a.tolist(), b.tolist(), values.tolist())]
 
 
 def sweep_schemes(gamma_values, delta_values, grid: StrategyGrid) -> list[SchemeParams]:

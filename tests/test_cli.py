@@ -9,9 +9,22 @@ from types import SimpleNamespace
 import pytest
 
 from qgame import cli
-from qgame.cli import SWEEP_FIELDS, _csv_table, main, parse_angle, parse_angle_list
-from qgame.equilibrium import StrategyGrid, probability_tables, sweep_schemes, weigh_outcomes
-from qgame.scheme import GameMatrix, battle_of_sexes
+from qgame.cli import (
+    EQUILIBRIA_FIELDS,
+    SWEEP_FIELDS,
+    _csv_table,
+    main,
+    parse_angle,
+    parse_angle_list,
+)
+from qgame.equilibrium import (
+    StrategyGrid,
+    epsilon_nash,
+    probability_tables,
+    sweep_schemes,
+    weigh_outcomes,
+)
+from qgame.scheme import GameMatrix, SchemeParams, battle_of_sexes
 
 HP = math.pi / 2
 # payoffs at the largest float, over MAX_PAYOFF: weighting them would overflow to inf
@@ -211,7 +224,11 @@ class TestConfigFile:
         ("payoff", "seed = 3", "--seed"),
         ("verify", "grid = 2,1", "--grid"),
         ("equilibria", "summary = true", "--summary"),
-    ], ids=["typo", "typo-bool", "payoff-seed", "verify-grid", "equilibria-summary"])
+        ("payoff", "summary = false", "--summary"),
+        ("verify", "summary = false", "--summary"),
+        ("equilibria", "summary = false", "--summary"),
+    ], ids=["typo", "typo-bool", "payoff-seed", "verify-grid", "equilibria-summary",
+            "payoff-summary-false", "verify-summary-false", "equilibria-summary-false"])
     def test_unknown_or_foreign_key(self, capsys, tmp_path, command, line, key):
         # every other input is valid, so only the key can fail the run
         cfg = tmp_path / "run.cfg"
@@ -364,8 +381,11 @@ class TestConfigMatchesFlags:
 
 
 class TestVerify:
-    def test_default_run_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify")
+    def test_default_run_passes(self, verify_seed0):
+        # the default run is seed 0 on BoS (2, 1, 0), the shared verify_seed0 run
+        args = cli.build_parser().parse_args(["verify"])
+        assert (args.seed, args.bos) == ("0", "2,1,0")
+        _, code, out = verify_seed0
         assert code == 0
         assert "result: PASS" in out
         assert "du_printed_vs_oracle" in out
@@ -494,8 +514,8 @@ class TestSweep:
         assert four < 2 * one, (one, four)
 
 
-def reference_sweep_rows(argv):
-    """The per-profile rows as one list of dicts, built profile by profile."""
+def reference_inputs(argv):
+    """Options, game and grid of a flag list, parsed without the cli."""
     opts = dict(zip(argv[::2], argv[1::2]))
     if "--bos" in opts:
         game = battle_of_sexes(*(float(v) for v in opts["--bos"].split(",")))
@@ -504,7 +524,12 @@ def reference_sweep_rows(argv):
         game = GameMatrix(alice=((v[0], v[2]), (v[4], v[6])),
                           bob=((v[1], v[3]), (v[5], v[7])))
     steps = [int(x) for x in opts["--grid"].split(",")]
-    grid = StrategyGrid(steps[0], steps[1], opts.get("--phi-range", "narrow"))
+    return opts, game, StrategyGrid(steps[0], steps[1], opts.get("--phi-range", "narrow"))
+
+
+def reference_sweep_rows(argv):
+    """The per-profile rows as one list of dicts, built profile by profile."""
+    opts, game, grid = reference_inputs(argv)
     rows = []
     for scheme in sweep_schemes(parse_angle_list(opts["--gamma"]),
                                 parse_angle_list(opts["--delta"]), grid):
@@ -587,6 +612,103 @@ class TestEquilibria:
         lines = out.strip().split("\n")
         assert lines[0] == "theta1,phi1,theta2,phi2,payoff_a,payoff_b,eps_cert"
         assert len(lines) == 3
+
+
+def reference_equilibria(argv, fmt):
+    """The equilibria output built from epsilon_nash as one dict row per
+    profile, then written all at once."""
+    opts, game, grid = reference_inputs(argv)
+    scheme = SchemeParams(parse_angle(opts["--gamma"]), parse_angle(opts["--delta"]))
+    eps = float(opts.get("--eps", "1e-9"))
+    rows = [{
+        "theta1": r.s1.theta, "phi1": r.s1.phi,
+        "theta2": r.s2.theta, "phi2": r.s2.phi,
+        "payoff_a": r.payoffs.alice, "payoff_b": r.payoffs.bob,
+        "eps_cert": r.eps_cert,
+    } for r in epsilon_nash(game, scheme, grid, eps)]
+    if fmt == "csv":
+        return len(rows), _csv_table(EQUILIBRIA_FIELDS, rows)
+    payload = {
+        "gamma": scheme.gamma, "delta": scheme.delta, "eps": eps,
+        "theta_steps": grid.theta_steps, "phi_steps": grid.phi_steps,
+        "phi_range": grid.phi_range, "count": len(rows), "profiles": rows,
+    }
+    return len(rows), json.dumps(payload, indent=2) + "\n"
+
+
+def assert_same_text(got, want):
+    """got == want, reporting the first difference instead of a full diff,
+    which takes minutes on large outputs that differ on every line."""
+    if got != want:
+        i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                 min(len(got), len(want)))
+        pytest.fail(f"outputs differ from byte {i} (lengths {len(got)}, {len(want)}): "
+                    f"{got[i - 60:i + 60]!r} != {want[i - 60:i + 60]!r}")
+
+
+CONSTANT = ["--matrix", "1,1,1,1,1,1,1,1", "--gamma", "0.3", "--delta", "0.2"]
+
+
+class TestEquilibriaStreaming:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("argv", [
+        ["--bos", "2,1,0", "--gamma", "pi/2", "--delta", "pi/2", "--grid", "9,5"],
+        ["--bos", "2,1,0", "--gamma", "pi/4", "--delta", "0.3", "--grid", "9,5",
+         "--phi-range", "full"],
+        ["--matrix", "3,3,0,5,5,0,1,1", "--gamma", "pi/2", "--delta", "0.4", "--grid", "9,5"],
+        [*CONSTANT, "--grid", "9,5"],
+        ["--bos", "2,1,0", "--gamma", "0", "--delta", "0", "--grid", "1,1"],
+        ["--matrix", "0,0,1,0,0,0,0,1", "--gamma", "0.3", "--delta", "0.2", "--grid", "3,2",
+         "--eps", "0"],
+    ], ids=["bos-narrow", "bos-full", "matrix", "constant-9x5", "1x1", "none"])
+    def test_matches_profile_dict_reference(self, capsys, tmp_path, fmt, to_file, argv):
+        target = tmp_path / "equilibria"
+        out_args = ["--out", str(target)] if to_file else []
+        code, out, err = run_cli(capsys, "equilibria", *argv, "--format", fmt, *out_args)
+        count, want = reference_equilibria(argv, fmt)
+        assert code == 0, err
+        assert err == f"equilibria found: {count}\n"
+        if to_file:
+            assert out == ""
+            out = target.read_text()
+        assert_same_text(out, want)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_profiles(self, tmp_path, fmt):
+        def peak(argv):
+            tracemalloc.start()
+            try:
+                code = main(["equilibria", *argv, "--grid", "17,9", "--format", fmt,
+                             "--out", str(tmp_path / "equilibria")])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # BoS certifies a handful of profiles, the constant game all 153^2
+        code_few, few = peak(["--bos", "2,1,0", "--gamma", "0.7", "--delta", "0.4"])
+        code_all, every = peak(CONSTANT)
+        assert code_few == code_all == 0
+        assert every < 3 * few, (few, every)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("bad,message", [
+        (["--bos", "2,1,0", "--gamma", "2.0", "--delta", "0.1"], "gamma must be in"),
+        *[(["--bos", "2,1,0", "--gamma", "0.5", "--delta", "0.1", "--grid", "3,2",
+            f"--eps={eps}"], "eps must be nonnegative") for eps in ("-1", "nan")],
+        (["--bos", "2,1,0", "--gamma", "0.5", "--delta", "0.1", "--grid", "181,91"], "181x91"),
+        ([*OVERFLOWING, "--gamma", "pi/4", "--delta", "0.3", "--grid", "3,2"],
+         "at most 1e+300 in magnitude"),
+    ], ids=["gamma-out-of-range", "eps-negative", "eps-nan", "oversized-grid",
+            "overflowing-payoffs"])
+    def test_invalid_input_writes_nothing(self, capsys, tmp_path, fmt, to_file, bad, message):
+        target = tmp_path / "equilibria"
+        out_args = ["--out", str(target)] if to_file else []
+        code, out, err = run_cli(capsys, "equilibria", *bad, "--format", fmt, *out_args)
+        assert (code, out) == (1, "")
+        assert message in err
+        assert not target.exists()
 
 
 class TestEntryPoints:

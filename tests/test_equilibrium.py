@@ -11,6 +11,7 @@ from qgame.equilibrium import (
     MAX_TABLE_BYTES,
     StrategyGrid,
     best_response,
+    certified_profiles,
     epsilon_nash,
     payoff_tables,
     probability_tables,
@@ -198,6 +199,26 @@ class TestOracleEquivalence:
                 got = {(index[(r.s1.theta, r.s1.phi)], index[(r.s2.theta, r.s2.phi)])
                        for r in epsilon_nash(game, scheme, grid, eps)}
                 assert got == {tuple(ab) for ab in np.argwhere(cert <= eps).tolist()}
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["5x3", "5x4-full", "2x1"])
+    @pytest.mark.parametrize("gamma,delta", SCHEMES)
+    def test_certified_profiles_match_epsilon_nash(self, gamma, delta, grid):
+        scheme = SchemeParams(gamma, delta)
+        pts = grid.points()
+        for game in self.GAMES:
+            alice, bob = payoff_tables(game, scheme, grid)
+            cert = np.maximum(alice.max(axis=0) - alice, bob.max(axis=1)[:, np.newaxis] - bob)
+            for eps in (1e-12, 1e-9, 1e-6):
+                a, b, values = certified_profiles(game, scheme, grid, eps)
+                results = epsilon_nash(game, scheme, grid, eps)
+                assert np.column_stack([a, b]).tolist() == np.argwhere(cert <= eps).tolist()
+                assert [(pts[i], pts[j]) for i, j in zip(a.tolist(), b.tolist())] == \
+                    [(r.s1, r.s2) for r in results]
+                assert values.shape == (len(results), 3)
+                assert values.tolist() == [[r.payoffs.alice, r.payoffs.bob, r.eps_cert]
+                                           for r in results]
+                assert values.tolist() == np.column_stack(
+                    [alice[a, b], bob[a, b], cert[a, b]]).tolist()
 
 
 class TestBestResponse:

@@ -92,8 +92,12 @@ def parse_csv(text: str) -> list:
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_golden(name):
-    got = run(CASES[name])
+def test_golden(name, request):
+    if name == "verify_seed0.txt":
+        argv, code, got = request.getfixturevalue("verify_seed0")  # shared with test_cli
+        assert (argv, code) == (CASES[name], 0)
+    else:
+        got = run(CASES[name])
     want = (GOLDEN / name).read_text(encoding="utf-8")
     if name.endswith(".json"):
         assert_same(json.loads(got), json.loads(want))
