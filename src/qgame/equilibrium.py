@@ -28,9 +28,14 @@ from .scheme import (
 TIE_TOL = 1e-12
 
 # Largest (4, n, n) float64 probability table that probability_tables will
-# allocate (n grid points, 32 n^2 bytes). epsilon_nash peaks at about 1.5
-# times the table size: the payoff tables exist alongside it for a while.
+# allocate for a whole grid (n grid points, 32 n^2 bytes); sweep's rows mode
+# writes every profile of it, and peaks at about 1.5 times its size. The
+# certificate paths build blocks of Alice's rows instead, about BLOCK_BYTES
+# of probabilities each, and apply the same limit to the candidate profiles
+# they hold, at PROFILE_BYTES each: two grid indices and three values.
 MAX_TABLE_BYTES = 2**30
+BLOCK_BYTES = 2**22
+PROFILE_BYTES = 40
 
 # U(theta, phi) = v0 I + v1 iZ + v2 C with real coefficients
 # v = (cos(theta/2) cos(phi), cos(theta/2) sin(phi), sin(theta/2)); these
@@ -157,19 +162,24 @@ def _check_table_size(grid: StrategyGrid) -> None:
             f"probability tables, over the limit of {MAX_TABLE_BYTES} bytes")
 
 
-def probability_tables(scheme: SchemeParams, grid: StrategyGrid) -> np.ndarray:
-    """Outcome probabilities for every grid profile, shape (4, n, n).
+def probability_tables(scheme: SchemeParams, grid: StrategyGrid,
+                       rows: slice | None = None) -> np.ndarray:
+    """Outcome probabilities for every grid profile, shape (4, n, n), or for
+    Alice's grid points in the slice rows only, shape (4, len(rows), n).
 
     Axis 0 is the outcome (OO, OT, TO, TT); entry [:, a, b] pairs Alice's
-    grid point a with Bob's grid point b, both in points() order. Each table
-    is the rank-6 product F @ K[o] @ F.T of the grid features and the
-    outcome kernels, which come from nine state evolutions by bilinearity.
+    grid point a (counted from rows.start) with Bob's grid point b, both in
+    points() order. Each table is the rank-6 product F @ K[o] @ F.T of the
+    grid features and the outcome kernels, which come from nine state
+    evolutions by bilinearity.
 
-    Raises ValueError before allocating anything when the tables would take
-    more than MAX_TABLE_BYTES."""
-    _check_table_size(grid)
+    The whole table raises ValueError before allocating anything when it
+    would take more than MAX_TABLE_BYTES; a slice of rows is not checked."""
+    if rows is None:
+        _check_table_size(grid)
+        rows = slice(None)
     features = _features(*grid.angles())
-    return _probabilities(_outcome_kernels(scheme), features, features)
+    return _probabilities(_outcome_kernels(scheme), features[rows], features)
 
 
 def weigh_outcomes(game: GameMatrix, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,6 +197,8 @@ def payoff_tables(game: GameMatrix, scheme: SchemeParams,
 
 
 def _certificates(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """eps_cert of every profile of whole payoff tables; _certify gives the
+    same values block by block, and the tests hold it to this reference."""
     best_reply_a = alice.max(axis=0)  # Alice's best against each Bob point
     best_reply_b = bob.max(axis=1)    # Bob's best against each Alice point
     return np.maximum(best_reply_a[np.newaxis, :] - alice,
@@ -221,15 +233,71 @@ def best_response(game: GameMatrix, scheme: SchemeParams, opponent: StrategyPara
     return top, ties
 
 
+def _keep(chunk: tuple[np.ndarray, ...], mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The chunk's rows where mask holds; the chunk itself when it holds everywhere."""
+    return chunk if mask.all() else tuple(part[mask] for part in chunk)
+
+
+def _certify(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid, eps: float,
+             visit=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """certified_profiles in one pass over blocks of Alice's grid rows, each
+    about BLOCK_BYTES of probabilities; visit(rows, alice, bob), if given,
+    sees every block's payoff tables.
+
+    Bob's best replies are exact within a block, and Alice's are running
+    column maxima. A profile more than eps short of either can never be
+    certified, because the maxima only grow, so only the profiles within eps
+    of both (the candidates) are held, and they are pruned as the maxima
+    grow. Once the maxima are final, the certificate is computed with the
+    float operations of _certificates, so the result equals the one of the
+    same tables certified whole.
+
+    Raises ValueError when the candidates left after a block take more than
+    MAX_TABLE_BYTES at PROFILE_BYTES each."""
+    n = grid.theta_steps * grid.phi_steps
+    step = max(1, BLOCK_BYTES // (32 * n))
+    best_a = np.full(n, -np.inf)
+    # candidate chunks (a, b, values); a value row is payoff_a, payoff_b and
+    # Bob's gain from deviating, which is final when the chunk is made
+    held: list[tuple[np.ndarray, ...]] = []
+    count = pruned = 0
+    for lo in range(0, n, step):
+        rows = slice(lo, min(lo + step, n))
+        alice, bob = weigh_outcomes(game, probability_tables(scheme, grid, rows))
+        if visit is not None:
+            visit(rows, alice, bob)
+        np.maximum(best_a, alice.max(axis=0), out=best_a)
+        gain_b = bob.max(axis=1)[:, np.newaxis] - bob
+        a, b = np.nonzero((best_a - alice <= eps) & (gain_b <= eps))
+        held.append((a + lo, b, np.stack([alice[a, b], bob[a, b], gain_b[a, b]], axis=1)))
+        count += len(a)
+        # pruning each time the count doubles keeps its cost linear in it
+        if count > 2 * pruned or count * PROFILE_BYTES > MAX_TABLE_BYTES:
+            held = [_keep(chunk, best_a[chunk[1]] - chunk[2][:, 0] <= eps) for chunk in held]
+            count = pruned = sum(len(chunk[0]) for chunk in held)
+            if count * PROFILE_BYTES > MAX_TABLE_BYTES:
+                raise ValueError(
+                    f"a {grid.theta_steps}x{grid.phi_steps} grid holds over "
+                    f"{MAX_TABLE_BYTES // PROFILE_BYTES} candidate profiles, the limit of "
+                    f"{MAX_TABLE_BYTES} bytes at {PROFILE_BYTES} bytes per profile")
+    for _, b, values in held:
+        np.maximum(best_a[b] - values[:, 0], values[:, 2], out=values[:, 2])
+    held = [_keep(chunk, chunk[2][:, 2] <= eps) for chunk in held]
+    return tuple(np.concatenate(parts) for parts in zip(*held))
+
+
 def certified_profiles(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
                        eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """epsilon_nash as arrays: Alice's and Bob's grid indices a and b of the m
-    profiles, in its order, and their (m, 3) payoff_a, payoff_b and eps_cert."""
+    profiles, in its order, and their (m, 3) payoff_a, payoff_b and eps_cert.
+
+    The tables are built and certified in blocks of Alice's grid rows, so
+    memory is O(n * block + profiles), and there is no limit on the grid
+    size. Raises ValueError when the profiles held at once, candidates that
+    later blocks may still rule out included, take more than MAX_TABLE_BYTES
+    at PROFILE_BYTES each."""
     check_eps(eps)
-    alice, bob = payoff_tables(game, scheme, grid)
-    cert = _certificates(alice, bob)
-    a, b = np.nonzero(cert <= eps)
-    return a, b, np.stack([alice[a, b], bob[a, b], cert[a, b]], axis=1)
+    return _certify(game, scheme, grid, eps)
 
 
 def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
@@ -245,10 +313,13 @@ def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
             for i, j, (pa, pb, cert) in zip(a.tolist(), b.tolist(), values.tolist())]
 
 
-def sweep_schemes(gamma_values, delta_values, grid: StrategyGrid) -> list[SchemeParams]:
+def sweep_schemes(gamma_values, delta_values,
+                  grid: StrategyGrid | None = None) -> list[SchemeParams]:
     """A sweep's schemes in input order, gamma_values and delta_values paired
-    elementwise (a singleton broadcasts). Every input check of a sweep, the
-    table size included, raises ValueError here, before any table is built."""
+    elementwise (a singleton broadcasts). Every input check of a sweep raises
+    ValueError here, before any table is built. Given a grid, it also checks
+    the size of the grid's whole probability tables, which rows mode builds;
+    the summaries of sweep build none."""
     gammas = [float(g) for g in gamma_values]
     deltas = [float(d) for d in delta_values]
     if len(gammas) == 1 and len(deltas) > 1:
@@ -261,7 +332,8 @@ def sweep_schemes(gamma_values, delta_values, grid: StrategyGrid) -> list[Scheme
             f"{len(gammas)} and {len(deltas)}"
         )
     schemes = [SchemeParams(g, d) for g, d in zip(gammas, deltas)]
-    _check_table_size(grid)
+    if grid is not None:
+        _check_table_size(grid)
     return schemes
 
 
@@ -272,27 +344,33 @@ def sweep(game: GameMatrix, gamma_values, delta_values, grid: StrategyGrid,
     Each row records the equilibrium count, the payoff pair of the most
     egalitarian equilibrium (largest min(alice, bob), then largest sum, then
     first in grid order), and the worst observed |simulation - closed form|
-    when the game has the battle-of-sexes structure.
+    when the game has the battle-of-sexes structure. Each pair is certified
+    like certified_profiles, in one pass over blocks of Alice's grid rows,
+    and its closed forms are compared on the same blocks; the same limit on
+    held profiles applies.
     """
     check_eps(eps)
     thetas, phis = grid.angles()
     rows = []
-    for scheme in sweep_schemes(gamma_values, delta_values, grid):
-        alice, bob = payoff_tables(game, scheme, grid)
-        a, b = np.nonzero(_certificates(alice, bob) <= eps)
+    for scheme in sweep_schemes(gamma_values, delta_values):
+        devs: list[float] = []
+
+        def formula_dev(block: slice, alice: np.ndarray, bob: np.ndarray) -> None:
+            al, bo = _general(*game.bos, scheme.gamma, scheme.delta,
+                              thetas[block, np.newaxis], phis[block, np.newaxis],
+                              thetas[np.newaxis, :], phis[np.newaxis, :])
+            devs.append(max(np.abs(al - alice).max(), np.abs(bo - bob).max()))
+
+        a, _, values = _certify(game, scheme, grid, eps,
+                                None if game.bos is None else formula_dev)
         best: PayoffPair | None = None
         if len(a):
-            pa, pb = alice[a, b], bob[a, b]
+            pa, pb = values[:, 0], values[:, 1]
             # lexsort's last key is the primary one; the final entry is the
             # largest, and -index makes the earliest profile win a full tie
             top = np.lexsort((-np.arange(len(a)), pa + pb, np.minimum(pa, pb)))[-1]
             best = PayoffPair(float(pa[top]), float(pb[top]))
-        dev: float | None = None
-        if game.bos is not None:
-            al, bo = _general(*game.bos, scheme.gamma, scheme.delta,
-                              thetas[:, np.newaxis], phis[:, np.newaxis],
-                              thetas[np.newaxis, :], phis[np.newaxis, :])
-            dev = float(max(np.abs(al - alice).max(), np.abs(bo - bob).max()))
+        dev = float(max(devs)) if devs else None
         rows.append(SweepRow(gamma=scheme.gamma, delta=scheme.delta, equilibria=len(a),
                              best=best, max_formula_dev=dev))
     return rows

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qgame import cli
+from qgame import cli, equilibrium
 from qgame.cli import (
     EQUILIBRIA_FIELDS,
     SWEEP_FIELDS,
@@ -18,6 +18,7 @@ from qgame.cli import (
     parse_angle_list,
 )
 from qgame.equilibrium import (
+    PROFILE_BYTES,
     StrategyGrid,
     epsilon_nash,
     probability_tables,
@@ -588,12 +589,17 @@ class TestEquilibria:
         assert code == 1
         assert "theta_steps" in err
 
-    def test_oversized_grid_exits_one(self, capsys):
-        code, out, err = run_cli(capsys, "equilibria", "--bos", "2,1,0", "--gamma", "0",
-                                 "--delta", "0", "--grid", "181,91")
-        assert code == 1
-        assert out == ""
-        assert "181x91" in err and "limit" in err
+    @pytest.mark.parametrize("argv", [
+        ["equilibria", "--bos", "2,1,0", "--gamma", "0.7", "--delta", "0.4", "--grid", "9,5"],
+        ["sweep", "--bos", "2,1,0", "--gamma", "0.7,pi/2", "--delta", "0.4,0.3",
+         "--grid", "9,5", "--summary"],
+    ], ids=["equilibria", "summary"])
+    def test_table_limit_does_not_apply(self, capsys, monkeypatch, argv):
+        # certificates are built in blocks of rows, never as a whole table
+        want = run_cli(capsys, *argv)
+        assert want[0] == 0
+        monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 32 * 45 ** 2 - 1)
+        assert run_cli(capsys, *argv) == want
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     def test_overflowing_game_exits_one(self, capsys, tmp_path, to_file):
@@ -697,17 +703,35 @@ class TestEquilibriaStreaming:
         (["--bos", "2,1,0", "--gamma", "2.0", "--delta", "0.1"], "gamma must be in"),
         *[(["--bos", "2,1,0", "--gamma", "0.5", "--delta", "0.1", "--grid", "3,2",
             f"--eps={eps}"], "eps must be nonnegative") for eps in ("-1", "nan")],
-        (["--bos", "2,1,0", "--gamma", "0.5", "--delta", "0.1", "--grid", "181,91"], "181x91"),
         ([*OVERFLOWING, "--gamma", "pi/4", "--delta", "0.3", "--grid", "3,2"],
          "at most 1e+300 in magnitude"),
-    ], ids=["gamma-out-of-range", "eps-negative", "eps-nan", "oversized-grid",
-            "overflowing-payoffs"])
+    ], ids=["gamma-out-of-range", "eps-negative", "eps-nan", "overflowing-payoffs"])
     def test_invalid_input_writes_nothing(self, capsys, tmp_path, fmt, to_file, bad, message):
         target = tmp_path / "equilibria"
         out_args = ["--out", str(target)] if to_file else []
         code, out, err = run_cli(capsys, "equilibria", *bad, "--format", fmt, *out_args)
         assert (code, out) == (1, "")
         assert message in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_over_profile_limit_writes_nothing(self, capsys, monkeypatch, tmp_path, fmt,
+                                               to_file):
+        # the constant game certifies all 15^2 profiles of a 5x3 grid; the
+        # limit, below one 9x5 table, is inclusive
+        target = tmp_path / "equilibria"
+        argv = ["equilibria", *CONSTANT, "--grid", "5,3", "--format", fmt,
+                *(["--out", str(target)] if to_file else [])]
+        monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 225 * PROFILE_BYTES)
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "equilibria found: 225\n")
+        target.unlink(missing_ok=True)
+        monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 225 * PROFILE_BYTES - 1)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (f"error: a 5x3 grid holds over 224 candidate profiles, the limit of "
+                       f"{225 * PROFILE_BYTES - 1} bytes at {PROFILE_BYTES} bytes per profile\n")
         assert not target.exists()
 
 

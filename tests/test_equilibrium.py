@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import tracemalloc
@@ -7,8 +8,11 @@ import numpy as np
 import pytest
 
 from qgame import equilibrium
+from qgame.closedform import _general
 from qgame.equilibrium import (
     MAX_TABLE_BYTES,
+    PROFILE_BYTES,
+    ProfileResult,
     StrategyGrid,
     best_response,
     certified_profiles,
@@ -17,6 +21,7 @@ from qgame.equilibrium import (
     probability_tables,
     sweep,
     sweep_schemes,
+    weigh_outcomes,
 )
 from qgame.scheme import (
     GameMatrix,
@@ -145,13 +150,6 @@ class TestTableSizeLimit:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-
-    def test_epsilon_nash_and_sweep_rejected(self):
-        grid = StrategyGrid(181, 91)
-        with pytest.raises(ValueError, match="limit"):
-            epsilon_nash(bos210(), QUANTUM, grid, eps=1e-9)
-        with pytest.raises(ValueError, match="limit"):
-            sweep(bos210(), [0.0], [0.0], grid, eps=1e-9)
 
     def test_limit_is_inclusive(self, monkeypatch):
         grid = StrategyGrid(3, 2)  # 32 * 6^2 = 1152 bytes
@@ -381,8 +379,7 @@ class TestSweep:
     @pytest.mark.parametrize("gammas,deltas,grid,message", [
         ([0.3, 2.0], [0.1], pure_grid(), "gamma must be in"),
         ([0.0, 0.5], [0.0, 0.1, 0.2], pure_grid(), "pair up"),
-        ([0.0], [0.0], StrategyGrid(181, 91), "181x91"),
-    ], ids=["second-pair-out-of-range", "mismatched-lengths", "oversized-grid"])
+    ], ids=["second-pair-out-of-range", "mismatched-lengths"])
     def test_inputs_rejected_before_any_table(self, monkeypatch, gammas, deltas, grid,
                                               message):
         calls = []
@@ -450,3 +447,140 @@ class TestSweepSelection:
         grid = StrategyGrid(9, 5)
         row = self.check(constant, 0.7, 0.3, grid, 1e-9)
         assert row.equilibria == 45 ** 2
+
+
+CONSTANT = GameMatrix(alice=((1, 1), (1, 1)), bob=((1, 1), (1, 1)))
+# --matrix 0,1,0,2,0,3,0,4 and 1,0,2,0,3,0,4,0: one player's payoffs are all 0
+ALICE_INDIFFERENT = GameMatrix(alice=((0, 0), (0, 0)), bob=((1, 2), (3, 4)))
+BOB_INDIFFERENT = GameMatrix(alice=((1, 2), (3, 4)), bob=((0, 0), (0, 0)))
+# T is dominant for Alice: classically her payoff grows with theta1 against
+# every Bob point, so her column maxima arrive with the last rows (theta1 = pi)
+LATE_MAXIMA = GameMatrix(alice=((0, 1), (2, 3)), bob=((1, 0), (0, 1)))
+
+BLOCK_CASES = {
+    **{f"bos-{g:.2f}-{d:.2f}": (bos210(), SchemeParams(g, d))
+       for g, d in ((0.0, 0.0), (HP, HP), (0.7, 0.4), (HP, 0.0))},
+    "prisoners": (PRISONERS, SchemeParams(0.7, 0.4)),
+    "pennies": (PENNIES, SchemeParams(HP, 0.3)),
+    "constant": (CONSTANT, SchemeParams(0.7, 0.3)),
+    "alice-indifferent": (ALICE_INDIFFERENT, SchemeParams(0.7, 0.4)),
+    "bob-indifferent": (BOB_INDIFFERENT, SchemeParams(0.7, 0.4)),
+    "late-maxima": (LATE_MAXIMA, CLASSICAL),
+}
+
+
+def per_row_payoffs(game, scheme, grid):
+    """Payoff tables stacked from one probability_tables call per Alice row."""
+    n = grid.theta_steps * grid.phi_steps
+    rows = [weigh_outcomes(game, probability_tables(scheme, grid, slice(a, a + 1)))
+            for a in range(n)]
+    return tuple(np.concatenate(tables) for tables in zip(*rows))
+
+
+@pytest.fixture
+def one_row_blocks(monkeypatch):
+    """Certify one Alice grid row per block. The outcome kernels depend on
+    the scheme alone, so they are computed once per scheme here, which
+    keeps thousands of one-row blocks fast."""
+    monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(equilibrium, "_outcome_kernels",
+                        functools.lru_cache(equilibrium._outcome_kernels))
+
+
+@pytest.mark.usefixtures("one_row_blocks")
+class TestRowBlocks:
+    """The certificate paths, one Alice row per block, against the same
+    per-row tables certified whole by _certificates."""
+
+    @pytest.mark.parametrize("grid", [StrategyGrid(9, 5), StrategyGrid(17, 9, "full")],
+                             ids=["9x5", "17x9-full"])
+    @pytest.mark.parametrize("game,scheme", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+    def test_matches_tables_certified_whole(self, game, scheme, grid):
+        alice, bob = per_row_payoffs(game, scheme, grid)
+        cert = equilibrium._certificates(alice, bob)
+        pts = grid.points()
+        thetas, phis = grid.angles()
+        for eps in (0.0, 1e-12, 1e-9):
+            a, b = np.nonzero(cert <= eps)
+            values = np.stack([alice[a, b], bob[a, b], cert[a, b]], axis=1)
+            got_a, got_b, got_values = certified_profiles(game, scheme, grid, eps)
+            assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
+            assert np.array_equal(got_values, values)
+            assert epsilon_nash(game, scheme, grid, eps) == [
+                ProfileResult(pts[i], pts[j], PayoffPair(pa, pb), c)
+                for i, j, (pa, pb, c) in zip(a.tolist(), b.tolist(), values.tolist())]
+            row, = sweep(game, [scheme.gamma], [scheme.delta], grid, eps)
+            assert (row.equilibria, row.best) == (len(a), reference_best(alice, bob, eps))
+            dev = None
+            if game.bos is not None:
+                al, bo = _general(*game.bos, scheme.gamma, scheme.delta,
+                                  thetas[:, np.newaxis], phis[:, np.newaxis],
+                                  thetas[np.newaxis, :], phis[np.newaxis, :])
+                dev = float(max(np.abs(al - alice).max(), np.abs(bo - bob).max()))
+            assert row.max_formula_dev == dev
+
+    @pytest.mark.parametrize("grid", [StrategyGrid(9, 5), StrategyGrid(17, 9, "full")],
+                             ids=["9x5", "17x9-full"])
+    def test_late_maxima_arrive_in_the_last_rows(self, grid):
+        # the premise of the late-maxima case: every column's maximum first
+        # appears in the last phi_steps rows, all of them the strategy theta = pi
+        alice, _ = per_row_payoffs(LATE_MAXIMA, CLASSICAL, grid)
+        assert (alice.argmax(axis=0) >= len(alice) - grid.phi_steps).all()
+
+
+class TestProfileLimit:
+    """The certificate paths build no whole table: MAX_TABLE_BYTES bounds the
+    candidate profiles they hold, at PROFILE_BYTES each, instead."""
+
+    def test_table_limit_does_not_apply(self, monkeypatch):
+        grid, scheme = StrategyGrid(9, 5), SchemeParams(0.7, 0.4)
+        nash = epsilon_nash(bos210(), scheme, grid, eps=1e-9)
+        rows = sweep(bos210(), [0.7, HP], [0.4, 0.3], grid, eps=1e-9)
+        monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 32 * 45 ** 2 - 1)
+        # whole tables, and the rows of a sweep, keep the table limit
+        with pytest.raises(ValueError, match="9x5 grid needs 64800 bytes"):
+            probability_tables(scheme, grid)
+        with pytest.raises(ValueError, match="9x5 grid needs 64800 bytes"):
+            sweep_schemes([0.7], [0.4], grid)
+        assert epsilon_nash(bos210(), scheme, grid, eps=1e-9) == nash
+        assert sweep(bos210(), [0.7, HP], [0.4, 0.3], grid, eps=1e-9) == rows
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        grid = StrategyGrid(3, 2)  # the constant game certifies all 36 profiles
+        monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 36 * PROFILE_BYTES)
+        assert len(certified_profiles(CONSTANT, QUANTUM, grid, eps=1e-9)[0]) == 36
+        assert sweep(CONSTANT, [HP], [HP], grid, eps=1e-9)[0].equilibria == 36
+        monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 36 * PROFILE_BYTES - 1)
+        message = (f"3x2 grid holds over 35 candidate profiles, the limit of "
+                   f"{36 * PROFILE_BYTES - 1} bytes")
+        with pytest.raises(ValueError, match=message):
+            certified_profiles(CONSTANT, QUANTUM, grid, eps=1e-9)
+        with pytest.raises(ValueError, match=message):
+            sweep(CONSTANT, [HP], [HP], grid, eps=1e-9)
+
+    @pytest.mark.usefixtures("one_row_blocks")
+    def test_ruled_out_candidates_are_dropped(self, monkeypatch):
+        # Bob is indifferent and Alice's classical payoff grows with theta1,
+        # so each theta1 value certifies its 5 rows until the next one beats
+        # them: only the last 5 * 45 stay, and only if the others are dropped
+        grid = StrategyGrid(9, 5)
+        monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 5 * 45 * PROFILE_BYTES)
+        a, b, _ = certified_profiles(BOB_INDIFFERENT, CLASSICAL, grid, eps=1e-9)
+        assert (a.tolist(), b.tolist()) == ([i for i in range(40, 45) for _ in range(45)],
+                                            list(range(45)) * 5)
+
+
+class TestRowBlockMemory:
+    @pytest.mark.parametrize("search", [
+        lambda grid: certified_profiles(bos210(), SchemeParams(0.7, 0.4), grid, eps=1e-9),
+        lambda grid: sweep(bos210(), [0.7], [0.4], grid, eps=1e-9),
+    ], ids=["certified_profiles", "sweep"])
+    def test_peak_far_below_the_whole_table(self, search):
+        grid = StrategyGrid(65, 33)  # whole tables: 32 * 2145^2 bytes, 147 MB
+        tracemalloc.start()
+        try:
+            search(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
