@@ -71,11 +71,18 @@ def _general(alpha, beta, sigma, gamma, delta, theta1, phi1, theta2, phi2):
     cg2 = np.cos(gamma / 2) ** 2
     sg2 = np.sin(gamma / 2) ** 2
     sing = np.sin(gamma)
+    # Trig of each player's own angles only, so that on grids (one player's
+    # angles along each axis) the transcendental calls are O(n), not O(n^2):
+    # sin(phi1 + phi2) by the angle-sum identity, cos(2x) = 1 - 2 sin(x)^2.
+    sin_p1, cos_p1 = np.sin(phi1), np.cos(phi1)
+    sin_p2, cos_p2 = np.sin(phi2), np.cos(phi2)
+    sin_t1, sin_t2 = np.sin(theta1), np.sin(theta2)
     cc = np.cos(theta1 / 2) ** 2 * np.cos(theta2 / 2) ** 2
     ss = np.sin(theta1 / 2) ** 2 * np.sin(theta2 / 2) ** 2
-    phi_sum = phi1 + phi2
-    cos2p = np.cos(2 * phi_sum)
-    cross = np.sin(theta1) * np.sin(theta2) * np.sin(phi_sum)
+    sin_sum = sin_p1 * cos_p2 + cos_p1 * sin_p2
+    cos2p = 1 - 2 * sin_sum ** 2
+    # sin(theta1) sin(theta2) sin(phi1 + phi2)
+    cross = (sin_t1 * sin_p1) * (sin_t2 * cos_p2) + (sin_t1 * cos_p1) * (sin_t2 * sin_p2)
     alice = (
         cc * (eta * sg2 + xi * cg2 + chi * cos2p * sing - sigma)
         + ss * (eta * cg2 + xi * sg2 - chi * sing - sigma)

@@ -132,10 +132,10 @@ def _outcome_kernels(scheme: SchemeParams) -> np.ndarray:
     measurement basis), so the closed forms stay an independent check.
     |A_o|^2 is then a quadratic form in v1 v1^T and v2 v2^T.
     """
-    directions = np.stack(measurement_basis(scheme.delta).states())
+    bras = measurement_basis(scheme.delta).bras
     states = np.stack([final_state(scheme.gamma, p, q)
                        for p in _CORNERS for q in _CORNERS])
-    amps = (directions.conj() @ states.T).reshape(4, 3, 3)
+    amps = (bras @ states.T).reshape(4, 3, 3)
     # pair[o, p, p', q, q'] = Re(N_o[p, q] conj(N_o[p', q']))
     pair = np.einsum("opq,ors->oprqs", amps, amps.conj()).real
     # symmetrizing p <-> p' also makes it symmetric in q <-> q', because

@@ -11,7 +11,7 @@ path: explicit state evolution and projection, no closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,9 @@ PHI_RANGES = {
     "narrow": (0.0, HALF_PI),
     "full": (0.0, TWO_PI),
 }
+
+_EYE4 = np.eye(4)
+_EYE4.flags.writeable = False
 
 # Largest payoff magnitude of a game: tables stay below 1e300, certificates
 # (differences of two payoffs) below 2e300, closed forms below 4e300.
@@ -87,16 +90,15 @@ class StrategyParams:
 
 def _as_cells(name, cells) -> tuple[tuple[float, float], tuple[float, float]]:
     try:
-        rows = tuple(tuple(float(v) for v in row) for row in cells)
+        rows = tuple([tuple([float(v) for v in row]) for row in cells])
     except TypeError as exc:
         raise ValueError(f"{name} must be a 2x2 array of numbers") from exc
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
+    if len(rows) != 2 or len(rows[0]) != 2 or len(rows[1]) != 2:
         raise ValueError(f"{name} must be 2x2, got {cells!r}")
-    for row in rows:
-        for v in row:
-            if not abs(v) <= MAX_PAYOFF:  # also false for nan
-                raise ValueError(f"{name} entries must be finite and at most "
-                                 f"{MAX_PAYOFF:g} in magnitude, got {v!r}")
+    for v in rows[0] + rows[1]:
+        if not abs(v) <= MAX_PAYOFF:  # also false for nan
+            raise ValueError(f"{name} entries must be finite and at most "
+                             f"{MAX_PAYOFF:g} in magnitude, got {v!r}")
     return rows
 
 
@@ -116,7 +118,7 @@ class GameMatrix:
         object.__setattr__(self, "alice", _as_cells("alice payoffs", self.alice))
         object.__setattr__(self, "bob", _as_cells("bob payoffs", self.bob))
         if self.bos is not None:
-            alpha, beta, sigma = (float(v) for v in self.bos)
+            alpha, beta, sigma = map(float, self.bos)
             object.__setattr__(self, "bos", (alpha, beta, sigma))
             expected_a = ((alpha, sigma), (sigma, beta))
             expected_b = ((beta, sigma), (sigma, alpha))
@@ -152,25 +154,34 @@ def battle_of_sexes(alpha: float, beta: float, sigma: float) -> GameMatrix:
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """Four orthonormal, complete measurement directions, one per outcome."""
+    """Four orthonormal, complete measurement directions, one per outcome.
+
+    The states are validated once, on construction; bras keeps the checked
+    copy as a read-only 4x4 array of conjugated rows <x|, in outcome order,
+    so bras @ state gives every outcome amplitude at once.
+    """
 
     psi_oo: np.ndarray
     psi_ot: np.ndarray
     psi_to: np.ndarray
     psi_tt: np.ndarray
+    bras: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = np.array(self.states(), dtype=np.complex128)
         if rows.shape != (4, 4):
             raise ValueError(f"measurement basis needs four 4-amplitude states, got shape "
                              f"{rows.shape}")
-        if not np.all(np.isfinite(rows)):
+        if not np.isfinite(rows).all():
             raise ValueError("measurement basis states must have finite entries")
+        bras = rows.conj()
         # Gram matrix <x|y> and the sum of the projectors |x><x|
-        if np.max(np.abs(rows.conj() @ rows.T - np.eye(4))) > DEFAULT_TOL:
+        if np.abs(bras @ rows.T - _EYE4).max() > DEFAULT_TOL:
             raise ValueError("measurement basis states must be orthonormal")
-        if np.max(np.abs(rows.T @ rows.conj() - np.eye(4))) > DEFAULT_TOL:
+        if np.abs(rows.T @ bras - _EYE4).max() > DEFAULT_TOL:
             raise ValueError("measurement basis projectors must sum to the identity")
+        bras.flags.writeable = False
+        object.__setattr__(self, "bras", bras)
 
     def states(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Basis states in outcome order OO, OT, TO, TT."""
@@ -208,34 +219,42 @@ def flip_op() -> np.ndarray:
 
 
 def strategy_op(s: StrategyParams) -> np.ndarray:
-    """U(theta, phi) = cos(theta/2) R(phi) + sin(theta/2) C; always unitary."""
-    return math.cos(s.theta / 2) * rotation_op(s.phi) + math.sin(s.theta / 2) * flip_op()
+    """U(theta, phi) = cos(theta/2) R(phi) + sin(theta/2) C; always unitary.
+
+    Built entrywise: [[c e^{i phi}, s], [-s, c e^{-i phi}]] with c, s the
+    cosine and sine of theta/2."""
+    c, s_ = math.cos(s.theta / 2), math.sin(s.theta / 2)
+    cos_phi, sin_phi = math.cos(s.phi), math.sin(s.phi)
+    return np.array([[complex(c * cos_phi, c * sin_phi), s_],
+                     [-s_, complex(c * cos_phi, -c * sin_phi)]], dtype=np.complex128)
 
 
 def final_state(gamma: float, s1: StrategyParams, s2: StrategyParams) -> np.ndarray:
-    """(U1 tensor U2) applied to the entangled initial state."""
-    return np.kron(strategy_op(s1), strategy_op(s2)) @ initial_state(gamma)
+    """(U1 tensor U2) applied to the entangled initial state.
+
+    With the amplitudes as a 2x2 matrix M[a, b] (a Alice's qubit, b Bob's),
+    the tensor product acts as U1 M U2^T."""
+    amps = initial_state(gamma).reshape(2, 2)
+    return (strategy_op(s1) @ amps @ strategy_op(s2).T).reshape(4)
 
 
 def measurement_basis(delta: float) -> MeasurementBasis:
     """Outcome basis entangled by delta; delta=0 is the computational basis."""
     _check_interval("delta", delta, 0.0, HALF_PI, "[0, pi/2]")
     c, s = math.cos(delta / 2), math.sin(delta / 2)
-    return MeasurementBasis(
-        psi_oo=np.array([c, 0.0, 0.0, 1j * s], dtype=np.complex128),
-        psi_ot=np.array([0.0, c, -1j * s, 0.0], dtype=np.complex128),
-        psi_to=np.array([0.0, -1j * s, c, 0.0], dtype=np.complex128),
-        psi_tt=np.array([1j * s, 0.0, 0.0, c], dtype=np.complex128),
-    )
+    rows = np.array([[c, 0.0, 0.0, 1j * s],
+                     [0.0, c, -1j * s, 0.0],
+                     [0.0, -1j * s, c, 0.0],
+                     [1j * s, 0.0, 0.0, c]], dtype=np.complex128)
+    return MeasurementBasis(*rows)
 
 
 def outcome_probabilities(state, basis: MeasurementBasis) -> tuple[float, float, float, float]:
     """|<psi_b|state>|^2 for each outcome, in order OO, OT, TO, TT."""
     state = np.asarray(state, dtype=np.complex128)
-    if state.shape != (4,) or not np.all(np.isfinite(state)):
+    if state.shape != (4,) or not np.isfinite(state).all():
         raise ValueError(f"state must be 4 finite amplitudes, got {state!r}")
-    probs = tuple(abs(complex(np.vdot(b, state))) ** 2 for b in basis.states())
-    return probs  # type: ignore[return-value]
+    return tuple((np.abs(basis.bras @ state) ** 2).tolist())  # type: ignore[return-value]
 
 
 def payoffs_oracle(game: GameMatrix, scheme: SchemeParams, s1: StrategyParams,

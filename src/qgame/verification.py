@@ -97,16 +97,23 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+def _uniform(rng: np.random.Generator, hi: float) -> float:
+    """The float rng.uniform(0, hi) returns, from the same stream position:
+    uniform computes 0 + hi * u from the u that random() returns, but spends
+    microseconds on argument handling per scalar call."""
+    return hi * rng.random()
+
+
 def _draw_bos(rng: np.random.Generator) -> GameMatrix:
     while True:
-        low, mid, high = np.sort(rng.uniform(0.0, 5.0, size=3))
+        low, mid, high = sorted([5.0 * u for u in rng.random(3).tolist()])
         if low < mid < high:
-            return battle_of_sexes(float(high), float(mid), float(low))
+            return battle_of_sexes(high, mid, low)
 
 
 def _draw_strategy(rng: np.random.Generator, full_phi: bool = False) -> StrategyParams:
     hi = TWO_PI if full_phi else HALF_PI
-    return StrategyParams(float(rng.uniform(0.0, math.pi)), float(rng.uniform(0.0, hi)))
+    return StrategyParams(_uniform(rng, math.pi), _uniform(rng, hi))
 
 
 def _pair_dev(x, y) -> float:
@@ -125,7 +132,7 @@ def _check_general_vs_oracle(rng) -> CheckResult:
     worst = 0.0
     for _ in range(EQUIVALENCE_DRAWS):
         game = _draw_bos(rng)
-        scheme = SchemeParams(float(rng.uniform(0, HALF_PI)), float(rng.uniform(0, HALF_PI)))
+        scheme = SchemeParams(_uniform(rng, HALF_PI), _uniform(rng, HALF_PI))
         s1, s2 = _draw_strategy(rng), _draw_strategy(rng)
         worst = max(worst, _pair_dev(cf.payoff_general(game, scheme, s1, s2),
                                      payoffs_oracle(game, scheme, s1, s2)))
@@ -139,11 +146,11 @@ def _check_case_identities(rng) -> list[CheckResult]:
             "case_c_shift_vs_case_a_i": 0.0}
     for _ in range(CASE_DRAWS):
         game = _draw_bos(rng)
-        gamma = float(rng.uniform(0, HALF_PI))
-        delta = float(rng.uniform(0, HALF_PI))
-        th1, th2 = float(rng.uniform(0, math.pi)), float(rng.uniform(0, math.pi))
-        phi1 = float(rng.uniform(0, HALF_PI))
-        split = float(rng.uniform(0, HALF_PI))  # phi pair with split + rest = pi/2
+        gamma = _uniform(rng, HALF_PI)
+        delta = _uniform(rng, HALF_PI)
+        th1, th2 = _uniform(rng, math.pi), _uniform(rng, math.pi)
+        phi1 = _uniform(rng, HALF_PI)
+        split = _uniform(rng, HALF_PI)  # phi pair with split + rest = pi/2
         rest = HALF_PI - split
         s1, s2 = _draw_strategy(rng), _draw_strategy(rng)
         zero1, zero2 = StrategyParams(th1, 0.0), StrategyParams(th2, 0.0)
@@ -207,7 +214,7 @@ def _check_classical(rng, game: GameMatrix) -> list[CheckResult]:
     worst = 0.0
     for _ in range(CASE_DRAWS):
         g = _draw_bos(rng)
-        th1, th2 = float(rng.uniform(0, math.pi)), float(rng.uniform(0, math.pi))
+        th1, th2 = _uniform(rng, math.pi), _uniform(rng, math.pi)
         s1, s2 = StrategyParams(th1, 0.0), StrategyParams(th2, 0.0)
         ca, cb = _classical_mixed(g, math.cos(th1 / 2) ** 2, math.cos(th2 / 2) ** 2)
         got = payoffs_oracle(g, scheme, s1, s2)
@@ -232,7 +239,7 @@ def _check_classical(rng, game: GameMatrix) -> list[CheckResult]:
 def _check_measurement(rng) -> list[CheckResult]:
     worst = 0.0
     for _ in range(BASIS_DRAWS):
-        delta = float(rng.uniform(0, HALF_PI))
+        delta = _uniform(rng, HALF_PI)
         states = measurement_basis(delta).states()
         gram = np.array([[np.vdot(x, y) for y in states] for x in states])
         worst = max(worst, float(np.max(np.abs(gram - np.eye(4)))))
@@ -245,7 +252,7 @@ def _check_measurement(rng) -> list[CheckResult]:
     for _ in range(CASE_DRAWS):
         raw = rng.normal(size=4) + 1j * rng.normal(size=4)
         state = raw / np.linalg.norm(raw)
-        basis = measurement_basis(float(rng.uniform(0, HALF_PI)))
+        basis = measurement_basis(_uniform(rng, HALF_PI))
         probs = outcome_probabilities(state, basis)
         worst_sum = max(worst_sum, abs(sum(probs) - 1.0))
     sums = CheckResult("outcome_probability_sum", worst_sum, ORACLE_TOL,
@@ -266,9 +273,9 @@ def _check_reduction_slices(rng) -> list[CheckResult]:
     mw = 0.0
     for _ in range(CASE_DRAWS):
         game = _draw_bos(rng)
-        gamma = float(rng.uniform(0, HALF_PI))
-        th1, th2 = float(rng.uniform(0, math.pi)), float(rng.uniform(0, math.pi))
-        split = float(rng.uniform(0, HALF_PI))
+        gamma = _uniform(rng, HALF_PI)
+        th1, th2 = _uniform(rng, math.pi), _uniform(rng, math.pi)
+        split = _uniform(rng, HALF_PI)
         s1 = StrategyParams(th1, split)
         s2 = StrategyParams(th2, HALF_PI - split)
         eisert = max(eisert, _pair_dev(

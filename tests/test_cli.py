@@ -386,7 +386,7 @@ class TestVerify:
         # the default run is seed 0 on BoS (2, 1, 0), the shared verify_seed0 run
         args = cli.build_parser().parse_args(["verify"])
         assert (args.seed, args.bos) == ("0", "2,1,0")
-        _, code, out = verify_seed0
+        _, code, out, _ = verify_seed0
         assert code == 0
         assert "result: PASS" in out
         assert "du_printed_vs_oracle" in out

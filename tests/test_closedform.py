@@ -15,6 +15,7 @@ from qgame.closedform import (
     payoff_du_maximal,
     payoff_general,
 )
+from qgame.equilibrium import StrategyGrid
 from qgame.scheme import (
     GameMatrix,
     SchemeParams,
@@ -128,6 +129,24 @@ class TestPayoffGeneral:
             a2, b2 = _general(mid, hi, lo, gamma, delta, th2, ph2, th1, ph1)
             assert a2 == pytest.approx(b1, abs=1e-12)
             assert b2 == pytest.approx(a1, abs=1e-12)
+
+    @pytest.mark.parametrize("phi_range", ["narrow", "full"])
+    def test_broadcast_grid_matches_scalar_calls(self, phi_range):
+        # equilibrium.sweep evaluates Alice's grid points along one axis and
+        # Bob's along the other, with trig taken once per strategy
+        grid = StrategyGrid(7, 5, phi_range=phi_range)
+        thetas, phis = grid.angles()
+        game, scheme = battle_of_sexes(3.1, 1.7, 0.4), SchemeParams(0.9, 0.35)
+        alice, bob = _general(*game.bos, scheme.gamma, scheme.delta,
+                              thetas[:, np.newaxis], phis[:, np.newaxis],
+                              thetas[np.newaxis, :], phis[np.newaxis, :])
+        assert alice.shape == bob.shape == (len(thetas), len(thetas))
+        pts = grid.points()
+        for i, s1 in enumerate(pts):
+            for j, s2 in enumerate(pts):
+                want = payoff_general(game, scheme, s1, s2)
+                assert abs(alice[i, j] - want.alice) <= 1e-13
+                assert abs(bob[i, j] - want.bob) <= 1e-13
 
 
 class TestCaseAI:

@@ -94,7 +94,7 @@ def parse_csv(text: str) -> list:
 @pytest.mark.parametrize("name", list(CASES))
 def test_golden(name, request):
     if name == "verify_seed0.txt":
-        argv, code, got = request.getfixturevalue("verify_seed0")  # shared with test_cli
+        argv, code, got, _ = request.getfixturevalue("verify_seed0")  # shared with test_cli
         assert (argv, code) == (CASES[name], 0)
     else:
         got = run(CASES[name])

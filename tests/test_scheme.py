@@ -313,3 +313,31 @@ class TestPayoffsOracle:
     def test_payoff_pair_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             PayoffPair(math.nan, 1.0)
+
+
+class TestAgainstDefinitions:
+    """The oracle's building blocks against the formulas they implement:
+    the Kronecker product on the state vector, the operator sum, and one
+    inner product per basis state."""
+
+    TOL = 1e-15
+
+    @pytest.mark.parametrize("phi_hi", [HP, 2 * math.pi], ids=["narrow", "full"])
+    @pytest.mark.parametrize("gamma", [0.0, HP, None], ids=["gamma0", "gamma_pi2", "random"])
+    def test_fast_paths_match_definitions(self, gamma, phi_hi):
+        rng = np.random.default_rng(37)
+        for _ in range(1000):
+            g = float(rng.uniform(0, HP)) if gamma is None else gamma
+            s1, s2 = (StrategyParams(float(rng.uniform(0, math.pi)),
+                                     float(rng.uniform(0, phi_hi))) for _ in range(2))
+            basis = measurement_basis(float(rng.uniform(0, HP)))
+            for s in (s1, s2):
+                want = (math.cos(s.theta / 2) * rotation_op(s.phi)
+                        + math.sin(s.theta / 2) * flip_op())
+                assert np.abs(strategy_op(s) - want).max() <= self.TOL
+            state = final_state(g, s1, s2)
+            want = np.kron(strategy_op(s1), strategy_op(s2)) @ initial_state(g)
+            assert np.abs(state - want).max() <= self.TOL
+            probs = outcome_probabilities(state, basis)
+            want = [abs(np.vdot(b, state)) ** 2 for b in basis.states()]
+            assert np.abs(np.subtract(probs, want)).max() <= self.TOL

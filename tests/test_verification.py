@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from qgame import verification
-from qgame.scheme import GameMatrix, battle_of_sexes
+from qgame.scheme import HALF_PI, TWO_PI, GameMatrix, battle_of_sexes
 from qgame.verification import VERIFY_MAX_PAYOFF, run_verification
 
 REQUIRED_CHECKS = {
@@ -83,3 +84,23 @@ def test_payoff_bound_checked_before_any_draw(monkeypatch):
 def test_payoff_bound_is_inclusive():
     bound = VERIFY_MAX_PAYOFF
     assert run_verification(battle_of_sexes(bound, 0.0, -bound), seed=0).passed
+
+
+def test_verify_makes_the_traced_call_counts(verify_seed0):
+    # the benchmark's tracer pins these counts for any seed; a run that
+    # skipped oracle calls or built fewer bases would fail here too
+    _, code, _, calls = verify_seed0
+    assert code == 0
+    assert calls == {"payoffs_oracle": 14002, "measurement_basis": 15103,
+                     "payoff_general": 17000}
+
+
+@pytest.mark.parametrize("hi", [HALF_PI, math.pi, TWO_PI, 5.0])
+def test_uniform_is_generator_uniform_bit_for_bit(hi):
+    ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(1000):
+        assert verification._uniform(ours, hi) == float(theirs.uniform(0.0, hi))
+        # _draw_bos scales a block of three the same way
+        assert ([hi * u for u in ours.random(3).tolist()]
+                == theirs.uniform(0.0, hi, size=3).tolist())
+    assert ours.random() == theirs.random()  # same stream position
