@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import signal
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
@@ -22,10 +23,9 @@ from .equilibrium import (
     StrategyGrid,
     certified_profiles,
     check_eps,
-    probability_tables,
     sweep,
     sweep_schemes,
-    weigh_outcomes,
+    table_blocks,
 )
 from .scheme import (
     GameMatrix,
@@ -242,14 +242,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _sweep_blocks(game: GameMatrix, schemes: list[SchemeParams], grid: StrategyGrid):
-    """Every scheme's rows, one block per Alice grid point; one scheme's tables at a time."""
+    """Every scheme's rows, one block per Alice grid point, from one block of
+    table_blocks at a time; each row's values are stacked on their own, so
+    no copy of a whole block is made."""
     bobs = np.arange(grid.theta_steps * grid.phi_steps)
     for scheme in schemes:
-        probs = probability_tables(scheme, grid)
-        alice, bob = weigh_outcomes(game, probs)
-        values = np.stack([alice, bob, *probs], axis=-1)  # (n, n, 6), SWEEP_FIELDS order
-        for a, row in enumerate(values):
-            yield (scheme.gamma, scheme.delta), a, bobs, row
+        for rows, probs, alice, bob in table_blocks(game, scheme, grid):
+            for i, a in enumerate(range(rows.start, rows.stop)):
+                row = np.stack([alice[i], bob[i], *probs[:, i]], axis=-1)  # SWEEP_FIELDS order
+                yield (scheme.gamma, scheme.delta), a, bobs, row
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -273,7 +274,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 0
 
     # everything that can reject the input runs before the first byte
-    blocks = _sweep_blocks(game, sweep_schemes(gammas, deltas, grid), grid)
+    blocks = _sweep_blocks(game, sweep_schemes(gammas, deltas), grid)
     _emit_chunks(_table_chunks(SWEEP_FIELDS, args.format, grid, 2, blocks), args.out)
     return 0
 
@@ -388,4 +389,8 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # a reader that closes the pipe early (qgame ... | head) ends the command
+    # as it ends cat: killed by SIGPIPE, with no error message
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())

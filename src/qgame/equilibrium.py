@@ -28,14 +28,16 @@ from .scheme import (
 TIE_TOL = 1e-12
 
 # Largest (4, n, n) float64 probability table that probability_tables will
-# allocate for a whole grid (n grid points, 32 n^2 bytes); sweep's rows mode
-# writes every profile of it, and peaks at about 1.5 times its size. The
-# certificate paths build blocks of Alice's rows instead, about BLOCK_BYTES
-# of probabilities each, and apply the same limit to the candidate profiles
-# they hold, at PROFILE_BYTES each: two grid indices and three values.
+# allocate for a whole grid (n grid points, 32 n^2 bytes). The grid commands
+# build blocks of Alice's rows instead (table_blocks), about BLOCK_BYTES of
+# probabilities each, and apply the same limit twice: to the grid, at
+# POINT_BYTES per point (the features and one block's other per-point arrays
+# held at once, whatever the block size), and to the candidate profiles the
+# certificates hold, at PROFILE_BYTES each: two grid indices and three values.
 MAX_TABLE_BYTES = 2**30
 BLOCK_BYTES = 2**22
 PROFILE_BYTES = 40
+POINT_BYTES = 192
 
 # U(theta, phi) = v0 I + v1 iZ + v2 C with real coefficients
 # v = (cos(theta/2) cos(phi), cos(theta/2) sin(phi), sin(theta/2)); these
@@ -68,6 +70,12 @@ class StrategyGrid:
             raise ValueError(
                 f"phi_range must be one of {sorted(PHI_RANGES)}, got {self.phi_range!r}"
             )
+        n = self.theta_steps * self.phi_steps
+        if POINT_BYTES * n > MAX_TABLE_BYTES:
+            raise ValueError(
+                f"a {self.theta_steps}x{self.phi_steps} grid has {n} points, over the limit "
+                f"of {MAX_TABLE_BYTES // POINT_BYTES} points ({MAX_TABLE_BYTES} bytes at "
+                f"{POINT_BYTES} bytes per point)")
 
     @property
     def phi_interval(self) -> tuple[float, float]:
@@ -153,15 +161,6 @@ def _probabilities(kernels: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> n
     return probs
 
 
-def _check_table_size(grid: StrategyGrid) -> None:
-    """Raise ValueError if the grid's probability tables exceed MAX_TABLE_BYTES."""
-    n = grid.theta_steps * grid.phi_steps
-    if 32 * n * n > MAX_TABLE_BYTES:
-        raise ValueError(
-            f"a {grid.theta_steps}x{grid.phi_steps} grid needs {32 * n * n} bytes of "
-            f"probability tables, over the limit of {MAX_TABLE_BYTES} bytes")
-
-
 def probability_tables(scheme: SchemeParams, grid: StrategyGrid,
                        rows: slice | None = None) -> np.ndarray:
     """Outcome probabilities for every grid profile, shape (4, n, n), or for
@@ -173,10 +172,15 @@ def probability_tables(scheme: SchemeParams, grid: StrategyGrid,
     grid features and the outcome kernels, which come from nine state
     evolutions by bilinearity.
 
-    The whole table raises ValueError before allocating anything when it
-    would take more than MAX_TABLE_BYTES; a slice of rows is not checked."""
+    The whole table is library API (payoff_tables); it raises ValueError
+    before allocating anything when it would take more than MAX_TABLE_BYTES.
+    A slice of rows, which table_blocks builds, is not checked."""
     if rows is None:
-        _check_table_size(grid)
+        n = grid.theta_steps * grid.phi_steps
+        if 32 * n * n > MAX_TABLE_BYTES:
+            raise ValueError(
+                f"a {grid.theta_steps}x{grid.phi_steps} grid needs {32 * n * n} bytes of "
+                f"probability tables, over the limit of {MAX_TABLE_BYTES} bytes")
         rows = slice(None)
     features = _features(*grid.angles())
     return _probabilities(_outcome_kernels(scheme), features[rows], features)
@@ -194,6 +198,25 @@ def payoff_tables(game: GameMatrix, scheme: SchemeParams,
     """Simulated payoffs for every profile; entry [a, b] pairs Alice's grid
     point a with Bob's grid point b, both in points() order."""
     return weigh_outcomes(game, probability_tables(scheme, grid))
+
+
+def table_blocks(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid):
+    """The grid's tables in blocks of Alice's rows, in grid order: one
+    (rows, probs, alice, bob) per block of about BLOCK_BYTES of
+    probabilities, where probs is probability_tables(scheme, grid, rows) and
+    alice, bob are its payoff tables. Memory is O(n * block) however large
+    the grid is. No reference to a block is kept once it is handed over, so
+    a consumer that drops probs frees them before the next block is built."""
+    n = grid.theta_steps * grid.phi_steps
+    step = max(1, BLOCK_BYTES // (32 * n))
+    return (_table_block(game, scheme, grid, slice(lo, min(lo + step, n)))
+            for lo in range(0, n, step))
+
+
+def _table_block(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
+                 rows: slice) -> tuple:
+    probs = probability_tables(scheme, grid, rows)
+    return (rows, probs, *weigh_outcomes(game, probs))
 
 
 def _certificates(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
@@ -240,9 +263,8 @@ def _keep(chunk: tuple[np.ndarray, ...], mask: np.ndarray) -> tuple[np.ndarray, 
 
 def _certify(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid, eps: float,
              visit=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """certified_profiles in one pass over blocks of Alice's grid rows, each
-    about BLOCK_BYTES of probabilities; visit(rows, alice, bob), if given,
-    sees every block's payoff tables.
+    """certified_profiles in one pass over table_blocks; visit(rows, alice,
+    bob), if given, sees every block's payoff tables.
 
     Bob's best replies are exact within a block, and Alice's are running
     column maxima. A profile more than eps short of either can never be
@@ -254,22 +276,20 @@ def _certify(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid, eps: fl
 
     Raises ValueError when the candidates left after a block take more than
     MAX_TABLE_BYTES at PROFILE_BYTES each."""
-    n = grid.theta_steps * grid.phi_steps
-    step = max(1, BLOCK_BYTES // (32 * n))
-    best_a = np.full(n, -np.inf)
+    best_a = np.full(grid.theta_steps * grid.phi_steps, -np.inf)
     # candidate chunks (a, b, values); a value row is payoff_a, payoff_b and
     # Bob's gain from deviating, which is final when the chunk is made
     held: list[tuple[np.ndarray, ...]] = []
     count = pruned = 0
-    for lo in range(0, n, step):
-        rows = slice(lo, min(lo + step, n))
-        alice, bob = weigh_outcomes(game, probability_tables(scheme, grid, rows))
+    for rows, probs, alice, bob in table_blocks(game, scheme, grid):
+        del probs  # only the payoffs are certified; free the block now
         if visit is not None:
             visit(rows, alice, bob)
         np.maximum(best_a, alice.max(axis=0), out=best_a)
         gain_b = bob.max(axis=1)[:, np.newaxis] - bob
         a, b = np.nonzero((best_a - alice <= eps) & (gain_b <= eps))
-        held.append((a + lo, b, np.stack([alice[a, b], bob[a, b], gain_b[a, b]], axis=1)))
+        held.append((a + rows.start, b,
+                     np.stack([alice[a, b], bob[a, b], gain_b[a, b]], axis=1)))
         count += len(a)
         # pruning each time the count doubles keeps its cost linear in it
         if count > 2 * pruned or count * PROFILE_BYTES > MAX_TABLE_BYTES:
@@ -292,8 +312,8 @@ def certified_profiles(game: GameMatrix, scheme: SchemeParams, grid: StrategyGri
     profiles, in its order, and their (m, 3) payoff_a, payoff_b and eps_cert.
 
     The tables are built and certified in blocks of Alice's grid rows, so
-    memory is O(n * block + profiles), and there is no limit on the grid
-    size. Raises ValueError when the profiles held at once, candidates that
+    memory is O(n * block + profiles), and no whole-table limit applies.
+    Raises ValueError when the profiles held at once, candidates that
     later blocks may still rule out included, take more than MAX_TABLE_BYTES
     at PROFILE_BYTES each."""
     check_eps(eps)
@@ -313,13 +333,11 @@ def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
             for i, j, (pa, pb, cert) in zip(a.tolist(), b.tolist(), values.tolist())]
 
 
-def sweep_schemes(gamma_values, delta_values,
-                  grid: StrategyGrid | None = None) -> list[SchemeParams]:
+def sweep_schemes(gamma_values, delta_values) -> list[SchemeParams]:
     """A sweep's schemes in input order, gamma_values and delta_values paired
-    elementwise (a singleton broadcasts). Every input check of a sweep raises
-    ValueError here, before any table is built. Given a grid, it also checks
-    the size of the grid's whole probability tables, which rows mode builds;
-    the summaries of sweep build none."""
+    elementwise (a singleton broadcasts). Every input check of the pairs
+    raises ValueError here, before any table is built; the grid checks its
+    own size."""
     gammas = [float(g) for g in gamma_values]
     deltas = [float(d) for d in delta_values]
     if len(gammas) == 1 and len(deltas) > 1:
@@ -331,10 +349,7 @@ def sweep_schemes(gamma_values, delta_values,
             f"gamma and delta lists must pair up elementwise, got lengths "
             f"{len(gammas)} and {len(deltas)}"
         )
-    schemes = [SchemeParams(g, d) for g, d in zip(gammas, deltas)]
-    if grid is not None:
-        _check_table_size(grid)
-    return schemes
+    return [SchemeParams(g, d) for g, d in zip(gammas, deltas)]
 
 
 def sweep(game: GameMatrix, gamma_values, delta_values, grid: StrategyGrid,

@@ -1,11 +1,13 @@
 import json
 import math
+import signal
 import subprocess
 import sys
 import tracemalloc
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from qgame import cli, equilibrium
@@ -462,9 +464,22 @@ class TestSweep:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_summary_oversized_grid_writes_nothing(self, capsys, tmp_path, fmt, to_file):
+        target = tmp_path / "summary"
+        out_args = ["--out", str(target)] if to_file else []
+        code, out, err = run_cli(capsys, "sweep", "--bos", "2,1,0", "--gamma", "0.5",
+                                 "--delta", "0.1", "--grid", "4096,2048", "--summary",
+                                 "--format", fmt, *out_args)
+        assert (code, out) == (1, "")
+        assert "4096x2048 grid has 8388608 points" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     @pytest.mark.parametrize("bad,message", [
         (["--bos", "2,1,0", "--gamma", "0.5,2.0", "--delta", "0.1"], "gamma must be in"),
-        (["--bos", "2,1,0", "--gamma", "0.5", "--delta", "0.1", "--grid", "181,91"], "181x91"),
+        (["--bos", "2,1,0", "--gamma", "0.5", "--delta", "0.1", "--grid", "4096,2048"],
+         "4096x2048 grid has 8388608 points"),
         ([*OVERFLOWING, "--gamma", "pi/4", "--delta", "0.3", "--grid", "3,2"],
          "at most 1e+300 in magnitude"),
         *[(["--bos", "2,1,0", "--gamma", "0.5", "--delta", "0.1", "--grid", "3,2",
@@ -514,6 +529,44 @@ class TestSweep:
         assert code1 == code4 == 0
         assert four < 2 * one, (one, four)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_match_uneven_blocks(self, capsys, monkeypatch, fmt):
+        # 15 grid points in blocks of 4, 4, 4 and 3 of Alice's rows
+        argv = ["--bos", "2,1,0", "--gamma", "0.7,pi/2", "--delta", "0.4,0.3",
+                "--grid", "5,3"]
+        monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 4 * 32 * 15)
+        code, out, err = run_cli(capsys, "sweep", *argv, "--format", fmt)
+        assert code == 0, err
+        rows = reference_sweep_rows(argv, step=4)
+        if fmt == "csv":
+            assert out == _csv_table(SWEEP_FIELDS, rows)
+        else:
+            assert out == json.dumps(rows, indent=2) + "\n"
+
+    def test_blocks_peak_far_below_the_whole_table(self):
+        grid = StrategyGrid(65, 33)  # whole tables: 32 * 2145^2 bytes, 147 MB
+        tracemalloc.start()
+        try:
+            for _ in cli._sweep_blocks(battle_of_sexes(2, 1, 0), [SchemeParams(0.7, 0.4)],
+                                       grid):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
+
+    def test_closed_pipe_ends_quietly(self):
+        # as for cat, the shell sees 141: killed by SIGPIPE, no error message
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qgame", "sweep", "--bos", "2,1,0", "--gamma", "0.3",
+             "--delta", "0.2", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == (",".join(SWEEP_FIELDS) + "\n").encode()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (-signal.SIGPIPE, b"")
+
 
 def reference_inputs(argv):
     """Options, game and grid of a flag list, parsed without the cli."""
@@ -528,13 +581,19 @@ def reference_inputs(argv):
     return opts, game, StrategyGrid(steps[0], steps[1], opts.get("--phi-range", "narrow"))
 
 
-def reference_sweep_rows(argv):
-    """The per-profile rows as one list of dicts, built profile by profile."""
+def reference_sweep_rows(argv, step=None):
+    """The per-profile rows as one list of dicts, built profile by profile
+    from the whole tables, or from probability_tables slices of step rows."""
     opts, game, grid = reference_inputs(argv)
+    n = grid.theta_steps * grid.phi_steps
     rows = []
     for scheme in sweep_schemes(parse_angle_list(opts["--gamma"]),
-                                parse_angle_list(opts["--delta"]), grid):
-        probs = probability_tables(scheme, grid)
+                                parse_angle_list(opts["--delta"])):
+        if step is None:
+            probs = probability_tables(scheme, grid)
+        else:
+            probs = np.concatenate([probability_tables(scheme, grid, slice(lo, lo + step))
+                                    for lo in range(0, n, step)], axis=1)
         alice, bob = weigh_outcomes(game, probs)
         for a, s1 in enumerate(grid.points()):
             for b, s2 in enumerate(grid.points()):
@@ -593,9 +652,11 @@ class TestEquilibria:
         ["equilibria", "--bos", "2,1,0", "--gamma", "0.7", "--delta", "0.4", "--grid", "9,5"],
         ["sweep", "--bos", "2,1,0", "--gamma", "0.7,pi/2", "--delta", "0.4,0.3",
          "--grid", "9,5", "--summary"],
-    ], ids=["equilibria", "summary"])
+        ["sweep", "--bos", "2,1,0", "--gamma", "0.7,pi/2", "--delta", "0.4,0.3",
+         "--grid", "9,5", "--format", "csv"],
+    ], ids=["equilibria", "summary", "rows"])
     def test_table_limit_does_not_apply(self, capsys, monkeypatch, argv):
-        # certificates are built in blocks of rows, never as a whole table
+        # every grid command builds blocks of rows, never a whole table
         want = run_cli(capsys, *argv)
         assert want[0] == 0
         monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 32 * 45 ** 2 - 1)
@@ -705,7 +766,10 @@ class TestEquilibriaStreaming:
             f"--eps={eps}"], "eps must be nonnegative") for eps in ("-1", "nan")],
         ([*OVERFLOWING, "--gamma", "pi/4", "--delta", "0.3", "--grid", "3,2"],
          "at most 1e+300 in magnitude"),
-    ], ids=["gamma-out-of-range", "eps-negative", "eps-nan", "overflowing-payoffs"])
+        (["--bos", "2,1,0", "--gamma", "0.5", "--delta", "0.1", "--grid", "4096,2048"],
+         "4096x2048 grid has 8388608 points"),
+    ], ids=["gamma-out-of-range", "eps-negative", "eps-nan", "overflowing-payoffs",
+            "oversized-grid"])
     def test_invalid_input_writes_nothing(self, capsys, tmp_path, fmt, to_file, bad, message):
         target = tmp_path / "equilibria"
         out_args = ["--out", str(target)] if to_file else []

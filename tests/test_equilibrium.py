@@ -2,6 +2,7 @@ import functools
 import math
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from qgame import equilibrium
 from qgame.closedform import _general
 from qgame.equilibrium import (
     MAX_TABLE_BYTES,
+    POINT_BYTES,
     PROFILE_BYTES,
     ProfileResult,
     StrategyGrid,
@@ -21,6 +23,7 @@ from qgame.equilibrium import (
     probability_tables,
     sweep,
     sweep_schemes,
+    table_blocks,
     weigh_outcomes,
 )
 from qgame.scheme import (
@@ -158,6 +161,45 @@ class TestTableSizeLimit:
         monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 1151)
         with pytest.raises(ValueError, match="3x2 grid needs 1152 bytes"):
             probability_tables(QUANTUM, grid)
+
+
+class TestGridSizeLimit:
+    """Every grid command holds about POINT_BYTES per grid point at once, so
+    MAX_TABLE_BYTES bounds the grid itself at that rate."""
+
+    def test_oversized_grid_rejected_before_allocating(self):
+        # 8,388,608 points, over the limit of 5,592,405
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    f"4096x2048 grid has 8388608 points, over the limit of "
+                    f"{MAX_TABLE_BYTES // POINT_BYTES} points")):
+                StrategyGrid(4096, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 6 * POINT_BYTES)
+        StrategyGrid(3, 2)  # 6 points take exactly the limit
+        monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 6 * POINT_BYTES - 1)
+        with pytest.raises(ValueError, match="3x2 grid has 6 points"):
+            StrategyGrid(3, 2)
+
+
+def test_table_blocks_slice_the_grid_in_order(monkeypatch):
+    # 15 grid points in blocks of 4, 4, 4 and 3 of Alice's rows
+    scheme, grid = SchemeParams(0.7, 0.4), StrategyGrid(5, 3)
+    monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 4 * 32 * 15 + 31)
+    blocks = list(table_blocks(bos210(), scheme, grid))
+    assert [rows for rows, *_ in blocks] == [slice(0, 4), slice(4, 8), slice(8, 12),
+                                             slice(12, 15)]
+    for rows, probs, alice, bob in blocks:
+        want = probability_tables(scheme, grid, rows)
+        assert np.array_equal(probs, want)
+        want_a, want_b = weigh_outcomes(bos210(), want)
+        assert np.array_equal(alice, want_a) and np.array_equal(bob, want_b)
 
 
 PRISONERS = GameMatrix(alice=((3, 0), (5, 1)), bob=((3, 5), (0, 1)))
@@ -390,7 +432,7 @@ class TestSweep:
 
         monkeypatch.setattr(equilibrium, "probability_tables", counting)
         with pytest.raises(ValueError, match=message):
-            sweep_schemes(gammas, deltas, grid)
+            sweep_schemes(gammas, deltas)
         with pytest.raises(ValueError, match=message):
             sweep(bos210(), gammas, deltas, grid, eps=1e-9)
         assert calls == []
@@ -537,11 +579,9 @@ class TestProfileLimit:
         nash = epsilon_nash(bos210(), scheme, grid, eps=1e-9)
         rows = sweep(bos210(), [0.7, HP], [0.4, 0.3], grid, eps=1e-9)
         monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 32 * 45 ** 2 - 1)
-        # whole tables, and the rows of a sweep, keep the table limit
+        # only whole tables, library API, keep the table limit
         with pytest.raises(ValueError, match="9x5 grid needs 64800 bytes"):
             probability_tables(scheme, grid)
-        with pytest.raises(ValueError, match="9x5 grid needs 64800 bytes"):
-            sweep_schemes([0.7], [0.4], grid)
         assert epsilon_nash(bos210(), scheme, grid, eps=1e-9) == nash
         assert sweep(bos210(), [0.7, HP], [0.4, 0.3], grid, eps=1e-9) == rows
 
@@ -584,3 +624,21 @@ class TestRowBlockMemory:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak
+
+    def test_each_block_of_probabilities_is_freed(self, monkeypatch):
+        # only the payoffs are certified, so neither table_blocks nor the
+        # certificates may hold a block's probabilities into the next block
+        freed = []
+
+        def tracking(*args):
+            assert all(ref() is None for ref in freed)
+            probs = probability_tables(*args)
+            freed.append(weakref.ref(probs))
+            return probs
+
+        monkeypatch.setattr(equilibrium, "probability_tables", tracking)
+        monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 4 * 32 * 15)
+        grid = StrategyGrid(5, 3)  # blocks of 4, 4, 4 and 3 rows
+        certified_profiles(bos210(), SchemeParams(0.7, 0.4), grid, eps=1e-9)
+        sweep(bos210(), [0.7], [0.4], grid, eps=1e-9)
+        assert len(freed) == 8
