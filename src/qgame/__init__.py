@@ -24,9 +24,7 @@ from .equilibrium import (
     ProfileResult,
     StrategyGrid,
     SweepRow,
-    best_response,
     epsilon_nash,
-    payoff_tables,
     probability_tables,
     sweep,
 )
@@ -62,7 +60,6 @@ __all__ = [
     "SweepRow",
     "VerificationReport",
     "battle_of_sexes",
-    "best_response",
     "bos_coefficients",
     "epsilon_nash",
     "final_state",
@@ -78,7 +75,6 @@ __all__ = [
     "payoff_case_d",
     "payoff_du_maximal",
     "payoff_general",
-    "payoff_tables",
     "payoffs_oracle",
     "probability_tables",
     "rotation_op",

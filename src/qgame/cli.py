@@ -99,10 +99,10 @@ def load_config(path: str) -> list[str]:
 
     Each line becomes --key=value (the = form keeps values that start with -),
     so a config line is checked exactly like the flag. Full-line # comments
-    and blank lines allowed.
+    and blank lines allowed, and a leading UTF-8 byte order mark is skipped.
     """
     tokens: list[str] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -25,15 +25,12 @@ from .scheme import (
     measurement_basis,
 )
 
-TIE_TOL = 1e-12
-
-# Largest (4, n, n) float64 probability table that probability_tables will
-# allocate for a whole grid (n grid points, 32 n^2 bytes). The grid commands
-# build blocks of Alice's rows instead (table_blocks), about BLOCK_BYTES of
-# probabilities each, and apply the same limit twice: to the grid, at
-# POINT_BYTES per point (the features and one block's other per-point arrays
-# held at once, whatever the block size), and to the candidate profiles the
-# certificates hold, at PROFILE_BYTES each: two grid indices and three values.
+# The grid commands build tables in blocks of Alice's rows (table_blocks),
+# about BLOCK_BYTES of probabilities each, never whole ones. MAX_TABLE_BYTES
+# is the byte budget of two bounds: the grid, at POINT_BYTES per point (the
+# features and one block's other per-point arrays held at once, whatever the
+# block size), and the candidate profiles the certificates hold, at
+# PROFILE_BYTES each: two grid indices and three values.
 MAX_TABLE_BYTES = 2**30
 BLOCK_BYTES = 2**22
 PROFILE_BYTES = 40
@@ -152,38 +149,22 @@ def _outcome_kernels(scheme: SchemeParams) -> np.ndarray:
     return pair[:, _PAIR_P, _PAIR_Q][:, :, _PAIR_P, _PAIR_Q]
 
 
-def _probabilities(kernels: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    """Outcome probabilities for Alice's feature rows against Bob's, shape
-    (4, len(alice), len(bob)). Rounding can leave true zeros at about -1e-16;
-    they are clipped to 0."""
-    probs = (alice @ kernels) @ bob.T
-    np.maximum(probs, 0.0, out=probs)
-    return probs
-
-
 def probability_tables(scheme: SchemeParams, grid: StrategyGrid,
-                       rows: slice | None = None) -> np.ndarray:
-    """Outcome probabilities for every grid profile, shape (4, n, n), or for
-    Alice's grid points in the slice rows only, shape (4, len(rows), n).
+                       rows: slice) -> np.ndarray:
+    """Outcome probabilities of Alice's grid points in the slice rows against
+    every grid point of Bob's, shape (4, len(rows), n), 32 * len(rows) * n
+    bytes for n grid points.
 
     Axis 0 is the outcome (OO, OT, TO, TT); entry [:, a, b] pairs Alice's
     grid point a (counted from rows.start) with Bob's grid point b, both in
-    points() order. Each table is the rank-6 product F @ K[o] @ F.T of the
-    grid features and the outcome kernels, which come from nine state
-    evolutions by bilinearity.
-
-    The whole table is library API (payoff_tables); it raises ValueError
-    before allocating anything when it would take more than MAX_TABLE_BYTES.
-    A slice of rows, which table_blocks builds, is not checked."""
-    if rows is None:
-        n = grid.theta_steps * grid.phi_steps
-        if 32 * n * n > MAX_TABLE_BYTES:
-            raise ValueError(
-                f"a {grid.theta_steps}x{grid.phi_steps} grid needs {32 * n * n} bytes of "
-                f"probability tables, over the limit of {MAX_TABLE_BYTES} bytes")
-        rows = slice(None)
+    points() order. Each table is the rank-6 product F[rows] @ K[o] @ F.T of
+    the grid features and the outcome kernels, which come from nine state
+    evolutions by bilinearity. Rounding can leave true zeros at about -1e-16;
+    they are clipped to 0."""
     features = _features(*grid.angles())
-    return _probabilities(_outcome_kernels(scheme), features[rows], features)
+    probs = (features[rows] @ _outcome_kernels(scheme)) @ features.T
+    np.maximum(probs, 0.0, out=probs)
+    return probs
 
 
 def weigh_outcomes(game: GameMatrix, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,13 +172,6 @@ def weigh_outcomes(game: GameMatrix, probs: np.ndarray) -> tuple[np.ndarray, np.
     alice = np.einsum("o,o...->...", game.alice_by_outcome(), probs)
     bob = np.einsum("o,o...->...", game.bob_by_outcome(), probs)
     return alice, bob
-
-
-def payoff_tables(game: GameMatrix, scheme: SchemeParams,
-                  grid: StrategyGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated payoffs for every profile; entry [a, b] pairs Alice's grid
-    point a with Bob's grid point b, both in points() order."""
-    return weigh_outcomes(game, probability_tables(scheme, grid))
 
 
 def table_blocks(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid):
@@ -219,41 +193,10 @@ def _table_block(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
     return (rows, probs, *weigh_outcomes(game, probs))
 
 
-def _certificates(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    """eps_cert of every profile of whole payoff tables; _certify gives the
-    same values block by block, and the tests hold it to this reference."""
-    best_reply_a = alice.max(axis=0)  # Alice's best against each Bob point
-    best_reply_b = bob.max(axis=1)    # Bob's best against each Alice point
-    return np.maximum(best_reply_a[np.newaxis, :] - alice,
-                      best_reply_b[:, np.newaxis] - bob)
-
-
 def check_eps(eps: float) -> None:
     """Validate an equilibrium tolerance: finite and nonnegative."""
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be nonnegative, got {eps!r}")
-
-
-def best_response(game: GameMatrix, scheme: SchemeParams, opponent: StrategyParams,
-                  responder: str, grid: StrategyGrid) -> tuple[float, list[StrategyParams]]:
-    """Exhaustive on-grid best reply for one player, the other held fixed.
-
-    Returns the maximum payoff and every grid point within TIE_TOL of it;
-    phase symmetries make genuine ties common, so the whole tie set is kept.
-    The values are one row of the same kernel product as payoff_tables.
-    """
-    if responder not in ("alice", "bob"):
-        raise ValueError(f"responder must be 'alice' or 'bob', got {responder!r}")
-    kernels = _outcome_kernels(scheme)
-    features = _features(*grid.angles())
-    fixed = _features(opponent.theta, opponent.phi)[np.newaxis]
-    if responder == "alice":
-        values = weigh_outcomes(game, _probabilities(kernels, features, fixed)[:, :, 0])[0]
-    else:
-        values = weigh_outcomes(game, _probabilities(kernels, fixed, features)[:, 0, :])[1]
-    top = float(values.max())
-    ties = [p for p, v in zip(grid.points(), values) if v >= top - TIE_TOL]
-    return top, ties
 
 
 def _keep(chunk: tuple[np.ndarray, ...], mask: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -270,9 +213,9 @@ def _certify(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid, eps: fl
     column maxima. A profile more than eps short of either can never be
     certified, because the maxima only grow, so only the profiles within eps
     of both (the candidates) are held, and they are pruned as the maxima
-    grow. Once the maxima are final, the certificate is computed with the
-    float operations of _certificates, so the result equals the one of the
-    same tables certified whole.
+    grow. Once the maxima are final, eps_cert is computed as
+    max(column max - payoff_a, row max - payoff_b), so it equals, bit for
+    bit, the certificate of the blocks' tables stacked and certified whole.
 
     Raises ValueError when the candidates left after a block take more than
     MAX_TABLE_BYTES at PROFILE_BYTES each."""
@@ -312,10 +255,9 @@ def certified_profiles(game: GameMatrix, scheme: SchemeParams, grid: StrategyGri
     profiles, in its order, and their (m, 3) payoff_a, payoff_b and eps_cert.
 
     The tables are built and certified in blocks of Alice's grid rows, so
-    memory is O(n * block + profiles), and no whole-table limit applies.
-    Raises ValueError when the profiles held at once, candidates that
-    later blocks may still rule out included, take more than MAX_TABLE_BYTES
-    at PROFILE_BYTES each."""
+    memory is O(n * block + profiles). Raises ValueError when the profiles
+    held at once, candidates that later blocks may still rule out included,
+    take more than MAX_TABLE_BYTES at PROFILE_BYTES each."""
     check_eps(eps)
     return _certify(game, scheme, grid, eps)
 

@@ -154,15 +154,20 @@ class TestPayoff:
 
 
 class TestConfigFile:
-    def test_config_supplies_options(self, capsys, tmp_path):
+    # Notepad saves UTF-8 with a byte order mark by default; it may precede
+    # a comment or the first key
+    @pytest.mark.parametrize("head", ["# classical point\n", "\ufeff# classical point\n",
+                                      "\ufeff"], ids=["plain", "bom-comment", "bom-key"])
+    def test_config_supplies_options(self, capsys, tmp_path, head):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            "# classical point\n"
-            "bos = 2,1,0\n"
+            head
+            + "bos = 2,1,0\n"
             "gamma = 0\n"
             "delta = 0\n"
             "s1 = 0,0\n"
-            "s2 = 0,0\n"
+            "s2 = 0,0\n",
+            encoding="utf-8",
         )
         code, out, _ = run_cli(capsys, "payoff", "--config", str(cfg))
         assert code == 0
@@ -583,17 +588,15 @@ def reference_inputs(argv):
 
 def reference_sweep_rows(argv, step=None):
     """The per-profile rows as one list of dicts, built profile by profile
-    from the whole tables, or from probability_tables slices of step rows."""
+    from probability_tables slices of step rows, by default the whole grid."""
     opts, game, grid = reference_inputs(argv)
     n = grid.theta_steps * grid.phi_steps
+    step = step or n
     rows = []
     for scheme in sweep_schemes(parse_angle_list(opts["--gamma"]),
                                 parse_angle_list(opts["--delta"])):
-        if step is None:
-            probs = probability_tables(scheme, grid)
-        else:
-            probs = np.concatenate([probability_tables(scheme, grid, slice(lo, lo + step))
-                                    for lo in range(0, n, step)], axis=1)
+        probs = np.concatenate([probability_tables(scheme, grid, slice(lo, lo + step))
+                                for lo in range(0, n, step)], axis=1)
         alice, bob = weigh_outcomes(game, probs)
         for a, s1 in enumerate(grid.points()):
             for b, s2 in enumerate(grid.points()):

@@ -16,10 +16,8 @@ from qgame.equilibrium import (
     PROFILE_BYTES,
     ProfileResult,
     StrategyGrid,
-    best_response,
     certified_profiles,
     epsilon_nash,
-    payoff_tables,
     probability_tables,
     sweep,
     sweep_schemes,
@@ -30,7 +28,6 @@ from qgame.scheme import (
     GameMatrix,
     PayoffPair,
     SchemeParams,
-    StrategyParams,
     battle_of_sexes,
     final_state,
     measurement_basis,
@@ -50,6 +47,22 @@ def bos210():
 
 def pure_grid():
     return StrategyGrid(theta_steps=2, phi_steps=1)
+
+
+def whole_tables(game, scheme, grid):
+    """Alice's and Bob's payoff tables of the whole grid, stacked from
+    table_blocks: exactly the tables the certificate paths see."""
+    _, _, alice, bob = zip(*table_blocks(game, scheme, grid))
+    return np.concatenate(alice), np.concatenate(bob)
+
+
+def certificates(alice, bob):
+    """eps_cert of every profile of whole payoff tables: the reference the
+    certificate paths, which work block by block, must equal bit for bit."""
+    best_reply_a = alice.max(axis=0)  # Alice's best against each Bob point
+    best_reply_b = bob.max(axis=1)    # Bob's best against each Alice point
+    return np.maximum(best_reply_a[np.newaxis, :] - alice,
+                      best_reply_b[:, np.newaxis] - bob)
 
 
 class TestStrategyGrid:
@@ -93,7 +106,7 @@ class TestPayoffTables:
         game = GameMatrix(alice=((3, 0), (5, 1)), bob=((3, 5), (0, 1)))
         grid = StrategyGrid(3, 2)
         scheme = SchemeParams(0.7, 0.4)
-        alice, bob = payoff_tables(game, scheme, grid)
+        alice, bob = whole_tables(game, scheme, grid)
         pts = grid.points()
         for a, s1 in enumerate(pts):
             for b, s2 in enumerate(pts):
@@ -102,14 +115,14 @@ class TestPayoffTables:
                 assert bob[a, b] == pytest.approx(want.bob, abs=1e-12)
 
     def test_probability_tables_sum_to_one(self):
-        probs = probability_tables(SchemeParams(1.0, 0.5), StrategyGrid(4, 3))
+        probs = probability_tables(SchemeParams(1.0, 0.5), StrategyGrid(4, 3), slice(None))
         np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-9)
         assert (probs >= -1e-15).all()
 
     def test_probabilities_never_negative(self):
         # at gamma = delta = pi/2 many probabilities are exactly zero, and the
         # rank-6 product rounds some of them to about -1e-16 before clipping
-        probs = probability_tables(QUANTUM, StrategyGrid(33, 17))
+        probs = probability_tables(QUANTUM, StrategyGrid(33, 17), slice(None))
         assert probs.min() >= 0.0
 
     def test_tables_call_basis_once_and_no_scalar_path(self, monkeypatch):
@@ -130,37 +143,10 @@ class TestPayoffTables:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         scheme, grid = SchemeParams(0.7, 0.4), StrategyGrid(5, 3)
-        probability_tables(scheme, grid)
+        probability_tables(scheme, grid, slice(None))
         assert counts == {"measurement_basis": 1}
-        payoff_tables(bos210(), scheme, grid)
         epsilon_nash(bos210(), scheme, grid, eps=1e-9)
-        best_response(bos210(), scheme, StrategyParams(0, 0), "bob", grid)
-        assert counts == {"measurement_basis": 4}
-
-
-class TestTableSizeLimit:
-    def test_oversized_grid_rejected_before_allocating(self):
-        # 181x91 needs 32 * 16471^2 bytes, about 8.7 GB
-        grid = StrategyGrid(181, 91)
-        assert 32 * (181 * 91) ** 2 > MAX_TABLE_BYTES
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=f"181x91.*limit of {MAX_TABLE_BYTES} bytes"):
-                probability_tables(QUANTUM, grid)
-            with pytest.raises(ValueError, match="limit"):
-                payoff_tables(bos210(), QUANTUM, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
-
-    def test_limit_is_inclusive(self, monkeypatch):
-        grid = StrategyGrid(3, 2)  # 32 * 6^2 = 1152 bytes
-        monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 1152)
-        assert probability_tables(QUANTUM, grid).nbytes == 1152
-        monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 1151)
-        with pytest.raises(ValueError, match="3x2 grid needs 1152 bytes"):
-            probability_tables(QUANTUM, grid)
+        assert counts == {"measurement_basis": 2}
 
 
 class TestGridSizeLimit:
@@ -222,19 +208,18 @@ class TestOracleEquivalence:
         basis = measurement_basis(delta)
         want = np.array([[outcome_probabilities(final_state(gamma, s1, s2), basis)
                           for s2 in pts] for s1 in pts]).transpose(2, 0, 1)
-        np.testing.assert_allclose(probability_tables(scheme, grid), want,
+        np.testing.assert_allclose(probability_tables(scheme, grid, slice(None)), want,
                                    rtol=0, atol=1e-12)
         index = {(p.theta, p.phi): i for i, p in enumerate(pts)}
         for game in self.GAMES:
             oracle = [[payoffs_oracle(game, scheme, s1, s2) for s2 in pts] for s1 in pts]
             want_a = np.array([[o.alice for o in row] for row in oracle])
             want_b = np.array([[o.bob for o in row] for row in oracle])
-            alice, bob = payoff_tables(game, scheme, grid)
+            alice, bob = whole_tables(game, scheme, grid)
             np.testing.assert_allclose(alice, want_a, rtol=0, atol=1e-12)
             np.testing.assert_allclose(bob, want_b, rtol=0, atol=1e-12)
             # eps = 0 would count genuine ties by rounding luck
-            cert = np.maximum(want_a.max(axis=0) - want_a,
-                              want_b.max(axis=1)[:, np.newaxis] - want_b)
+            cert = certificates(want_a, want_b)
             for eps in (1e-12, 1e-9, 1e-6):
                 got = {(index[(r.s1.theta, r.s1.phi)], index[(r.s2.theta, r.s2.phi)])
                        for r in epsilon_nash(game, scheme, grid, eps)}
@@ -246,8 +231,8 @@ class TestOracleEquivalence:
         scheme = SchemeParams(gamma, delta)
         pts = grid.points()
         for game in self.GAMES:
-            alice, bob = payoff_tables(game, scheme, grid)
-            cert = np.maximum(alice.max(axis=0) - alice, bob.max(axis=1)[:, np.newaxis] - bob)
+            alice, bob = whole_tables(game, scheme, grid)
+            cert = certificates(alice, bob)
             for eps in (1e-12, 1e-9, 1e-6):
                 a, b, values = certified_profiles(game, scheme, grid, eps)
                 results = epsilon_nash(game, scheme, grid, eps)
@@ -259,46 +244,6 @@ class TestOracleEquivalence:
                                            for r in results]
                 assert values.tolist() == np.column_stack(
                     [alice[a, b], bob[a, b], cert[a, b]]).tolist()
-
-
-class TestBestResponse:
-    def test_classical_reply_to_opera(self):
-        top, ties = best_response(bos210(), CLASSICAL, StrategyParams(0, 0), "alice",
-                                  StrategyGrid(3, 1))
-        assert top == pytest.approx(2.0, abs=1e-12)
-        assert [p.theta for p in ties] == [0.0]
-
-    def test_classical_reply_to_tv(self):
-        top, ties = best_response(bos210(), CLASSICAL, StrategyParams(math.pi, 0),
-                                  "alice", StrategyGrid(3, 1))
-        assert top == pytest.approx(1.0, abs=1e-12)
-        assert [p.theta for p in ties] == [math.pi]
-
-    def test_quantum_reply_to_identity(self):
-        # at gamma = delta = pi/2 the phase-free identity reply is uniquely
-        # best for Alice (payoff alpha); the pure phase move (0, pi/2) instead
-        # hands her beta and Bob alpha.
-        top, ties = best_response(bos210(), QUANTUM, StrategyParams(0, 0), "alice",
-                                  StrategyGrid(9, 9))
-        assert top == pytest.approx(2.0, abs=1e-12)
-        assert [(p.theta, p.phi) for p in ties] == [(0.0, 0.0)]
-        at_argmax = payoffs_oracle(bos210(), QUANTUM, ties[0], StrategyParams(0, 0))
-        assert at_argmax.bob == pytest.approx(1.0, abs=1e-12)
-        phase_move = payoffs_oracle(bos210(), QUANTUM, StrategyParams(0, HP),
-                                    StrategyParams(0, 0))
-        assert (phase_move.alice, phase_move.bob) == pytest.approx((1.0, 2.0), abs=1e-12)
-
-    def test_bob_side(self):
-        top, ties = best_response(bos210(), QUANTUM, StrategyParams(0, 0), "bob",
-                                  StrategyGrid(9, 9))
-        # Bob's phase move against identity reaches alpha
-        assert top == pytest.approx(2.0, abs=1e-12)
-        assert (0.0, HP) in [(p.theta, p.phi) for p in ties]
-
-    def test_invalid_responder(self):
-        with pytest.raises(ValueError, match="responder"):
-            best_response(bos210(), CLASSICAL, StrategyParams(0, 0), "carol",
-                          StrategyGrid(2, 1))
 
 
 class TestEpsilonNash:
@@ -354,7 +299,7 @@ class TestEpsilonNash:
 
         game = bos210()
         grid = StrategyGrid(5, 1)
-        alice, bob = payoff_tables(game, CLASSICAL, grid)
+        alice, bob = whole_tables(game, CLASSICAL, grid)
         pts = grid.points()
         for a, s1 in enumerate(pts):
             for b, s2 in enumerate(pts):
@@ -441,7 +386,7 @@ class TestSweep:
 def reference_best(alice, bob, eps):
     """Summary pick profile by profile: largest min, then largest sum, then
     first in grid order."""
-    cert = equilibrium._certificates(alice, bob)
+    cert = certificates(alice, bob)
     best = best_key = None
     for a, b in np.argwhere(cert <= eps):
         pair = (float(alice[a, b]), float(bob[a, b]))
@@ -457,7 +402,7 @@ class TestSweepSelection:
 
     def check(self, game, gamma, delta, grid, eps):
         row, = sweep(game, [gamma], [delta], grid, eps)
-        alice, bob = payoff_tables(game, SchemeParams(gamma, delta), grid)
+        alice, bob = whole_tables(game, SchemeParams(gamma, delta), grid)
         assert row.best == reference_best(alice, bob, eps)
         return row
 
@@ -511,14 +456,6 @@ BLOCK_CASES = {
 }
 
 
-def per_row_payoffs(game, scheme, grid):
-    """Payoff tables stacked from one probability_tables call per Alice row."""
-    n = grid.theta_steps * grid.phi_steps
-    rows = [weigh_outcomes(game, probability_tables(scheme, grid, slice(a, a + 1)))
-            for a in range(n)]
-    return tuple(np.concatenate(tables) for tables in zip(*rows))
-
-
 @pytest.fixture
 def one_row_blocks(monkeypatch):
     """Certify one Alice grid row per block. The outcome kernels depend on
@@ -532,14 +469,14 @@ def one_row_blocks(monkeypatch):
 @pytest.mark.usefixtures("one_row_blocks")
 class TestRowBlocks:
     """The certificate paths, one Alice row per block, against the same
-    per-row tables certified whole by _certificates."""
+    one-row blocks stacked and certified whole by certificates."""
 
     @pytest.mark.parametrize("grid", [StrategyGrid(9, 5), StrategyGrid(17, 9, "full")],
                              ids=["9x5", "17x9-full"])
     @pytest.mark.parametrize("game,scheme", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
     def test_matches_tables_certified_whole(self, game, scheme, grid):
-        alice, bob = per_row_payoffs(game, scheme, grid)
-        cert = equilibrium._certificates(alice, bob)
+        alice, bob = whole_tables(game, scheme, grid)
+        cert = certificates(alice, bob)
         pts = grid.points()
         thetas, phis = grid.angles()
         for eps in (0.0, 1e-12, 1e-9):
@@ -566,7 +503,7 @@ class TestRowBlocks:
     def test_late_maxima_arrive_in_the_last_rows(self, grid):
         # the premise of the late-maxima case: every column's maximum first
         # appears in the last phi_steps rows, all of them the strategy theta = pi
-        alice, _ = per_row_payoffs(LATE_MAXIMA, CLASSICAL, grid)
+        alice, _ = whole_tables(LATE_MAXIMA, CLASSICAL, grid)
         assert (alice.argmax(axis=0) >= len(alice) - grid.phi_steps).all()
 
 
@@ -579,9 +516,6 @@ class TestProfileLimit:
         nash = epsilon_nash(bos210(), scheme, grid, eps=1e-9)
         rows = sweep(bos210(), [0.7, HP], [0.4, 0.3], grid, eps=1e-9)
         monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 32 * 45 ** 2 - 1)
-        # only whole tables, library API, keep the table limit
-        with pytest.raises(ValueError, match="9x5 grid needs 64800 bytes"):
-            probability_tables(scheme, grid)
         assert epsilon_nash(bos210(), scheme, grid, eps=1e-9) == nash
         assert sweep(bos210(), [0.7, HP], [0.4, 0.3], grid, eps=1e-9) == rows
 
