@@ -28,6 +28,7 @@ from qgame.scheme import (
     GameMatrix,
     PayoffPair,
     SchemeParams,
+    StrategyParams,
     battle_of_sexes,
     final_state,
     measurement_basis,
@@ -244,6 +245,52 @@ class TestOracleEquivalence:
                                            for r in results]
                 assert values.tolist() == np.column_stack(
                     [alice[a, b], bob[a, b], cert[a, b]]).tolist()
+
+
+def best_reply(game, scheme, opponent, responder, grid):
+    """The responder's best payoff against the grid point opponent and every
+    grid point within 1e-12 of it, read off the tables the certificates
+    maximise: a column of Alice's table or a row of Bob's."""
+    alice, bob = whole_tables(game, scheme, grid)
+    pts = grid.points()
+    values = alice[:, pts.index(opponent)] if responder == "alice" else bob[pts.index(opponent)]
+    top = values.max()
+    return top, [p for p, v in zip(pts, values) if v >= top - 1e-12]
+
+
+class TestBestReply:
+    def test_classical_reply_to_opera(self):
+        top, ties = best_reply(bos210(), CLASSICAL, StrategyParams(0.0, 0.0), "alice",
+                               StrategyGrid(3, 1))
+        assert top == pytest.approx(2.0, abs=1e-12)
+        assert [p.theta for p in ties] == [0.0]
+
+    def test_classical_reply_to_tv(self):
+        top, ties = best_reply(bos210(), CLASSICAL, StrategyParams(math.pi, 0.0), "alice",
+                               StrategyGrid(3, 1))
+        assert top == pytest.approx(1.0, abs=1e-12)
+        assert [p.theta for p in ties] == [math.pi]
+
+    def test_quantum_reply_to_identity(self):
+        # at gamma = delta = pi/2 the phase-free identity reply is uniquely
+        # best for Alice (payoff alpha); the pure phase move (0, pi/2) instead
+        # hands her beta and Bob alpha.
+        top, ties = best_reply(bos210(), QUANTUM, StrategyParams(0.0, 0.0), "alice",
+                               StrategyGrid(9, 9))
+        assert top == pytest.approx(2.0, abs=1e-12)
+        assert [(p.theta, p.phi) for p in ties] == [(0.0, 0.0)]
+        at_argmax = payoffs_oracle(bos210(), QUANTUM, ties[0], StrategyParams(0, 0))
+        assert at_argmax.bob == pytest.approx(1.0, abs=1e-12)
+        phase_move = payoffs_oracle(bos210(), QUANTUM, StrategyParams(0, HP),
+                                    StrategyParams(0, 0))
+        assert (phase_move.alice, phase_move.bob) == pytest.approx((1.0, 2.0), abs=1e-12)
+
+    def test_bob_side(self):
+        top, ties = best_reply(bos210(), QUANTUM, StrategyParams(0.0, 0.0), "bob",
+                               StrategyGrid(9, 9))
+        # Bob's phase move against identity reaches alpha
+        assert top == pytest.approx(2.0, abs=1e-12)
+        assert (0.0, HP) in [(p.theta, p.phi) for p in ties]
 
 
 class TestEpsilonNash:
