@@ -21,7 +21,6 @@ from .closedform import (
     payoff_general,
 )
 from .equilibrium import (
-    ProfileResult,
     StrategyGrid,
     SweepRow,
     epsilon_nash,
@@ -53,7 +52,6 @@ __all__ = [
     "GameMatrix",
     "MeasurementBasis",
     "PayoffPair",
-    "ProfileResult",
     "SchemeParams",
     "StrategyGrid",
     "StrategyParams",

@@ -21,8 +21,8 @@ import numpy as np
 from .closedform import payoff_general
 from .equilibrium import (
     StrategyGrid,
-    certified_profiles,
     check_eps,
+    epsilon_nash,
     sweep,
     sweep_schemes,
     table_blocks,
@@ -283,7 +283,7 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
     game = _game(args)
     scheme = SchemeParams(parse_angle(args.gamma), parse_angle(args.delta))
     grid = StrategyGrid(*parse_grid(args.grid), args.phi_range)
-    a, b, values = certified_profiles(game, scheme, grid, args.eps)
+    a, b, values = epsilon_nash(game, scheme, grid, args.eps)
     print(f"equilibria found: {len(a)}", file=sys.stderr)
     # one block per Alice grid point, whose profiles are contiguous in a
     firsts = np.flatnonzero(np.diff(a, prepend=-1)).tolist()

@@ -98,16 +98,6 @@ class StrategyGrid:
 
 
 @dataclass(frozen=True)
-class ProfileResult:
-    """A strategy profile with payoffs and its on-grid deviation certificate."""
-
-    s1: StrategyParams
-    s2: StrategyParams
-    payoffs: PayoffPair
-    eps_cert: float
-
-
-@dataclass(frozen=True)
 class SweepRow:
     """Per-(gamma, delta) summary: equilibria found and formula agreement."""
 
@@ -204,21 +194,27 @@ def _keep(chunk: tuple[np.ndarray, ...], mask: np.ndarray) -> tuple[np.ndarray, 
     return chunk if mask.all() else tuple(part[mask] for part in chunk)
 
 
-def _certify(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid, eps: float,
-             visit=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """certified_profiles in one pass over table_blocks; visit(rows, alice,
-    bob), if given, sees every block's payoff tables.
+def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid, eps: float,
+                 *, visit=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every grid profile no player can improve by more than eps on-grid:
+    Alice's and Bob's grid indices a and b of the m profiles, ordered
+    lexicographically (Alice's point first), and their (m, 3) payoff_a,
+    payoff_b and eps_cert; empty arrays are a valid outcome. visit(rows,
+    alice, bob), if given, sees every block's payoff tables.
 
-    Bob's best replies are exact within a block, and Alice's are running
-    column maxima. A profile more than eps short of either can never be
-    certified, because the maxima only grow, so only the profiles within eps
-    of both (the candidates) are held, and they are pruned as the maxima
-    grow. Once the maxima are final, eps_cert is computed as
-    max(column max - payoff_a, row max - payoff_b), so it equals, bit for
-    bit, the certificate of the blocks' tables stacked and certified whole.
+    The tables are built and certified in one pass over table_blocks, so
+    memory is O(n * block + profiles). Bob's best replies are exact within a
+    block, and Alice's are running column maxima. A profile more than eps
+    short of either can never be certified, because the maxima only grow, so
+    only the profiles within eps of both (the candidates) are held, and they
+    are pruned as the maxima grow. Once the maxima are final, eps_cert is
+    computed as max(column max - payoff_a, row max - payoff_b), so it equals,
+    bit for bit, the certificate of the blocks' tables stacked and certified
+    whole.
 
     Raises ValueError when the candidates left after a block take more than
     MAX_TABLE_BYTES at PROFILE_BYTES each."""
+    check_eps(eps)
     best_a = np.full(grid.theta_steps * grid.phi_steps, -np.inf)
     # candidate chunks (a, b, values); a value row is payoff_a, payoff_b and
     # Bob's gain from deviating, which is final when the chunk is made
@@ -249,32 +245,6 @@ def _certify(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid, eps: fl
     return tuple(np.concatenate(parts) for parts in zip(*held))
 
 
-def certified_profiles(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
-                       eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """epsilon_nash as arrays: Alice's and Bob's grid indices a and b of the m
-    profiles, in its order, and their (m, 3) payoff_a, payoff_b and eps_cert.
-
-    The tables are built and certified in blocks of Alice's grid rows, so
-    memory is O(n * block + profiles). Raises ValueError when the profiles
-    held at once, candidates that later blocks may still rule out included,
-    take more than MAX_TABLE_BYTES at PROFILE_BYTES each."""
-    check_eps(eps)
-    return _certify(game, scheme, grid, eps)
-
-
-def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
-                 eps: float) -> list[ProfileResult]:
-    """Every grid profile no player can improve by more than eps on-grid.
-
-    Results are ordered lexicographically by grid indices (Alice's point
-    first), so runs are reproducible. An empty list is a valid outcome.
-    """
-    a, b, values = certified_profiles(game, scheme, grid, eps)
-    points = grid.points()
-    return [ProfileResult(points[i], points[j], PayoffPair(pa, pb), cert)
-            for i, j, (pa, pb, cert) in zip(a.tolist(), b.tolist(), values.tolist())]
-
-
 def sweep_schemes(gamma_values, delta_values) -> list[SchemeParams]:
     """A sweep's schemes in input order, gamma_values and delta_values paired
     elementwise (a singleton broadcasts). Every input check of the pairs
@@ -302,9 +272,8 @@ def sweep(game: GameMatrix, gamma_values, delta_values, grid: StrategyGrid,
     egalitarian equilibrium (largest min(alice, bob), then largest sum, then
     first in grid order), and the worst observed |simulation - closed form|
     when the game has the battle-of-sexes structure. Each pair is certified
-    like certified_profiles, in one pass over blocks of Alice's grid rows,
-    and its closed forms are compared on the same blocks; the same limit on
-    held profiles applies.
+    by epsilon_nash, and its closed forms are compared on the same blocks of
+    Alice's grid rows; the same limit on held profiles applies.
     """
     check_eps(eps)
     thetas, phis = grid.angles()
@@ -318,8 +287,8 @@ def sweep(game: GameMatrix, gamma_values, delta_values, grid: StrategyGrid,
                               thetas[np.newaxis, :], phis[np.newaxis, :])
             devs.append(max(np.abs(al - alice).max(), np.abs(bo - bob).max()))
 
-        a, _, values = _certify(game, scheme, grid, eps,
-                                None if game.bos is None else formula_dev)
+        a, _, values = epsilon_nash(game, scheme, grid, eps,
+                                    visit=None if game.bos is None else formula_dev)
         best: PayoffPair | None = None
         if len(a):
             pa, pb = values[:, 0], values[:, 1]

@@ -37,7 +37,8 @@ MAX_PAYOFF = 1e300
 
 
 def _check_interval(name: str, value: float, lo: float, hi: float, label: str,
-                    open_upper: bool = False) -> None:
+                    open_upper: bool = False) -> float:
+    """value as a float, checked to lie in [lo, hi], or [lo, hi) if open_upper."""
     try:
         value = float(value)
     except (TypeError, ValueError):
@@ -47,6 +48,7 @@ def _check_interval(name: str, value: float, lo: float, hi: float, label: str,
     inside = lo <= value < hi if open_upper else lo <= value <= hi
     if not inside:
         raise ValueError(f"{name} must be in {label}, got {value!r}")
+    return value
 
 
 def check_phi(phi: float, phi_range: str = "narrow") -> None:
@@ -66,8 +68,11 @@ class SchemeParams:
     delta: float
 
     def __post_init__(self) -> None:
-        _check_interval("gamma", self.gamma, 0.0, HALF_PI, "[0, pi/2]")
-        _check_interval("delta", self.delta, 0.0, HALF_PI, "[0, pi/2]")
+        # store the checked floats, as GameMatrix stores its checked cells
+        gamma = _check_interval("gamma", self.gamma, 0.0, HALF_PI, "[0, pi/2]")
+        delta = _check_interval("delta", self.delta, 0.0, HALF_PI, "[0, pi/2]")
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "delta", delta)
 
 
 @dataclass(frozen=True)
@@ -84,8 +89,10 @@ class StrategyParams:
     phi: float
 
     def __post_init__(self) -> None:
-        _check_interval("theta", self.theta, 0.0, math.pi, "[0, pi]")
-        _check_interval("phi", self.phi, 0.0, TWO_PI, "[0, 2*pi)", open_upper=True)
+        theta = _check_interval("theta", self.theta, 0.0, math.pi, "[0, pi]")
+        phi = _check_interval("phi", self.phi, 0.0, TWO_PI, "[0, 2*pi)", open_upper=True)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
 
 
 def _as_cells(name, cells) -> tuple[tuple[float, float], tuple[float, float]]:

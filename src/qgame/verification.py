@@ -16,7 +16,6 @@ import numpy as np
 
 from . import closedform as cf
 from .equilibrium import StrategyGrid, epsilon_nash
-from .linalg import I2
 from .scheme import (
     HALF_PI,
     TWO_PI,
@@ -225,14 +224,14 @@ def _check_classical(rng, game: GameMatrix) -> list[CheckResult]:
                         worst <= IDENTITY_TOL)
 
     grid = StrategyGrid(theta_steps=2, phi_steps=1)
-    profiles = epsilon_nash(game, scheme, grid, eps=1e-9)
-    thetas = [(p.s1.theta, p.s2.theta) for p in profiles]
+    a, b, values = epsilon_nash(game, scheme, grid, eps=1e-9)
+    grid_thetas = grid.angles()[0]
+    thetas = list(zip(grid_thetas[a].tolist(), grid_thetas[b].tolist()))
     expected = [(0.0, 0.0), (math.pi, math.pi)]
-    cert = max((p.eps_cert for p in profiles), default=math.inf)
+    cert = float(values[:, 2].max()) if len(a) else math.inf
     ok = thetas == expected and cert <= IDENTITY_TOL
-    eq = CheckResult("classical_pure_equilibria", cert if profiles else math.inf,
-                     IDENTITY_TOL, ok,
-                     note=f"{len(profiles)} equilibria on the pure-strategy grid")
+    eq = CheckResult("classical_pure_equilibria", cert, IDENTITY_TOL, ok,
+                     note=f"{len(a)} equilibria on the pure-strategy grid")
     return [limit, eq]
 
 
@@ -264,7 +263,7 @@ def _check_unitarity(rng) -> CheckResult:
     worst = 0.0
     for _ in range(UNITARITY_DRAWS):
         u = strategy_op(_draw_strategy(rng, full_phi=True))
-        worst = max(worst, float(np.max(np.abs(u @ u.conj().T - I2))))
+        worst = max(worst, float(np.max(np.abs(u @ u.conj().T - np.eye(2)))))
     return CheckResult("strategy_unitarity", worst, IDENTITY_TOL, worst <= IDENTITY_TOL)
 
 

@@ -128,9 +128,11 @@ def test_classical_recovery():
         worst = max(worst, abs(got.alice - ca), abs(got.bob - cb))
     payoffs_ok = worst <= IDENTITY_TOL
 
-    results = epsilon_nash(game, scheme, StrategyGrid(2, 1), eps=1e-9)
-    thetas = [(r.s1.theta, r.s2.theta) for r in results]
-    certs_ok = all(r.eps_cert <= IDENTITY_TOL for r in results)
+    grid = StrategyGrid(2, 1)
+    a, b, values = epsilon_nash(game, scheme, grid, eps=1e-9)
+    grid_thetas = grid.angles()[0]
+    thetas = list(zip(grid_thetas[a].tolist(), grid_thetas[b].tolist()))
+    certs_ok = bool((values[:, 2] <= IDENTITY_TOL).all())
     nash_ok = thetas == [(0.0, 0.0), (math.pi, math.pi)] and certs_ok
     report("classical recovery (mixed-extension payoffs + two pure equilibria)",
            payoffs_ok and nash_ok,
@@ -211,12 +213,11 @@ def test_measurement_only_nonclassicality():
            f"interference term = {term:g}; payoff shift = {shift:g}")
 
 
-def test_verify_determinism(capsys):
-    runs = []
-    codes = []
-    for _ in range(2):
-        codes.append(main(["verify", "--seed", "5"]))
-        runs.append(capsys.readouterr().out)
+def test_verify_determinism(capsys, verify_seed0):
+    # one fresh run against the session's run of the same seed
+    argv, first_code, first, _ = verify_seed0
+    codes = [first_code, main(list(argv))]
+    runs = [first, capsys.readouterr().out]
     ok = codes == [0, 0] and runs[0] == runs[1] and len(runs[0]) > 0
     with capsys.disabled():
         report("verify determinism (same seed, byte-identical reports)", ok,

@@ -690,12 +690,13 @@ def reference_equilibria(argv, fmt):
     opts, game, grid = reference_inputs(argv)
     scheme = SchemeParams(parse_angle(opts["--gamma"]), parse_angle(opts["--delta"]))
     eps = float(opts.get("--eps", "1e-9"))
+    a, b, values = epsilon_nash(game, scheme, grid, eps)
+    thetas, phis = (angles.tolist() for angles in grid.angles())
     rows = [{
-        "theta1": r.s1.theta, "phi1": r.s1.phi,
-        "theta2": r.s2.theta, "phi2": r.s2.phi,
-        "payoff_a": r.payoffs.alice, "payoff_b": r.payoffs.bob,
-        "eps_cert": r.eps_cert,
-    } for r in epsilon_nash(game, scheme, grid, eps)]
+        "theta1": thetas[i], "phi1": phis[i],
+        "theta2": thetas[j], "phi2": phis[j],
+        "payoff_a": pa, "payoff_b": pb, "eps_cert": cert,
+    } for i, j, (pa, pb, cert) in zip(a.tolist(), b.tolist(), values.tolist())]
     if fmt == "csv":
         return len(rows), _csv_table(EQUILIBRIA_FIELDS, rows)
     payload = {

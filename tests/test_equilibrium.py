@@ -14,9 +14,7 @@ from qgame.equilibrium import (
     MAX_TABLE_BYTES,
     POINT_BYTES,
     PROFILE_BYTES,
-    ProfileResult,
     StrategyGrid,
-    certified_profiles,
     epsilon_nash,
     probability_tables,
     sweep,
@@ -55,6 +53,13 @@ def whole_tables(game, scheme, grid):
     table_blocks: exactly the tables the certificate paths see."""
     _, _, alice, bob = zip(*table_blocks(game, scheme, grid))
     return np.concatenate(alice), np.concatenate(bob)
+
+
+def thetas_of(grid, a, b):
+    """The (Alice's theta, Bob's theta) pair of each profile with grid
+    indices a and b."""
+    thetas = grid.angles()[0]
+    return list(zip(thetas[a].tolist(), thetas[b].tolist()))
 
 
 def certificates(alice, bob):
@@ -211,7 +216,6 @@ class TestOracleEquivalence:
                           for s2 in pts] for s1 in pts]).transpose(2, 0, 1)
         np.testing.assert_allclose(probability_tables(scheme, grid, slice(None)), want,
                                    rtol=0, atol=1e-12)
-        index = {(p.theta, p.phi): i for i, p in enumerate(pts)}
         for game in self.GAMES:
             oracle = [[payoffs_oracle(game, scheme, s1, s2) for s2 in pts] for s1 in pts]
             want_a = np.array([[o.alice for o in row] for row in oracle])
@@ -222,27 +226,20 @@ class TestOracleEquivalence:
             # eps = 0 would count genuine ties by rounding luck
             cert = certificates(want_a, want_b)
             for eps in (1e-12, 1e-9, 1e-6):
-                got = {(index[(r.s1.theta, r.s1.phi)], index[(r.s2.theta, r.s2.phi)])
-                       for r in epsilon_nash(game, scheme, grid, eps)}
-                assert got == {tuple(ab) for ab in np.argwhere(cert <= eps).tolist()}
+                a, b, _ = epsilon_nash(game, scheme, grid, eps)
+                assert np.column_stack([a, b]).tolist() == np.argwhere(cert <= eps).tolist()
 
     @pytest.mark.parametrize("grid", GRIDS, ids=["5x3", "5x4-full", "2x1"])
     @pytest.mark.parametrize("gamma,delta", SCHEMES)
-    def test_certified_profiles_match_epsilon_nash(self, gamma, delta, grid):
+    def test_epsilon_nash_matches_certificates(self, gamma, delta, grid):
         scheme = SchemeParams(gamma, delta)
-        pts = grid.points()
         for game in self.GAMES:
             alice, bob = whole_tables(game, scheme, grid)
             cert = certificates(alice, bob)
             for eps in (1e-12, 1e-9, 1e-6):
-                a, b, values = certified_profiles(game, scheme, grid, eps)
-                results = epsilon_nash(game, scheme, grid, eps)
+                a, b, values = epsilon_nash(game, scheme, grid, eps)
                 assert np.column_stack([a, b]).tolist() == np.argwhere(cert <= eps).tolist()
-                assert [(pts[i], pts[j]) for i, j in zip(a.tolist(), b.tolist())] == \
-                    [(r.s1, r.s2) for r in results]
-                assert values.shape == (len(results), 3)
-                assert values.tolist() == [[r.payoffs.alice, r.payoffs.bob, r.eps_cert]
-                                           for r in results]
+                assert values.shape == (len(a), 3)
                 assert values.tolist() == np.column_stack(
                     [alice[a, b], bob[a, b], cert[a, b]]).tolist()
 
@@ -295,42 +292,44 @@ class TestBestReply:
 
 class TestEpsilonNash:
     def test_classical_pure_equilibria(self):
-        results = epsilon_nash(bos210(), CLASSICAL, pure_grid(), eps=1e-9)
-        assert [(r.s1.theta, r.s2.theta) for r in results] == [(0.0, 0.0),
-                                                               (math.pi, math.pi)]
-        assert [r.payoffs.alice for r in results] == pytest.approx([2.0, 1.0])
-        assert [r.payoffs.bob for r in results] == pytest.approx([1.0, 2.0])
-        assert all(r.eps_cert <= 1e-12 for r in results)
+        a, b, values = epsilon_nash(bos210(), CLASSICAL, pure_grid(), eps=1e-9)
+        assert thetas_of(pure_grid(), a, b) == [(0.0, 0.0), (math.pi, math.pi)]
+        assert values[:, 0].tolist() == pytest.approx([2.0, 1.0])
+        assert values[:, 1].tolist() == pytest.approx([1.0, 2.0])
+        assert (values[:, 2] <= 1e-12).all()
 
     def test_single_point_grid(self):
-        results = epsilon_nash(bos210(), CLASSICAL, StrategyGrid(1, 1), eps=0.0)
-        assert len(results) == 1
-        assert results[0].eps_cert == 0.0
+        a, _, values = epsilon_nash(bos210(), CLASSICAL, StrategyGrid(1, 1), eps=0.0)
+        assert len(a) == 1
+        assert values[0, 2] == 0.0
 
     def test_interior_theta_point_excluded(self):
-        results = epsilon_nash(bos210(), CLASSICAL, StrategyGrid(3, 1), eps=0.0)
-        thetas = [(r.s1.theta, r.s2.theta) for r in results]
-        assert thetas == [(0.0, 0.0), (math.pi, math.pi)]
+        grid = StrategyGrid(3, 1)
+        a, b, _ = epsilon_nash(bos210(), CLASSICAL, grid, eps=0.0)
+        assert thetas_of(grid, a, b) == [(0.0, 0.0), (math.pi, math.pi)]
 
     def test_certificates_verified_by_scalar_oracle(self):
         game = bos210()
         scheme = SchemeParams(0.9, 0.4)
         grid = StrategyGrid(5, 3)
         pts = grid.points()
-        for r in epsilon_nash(game, scheme, grid, eps=0.05):
-            own = payoffs_oracle(game, scheme, r.s1, r.s2)
-            best_a = max(payoffs_oracle(game, scheme, p, r.s2).alice for p in pts)
-            best_b = max(payoffs_oracle(game, scheme, r.s1, p).bob for p in pts)
+        a, b, values = epsilon_nash(game, scheme, grid, eps=0.05)
+        for i, j, cert in zip(a.tolist(), b.tolist(), values[:, 2].tolist()):
+            s1, s2 = pts[i], pts[j]
+            own = payoffs_oracle(game, scheme, s1, s2)
+            best_a = max(payoffs_oracle(game, scheme, p, s2).alice for p in pts)
+            best_b = max(payoffs_oracle(game, scheme, s1, p).bob for p in pts)
             recomputed = max(best_a - own.alice, best_b - own.bob)
-            assert r.eps_cert == pytest.approx(recomputed, abs=1e-12)
-            assert r.eps_cert <= 0.05
+            assert cert == pytest.approx(recomputed, abs=1e-12)
+            assert cert <= 0.05
 
     def test_refinement_keeps_strict_equilibria_certified(self):
         game = bos210()
         last = 0.0
         for steps in (2, 3, 5, 9, 33):
-            results = epsilon_nash(game, CLASSICAL, StrategyGrid(steps, 1), eps=1e-9)
-            pure = {(r.s1.theta, r.s2.theta): r.eps_cert for r in results}
+            grid = StrategyGrid(steps, 1)
+            a, b, values = epsilon_nash(game, CLASSICAL, grid, eps=1e-9)
+            pure = dict(zip(thetas_of(grid, a, b), values[:, 2].tolist()))
             assert (0.0, 0.0) in pure and (math.pi, math.pi) in pure
             assert pure[(0.0, 0.0)] <= 1e-12
             assert pure[(math.pi, math.pi)] <= 1e-12
@@ -362,7 +361,8 @@ class TestEpsilonNash:
     def test_empty_result_is_valid(self):
         # matching pennies has no pure equilibrium
         pennies = GameMatrix(alice=((1, -1), (-1, 1)), bob=((-1, 1), (1, -1)))
-        assert epsilon_nash(pennies, CLASSICAL, pure_grid(), eps=1e-9) == []
+        a, b, values = epsilon_nash(pennies, CLASSICAL, pure_grid(), eps=1e-9)
+        assert len(a) == len(b) == 0 and values.shape == (0, 3)
 
 
 class TestSweep:
@@ -524,17 +524,13 @@ class TestRowBlocks:
     def test_matches_tables_certified_whole(self, game, scheme, grid):
         alice, bob = whole_tables(game, scheme, grid)
         cert = certificates(alice, bob)
-        pts = grid.points()
         thetas, phis = grid.angles()
         for eps in (0.0, 1e-12, 1e-9):
             a, b = np.nonzero(cert <= eps)
             values = np.stack([alice[a, b], bob[a, b], cert[a, b]], axis=1)
-            got_a, got_b, got_values = certified_profiles(game, scheme, grid, eps)
+            got_a, got_b, got_values = epsilon_nash(game, scheme, grid, eps)
             assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
             assert np.array_equal(got_values, values)
-            assert epsilon_nash(game, scheme, grid, eps) == [
-                ProfileResult(pts[i], pts[j], PayoffPair(pa, pb), c)
-                for i, j, (pa, pb, c) in zip(a.tolist(), b.tolist(), values.tolist())]
             row, = sweep(game, [scheme.gamma], [scheme.delta], grid, eps)
             assert (row.equilibria, row.best) == (len(a), reference_best(alice, bob, eps))
             dev = None
@@ -563,19 +559,20 @@ class TestProfileLimit:
         nash = epsilon_nash(bos210(), scheme, grid, eps=1e-9)
         rows = sweep(bos210(), [0.7, HP], [0.4, 0.3], grid, eps=1e-9)
         monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 32 * 45 ** 2 - 1)
-        assert epsilon_nash(bos210(), scheme, grid, eps=1e-9) == nash
+        got = epsilon_nash(bos210(), scheme, grid, eps=1e-9)
+        assert all(np.array_equal(x, y) for x, y in zip(got, nash))
         assert sweep(bos210(), [0.7, HP], [0.4, 0.3], grid, eps=1e-9) == rows
 
     def test_limit_is_inclusive(self, monkeypatch):
         grid = StrategyGrid(3, 2)  # the constant game certifies all 36 profiles
         monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 36 * PROFILE_BYTES)
-        assert len(certified_profiles(CONSTANT, QUANTUM, grid, eps=1e-9)[0]) == 36
+        assert len(epsilon_nash(CONSTANT, QUANTUM, grid, eps=1e-9)[0]) == 36
         assert sweep(CONSTANT, [HP], [HP], grid, eps=1e-9)[0].equilibria == 36
         monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 36 * PROFILE_BYTES - 1)
         message = (f"3x2 grid holds over 35 candidate profiles, the limit of "
                    f"{36 * PROFILE_BYTES - 1} bytes")
         with pytest.raises(ValueError, match=message):
-            certified_profiles(CONSTANT, QUANTUM, grid, eps=1e-9)
+            epsilon_nash(CONSTANT, QUANTUM, grid, eps=1e-9)
         with pytest.raises(ValueError, match=message):
             sweep(CONSTANT, [HP], [HP], grid, eps=1e-9)
 
@@ -586,16 +583,16 @@ class TestProfileLimit:
         # them: only the last 5 * 45 stay, and only if the others are dropped
         grid = StrategyGrid(9, 5)
         monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 5 * 45 * PROFILE_BYTES)
-        a, b, _ = certified_profiles(BOB_INDIFFERENT, CLASSICAL, grid, eps=1e-9)
+        a, b, _ = epsilon_nash(BOB_INDIFFERENT, CLASSICAL, grid, eps=1e-9)
         assert (a.tolist(), b.tolist()) == ([i for i in range(40, 45) for _ in range(45)],
                                             list(range(45)) * 5)
 
 
 class TestRowBlockMemory:
     @pytest.mark.parametrize("search", [
-        lambda grid: certified_profiles(bos210(), SchemeParams(0.7, 0.4), grid, eps=1e-9),
+        lambda grid: epsilon_nash(bos210(), SchemeParams(0.7, 0.4), grid, eps=1e-9),
         lambda grid: sweep(bos210(), [0.7], [0.4], grid, eps=1e-9),
-    ], ids=["certified_profiles", "sweep"])
+    ], ids=["epsilon_nash", "sweep"])
     def test_peak_far_below_the_whole_table(self, search):
         grid = StrategyGrid(65, 33)  # whole tables: 32 * 2145^2 bytes, 147 MB
         tracemalloc.start()
@@ -620,6 +617,6 @@ class TestRowBlockMemory:
         monkeypatch.setattr(equilibrium, "probability_tables", tracking)
         monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 4 * 32 * 15)
         grid = StrategyGrid(5, 3)  # blocks of 4, 4, 4 and 3 rows
-        certified_profiles(bos210(), SchemeParams(0.7, 0.4), grid, eps=1e-9)
+        epsilon_nash(bos210(), SchemeParams(0.7, 0.4), grid, eps=1e-9)
         sweep(bos210(), [0.7], [0.4], grid, eps=1e-9)
         assert len(freed) == 8

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from qgame.linalg import KET_OO, KET_OT, KET_TO, KET_TT
 from qgame.scheme import (
     MAX_PAYOFF,
     GameMatrix,
@@ -25,6 +24,8 @@ from qgame.scheme import (
 
 HP = math.pi / 2
 ISQ2 = 1.0 / math.sqrt(2.0)
+# the computational basis states, Alice's letter first
+KET_OO, KET_OT, KET_TO, KET_TT = np.eye(4, dtype=np.complex128)
 
 
 def bos210():
@@ -51,6 +52,17 @@ class TestParams:
         StrategyParams(0.0, 6.28)  # anything below 2*pi is representable
         with pytest.raises(ValueError, match="phi"):
             StrategyParams(0.0, 2 * math.pi)
+
+    def test_checked_values_are_stored_as_floats(self):
+        # a numeric string passes the check, so the float it was checked as
+        # is what the simulation must see
+        scheme, s = SchemeParams("0.5", "0"), StrategyParams("1", 0)
+        assert (scheme.gamma, scheme.delta, s.theta, s.phi) == (0.5, 0.0, 1.0, 0.0)
+        assert all(type(v) is float
+                   for v in (scheme.gamma, scheme.delta, s.theta, s.phi))
+        assert payoffs_oracle(bos210(), scheme, s, s) == \
+            payoffs_oracle(bos210(), SchemeParams(0.5, 0.0), StrategyParams(1.0, 0.0),
+                           StrategyParams(1.0, 0.0))
 
     def test_check_phi_narrow_vs_full(self):
         check_phi(HP, "narrow")
