@@ -15,7 +15,7 @@ simulation; see payoff_du_maximal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .scheme import (
 DU_FORMS = ("printed", "corrected")
 
 
-@dataclass(frozen=True)
-class BosCoefficients:
+class BosCoefficients(NamedTuple):
     """Measurement-weighted payoff weights xi, eta and interference weight chi."""
 
     xi: float
@@ -49,25 +48,21 @@ def _require_bos(game: GameMatrix) -> tuple[float, float, float]:
     return game.bos
 
 
-def _coefficients(alpha, beta, delta: float) -> tuple[float, float, float]:
-    """xi, eta, chi for any alpha, beta; the formula behind bos_coefficients."""
+def bos_coefficients(alpha: float, beta: float, delta: float) -> BosCoefficients:
+    """xi, eta, chi for measurement angle delta; xi + eta = alpha + beta.
+
+    Any alpha and beta are accepted: swapping them gives (eta, xi, -chi),
+    which exchanges the players' roles."""
     c2, s2 = math.cos(delta / 2) ** 2, math.sin(delta / 2) ** 2
     chi = 0.5 * (alpha - beta) * math.sin(delta)
-    return alpha * c2 + beta * s2, alpha * s2 + beta * c2, chi
-
-
-def bos_coefficients(alpha: float, beta: float, delta: float) -> BosCoefficients:
-    """xi, eta, chi for measurement angle delta; xi + eta = alpha + beta."""
-    if not alpha > beta:
-        raise ValueError(f"requires alpha > beta, got {alpha!r}, {beta!r}")
-    return BosCoefficients(*_coefficients(alpha, beta, delta))
+    return BosCoefficients(alpha * c2 + beta * s2, alpha * s2 + beta * c2, chi)
 
 
 def _general(alpha, beta, sigma, gamma, delta, theta1, phi1, theta2, phi2):
     """Both players' general payoffs. delta is a scalar; gamma and the
     strategy angles are numpy-broadcastable. alpha > beta is not required:
     swapping them exchanges the players' roles."""
-    xi, eta, chi = _coefficients(alpha, beta, delta)
+    xi, eta, chi = bos_coefficients(alpha, beta, delta)
     cg2 = np.cos(gamma / 2) ** 2
     sg2 = np.sin(gamma / 2) ** 2
     sing = np.sin(gamma)

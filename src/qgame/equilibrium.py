@@ -10,6 +10,7 @@ unilateral on-grid deviation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +61,16 @@ class StrategyGrid:
     phi_range: str = "narrow"
 
     def __post_init__(self) -> None:
-        for name, steps in (("theta_steps", self.theta_steps), ("phi_steps", self.phi_steps)):
-            if not isinstance(steps, int) or steps < 1:
+        # store the checked ints, as SchemeParams stores its checked floats
+        for name in ("theta_steps", "phi_steps"):
+            steps = getattr(self, name)
+            try:
+                value = operator.index(steps)
+            except TypeError:
+                value = 0
+            if isinstance(steps, bool) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {steps!r}")
+            object.__setattr__(self, name, value)
         if self.phi_range not in PHI_RANGES:
             raise ValueError(
                 f"phi_range must be one of {sorted(PHI_RANGES)}, got {self.phi_range!r}"

@@ -159,40 +159,36 @@ def battle_of_sexes(alpha: float, beta: float, sigma: float) -> GameMatrix:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementBasis:
     """Four orthonormal, complete measurement directions, one per outcome.
 
-    The states are validated once, on construction; bras keeps the checked
-    copy as a read-only 4x4 array of conjugated rows <x|, in outcome order,
-    so bras @ state gives every outcome amplitude at once.
+    states holds them as the rows of a 4x4 array, in outcome order OO, OT,
+    TO, TT. They are validated once, on construction, and kept as a read-only
+    copy; bras is its read-only conjugate, the rows <x|, so bras @ state
+    gives every outcome amplitude at once. Bases compare by identity.
     """
 
-    psi_oo: np.ndarray
-    psi_ot: np.ndarray
-    psi_to: np.ndarray
-    psi_tt: np.ndarray
-    bras: np.ndarray = field(init=False, repr=False, compare=False)
+    states: np.ndarray
+    bras: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rows = np.array(self.states(), dtype=np.complex128)
-        if rows.shape != (4, 4):
+        states = np.array(self.states, dtype=np.complex128)
+        if states.shape != (4, 4):
             raise ValueError(f"measurement basis needs four 4-amplitude states, got shape "
-                             f"{rows.shape}")
-        if not np.isfinite(rows).all():
+                             f"{states.shape}")
+        if not np.isfinite(states).all():
             raise ValueError("measurement basis states must have finite entries")
-        bras = rows.conj()
+        bras = states.conj()
         # Gram matrix <x|y> and the sum of the projectors |x><x|
-        if np.abs(bras @ rows.T - _EYE4).max() > DEFAULT_TOL:
+        if np.abs(bras @ states.T - _EYE4).max() > DEFAULT_TOL:
             raise ValueError("measurement basis states must be orthonormal")
-        if np.abs(rows.T @ bras - _EYE4).max() > DEFAULT_TOL:
+        if np.abs(states.T @ bras - _EYE4).max() > DEFAULT_TOL:
             raise ValueError("measurement basis projectors must sum to the identity")
+        states.flags.writeable = False
         bras.flags.writeable = False
+        object.__setattr__(self, "states", states)
         object.__setattr__(self, "bras", bras)
-
-    def states(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Basis states in outcome order OO, OT, TO, TT."""
-        return (self.psi_oo, self.psi_ot, self.psi_to, self.psi_tt)
 
 
 @dataclass(frozen=True)
@@ -253,7 +249,7 @@ def measurement_basis(delta: float) -> MeasurementBasis:
                      [0.0, c, -1j * s, 0.0],
                      [0.0, -1j * s, c, 0.0],
                      [1j * s, 0.0, 0.0, c]], dtype=np.complex128)
-    return MeasurementBasis(*rows)
+    return MeasurementBasis(rows)
 
 
 def outcome_probabilities(state, basis: MeasurementBasis) -> tuple[float, float, float, float]:

@@ -67,9 +67,13 @@ class TestBosCoefficients:
             assert c.xi + c.eta == pytest.approx(hi + lo, abs=1e-12)
             assert -1e-12 <= c.chi <= (hi - lo) / 2 + 1e-12
 
-    def test_requires_alpha_above_beta(self):
-        with pytest.raises(ValueError, match="alpha > beta"):
-            bos_coefficients(1.0, 2.0, 0.0)
+    def test_role_swap_is_exact(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            alpha, beta = (float(v) for v in rng.uniform(-5, 5, size=2))
+            delta = float(rng.uniform(0, HP))
+            xi, eta, chi = bos_coefficients(alpha, beta, delta)
+            assert bos_coefficients(beta, alpha, delta) == (eta, xi, -chi)
 
 
 class TestPayoffGeneral:

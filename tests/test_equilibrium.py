@@ -106,6 +106,14 @@ class TestStrategyGrid:
         with pytest.raises(ValueError, match="phi_range"):
             StrategyGrid(2, 2, phi_range="wide")
 
+    def test_steps_are_stored_as_checked_ints(self):
+        grid = StrategyGrid(np.int64(3), np.uint8(2))
+        assert (grid.theta_steps, grid.phi_steps) == (3, 2)
+        assert type(grid.theta_steps) is int and type(grid.phi_steps) is int
+        for steps in (True, np.True_, 2.0, "2"):
+            with pytest.raises(ValueError, match="phi_steps must be a positive integer"):
+                StrategyGrid(2, steps)
+
 
 class TestPayoffTables:
     def test_matches_scalar_oracle_pointwise(self):
@@ -458,7 +466,7 @@ class TestSweepSelection:
         rng = np.random.default_rng(seed)
         cells = rng.integers(-3, 4, size=(2, 2, 2)).astype(float)
         game = GameMatrix(alice=cells[0], bob=cells[1])
-        grid = StrategyGrid(int(rng.integers(2, 8)), int(rng.integers(1, 6)),
+        grid = StrategyGrid(rng.integers(2, 8), rng.integers(1, 6),
                             str(rng.choice(["narrow", "full"])))
         gamma, delta = rng.uniform(0, HP, size=2)
         for eps in (1e-9, 1e-3, 0.5):

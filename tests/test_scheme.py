@@ -189,23 +189,23 @@ class TestFinalState:
 class TestMeasurementBasis:
     def test_delta_zero_is_computational_exactly(self):
         basis = measurement_basis(0.0)
-        for got, want in zip(basis.states(), (KET_OO, KET_OT, KET_TO, KET_TT)):
+        for got, want in zip(basis.states, (KET_OO, KET_OT, KET_TO, KET_TT)):
             np.testing.assert_array_equal(got, want)  # exact 0/1 amplitudes
 
     def test_delta_max_is_bell_like(self):
         basis = measurement_basis(HP)
-        np.testing.assert_allclose(basis.psi_oo, [ISQ2, 0, 0, 1j * ISQ2], atol=1e-15)
-        np.testing.assert_allclose(basis.psi_ot, [0, ISQ2, -1j * ISQ2, 0], atol=1e-15)
+        np.testing.assert_allclose(basis.states[0], [ISQ2, 0, 0, 1j * ISQ2], atol=1e-15)
+        np.testing.assert_allclose(basis.states[1], [0, ISQ2, -1j * ISQ2, 0], atol=1e-15)
 
     def test_gram_matrix_is_identity(self):
-        states = measurement_basis(0.3).states()
+        states = measurement_basis(0.3).states
         gram = np.array([[np.vdot(x, y) for y in states] for x in states])
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
     def test_completeness_over_random_delta(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
-            states = measurement_basis(float(rng.uniform(0, HP))).states()
+            states = measurement_basis(float(rng.uniform(0, HP))).states
             total = sum(np.outer(s, s.conj()) for s in states)
             np.testing.assert_allclose(total, np.eye(4), atol=1e-9)
 
@@ -215,21 +215,42 @@ class TestMeasurementBasis:
 
     def test_hand_built_basis_must_be_orthonormal(self):
         with pytest.raises(ValueError, match="orthonormal"):
-            MeasurementBasis(psi_oo=KET_OO, psi_ot=KET_OO, psi_to=KET_TO, psi_tt=KET_TT)
+            MeasurementBasis([KET_OO, KET_OO, KET_TO, KET_TT])
 
     def test_hand_built_basis_must_be_normalized(self):
         with pytest.raises(ValueError, match="orthonormal"):
-            MeasurementBasis(psi_oo=2 * KET_OO, psi_ot=KET_OT, psi_to=KET_TO, psi_tt=KET_TT)
+            MeasurementBasis([2 * KET_OO, KET_OT, KET_TO, KET_TT])
 
     def test_hand_built_basis_must_be_finite(self):
         bad = np.array([np.nan, 0, 0, 0], dtype=complex)
         with pytest.raises(ValueError, match="finite"):
-            MeasurementBasis(psi_oo=bad, psi_ot=KET_OT, psi_to=KET_TO, psi_tt=KET_TT)
+            MeasurementBasis([bad, KET_OT, KET_TO, KET_TT])
 
     def test_hand_built_basis_needs_four_amplitudes(self):
         short = np.array([1, 0, 0], dtype=complex)
         with pytest.raises(ValueError, match="4-amplitude"):
-            MeasurementBasis(psi_oo=short, psi_ot=short, psi_to=short, psi_tt=short)
+            MeasurementBasis([short, short, short, short])
+
+    def test_stores_a_copy_of_the_callers_states(self):
+        rows = np.array([KET_OO, KET_OT, KET_TO, KET_TT])
+        basis = MeasurementBasis(rows)
+        rows[0], rows[1] = KET_OT, KET_OO
+        np.testing.assert_array_equal(basis.states, np.eye(4))
+        np.testing.assert_array_equal(basis.bras, np.eye(4))
+        assert outcome_probabilities(KET_OO, basis) == (1, 0, 0, 0)
+
+    @pytest.mark.parametrize("name", ["states", "bras"])
+    def test_arrays_are_read_only(self, name):
+        array = getattr(measurement_basis(0.3), name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+
+    def test_compares_by_identity_and_hashes(self):
+        basis = measurement_basis(0.3)
+        assert basis == basis
+        assert basis != measurement_basis(0.3)
+        assert hash(basis) == hash(basis)
+        assert len({basis, measurement_basis(0.3)}) == 2
 
 
 class TestOutcomeProbabilities:
@@ -351,5 +372,5 @@ class TestAgainstDefinitions:
             want = np.kron(strategy_op(s1), strategy_op(s2)) @ initial_state(g)
             assert np.abs(state - want).max() <= self.TOL
             probs = outcome_probabilities(state, basis)
-            want = [abs(np.vdot(b, state)) ** 2 for b in basis.states()]
+            want = [abs(np.vdot(b, state)) ** 2 for b in basis.states]
             assert np.abs(np.subtract(probs, want)).max() <= self.TOL
