@@ -24,8 +24,8 @@ from .equilibrium import (
     StrategyGrid,
     SweepRow,
     epsilon_nash,
-    probability_tables,
     sweep,
+    table_blocks,
 )
 from .scheme import (
     GameMatrix,
@@ -74,9 +74,9 @@ __all__ = [
     "payoff_du_maximal",
     "payoff_general",
     "payoffs_oracle",
-    "probability_tables",
     "rotation_op",
     "run_verification",
     "strategy_op",
     "sweep",
+    "table_blocks",
 ]

@@ -188,7 +188,8 @@ def _table_chunks(fields: tuple[str, ...], fmt: str, grid: StrategyGrid, pad: in
             return ",\n".join(f'{indent}  "{f}": {t}' for f, t in lines) + f"\n{indent}}}"
 
     # formatted numbers hold no "%", so they can sit inside a %-template
-    points = [[num(s.theta), num(s.phi)] for s in grid.points()]
+    thetas, phis = grid.angles()
+    points = [[num(t), num(p)] for t, p in zip(thetas.tolist(), phis.tolist())]
     tails = [tail(point + [spec] * (len(fields) - bob - 2)) for point in points]
     lead = start  # the first block opens the table; without one it is empty
     for prefix, a, bs, values in blocks:

@@ -106,12 +106,11 @@ def _marinatto_weber(alpha, beta, sigma, angle, theta1, theta2):
     """Probabilistic-tactics payoffs at measurement angle zero and phases zero."""
     c1 = math.cos(theta1 / 2) ** 2
     c2 = math.cos(theta2 / 2) ** 2
-    matched_a = alpha * math.sin(angle / 2) ** 2 + beta * math.cos(angle / 2) ** 2
-    matched_b = beta * math.sin(angle / 2) ** 2 + alpha * math.cos(angle / 2) ** 2
-    alice = (c1 * (c2 * (alpha + beta - 2 * sigma) - matched_a + sigma)
-             + c2 * (-matched_a + sigma) + matched_a)
-    bob = (c2 * (c1 * (alpha + beta - 2 * sigma) - matched_b + sigma)
-           + c1 * (-matched_b + sigma) + matched_b)
+    xi, eta, _ = bos_coefficients(alpha, beta, angle)
+    alice = (c1 * (c2 * (alpha + beta - 2 * sigma) - eta + sigma)
+             + c2 * (-eta + sigma) + eta)
+    bob = (c2 * (c1 * (alpha + beta - 2 * sigma) - xi + sigma)
+           + c1 * (-xi + sigma) + xi)
     return alice, bob
 
 
@@ -144,8 +143,8 @@ def payoff_case_b_i(game: GameMatrix, gamma: float, s1: StrategyParams,
     """delta = gamma: the Eisert-style regime with free phases."""
     _check_interval("gamma", gamma, 0.0, HALF_PI, "[0, pi/2]")
     alpha, beta, sigma = _require_bos(game)
-    xi1 = alpha * math.cos(gamma / 2) ** 2 + beta * math.sin(gamma / 2) ** 2
-    eta1 = alpha * math.sin(gamma / 2) ** 2 + beta * math.cos(gamma / 2) ** 2
+    xi1, eta1, _ = bos_coefficients(alpha, beta, gamma)
+    # unlike bos_coefficients' chi, chi1 carries sin(gamma) squared
     chi1 = 0.5 * (alpha - beta) * math.sin(gamma) ** 2
     cg2 = math.cos(gamma / 2) ** 2
     sg2 = math.sin(gamma / 2) ** 2

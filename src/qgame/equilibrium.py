@@ -147,48 +147,42 @@ def _outcome_kernels(scheme: SchemeParams) -> np.ndarray:
     return pair[:, _PAIR_P, _PAIR_Q][:, :, _PAIR_P, _PAIR_Q]
 
 
-def probability_tables(scheme: SchemeParams, grid: StrategyGrid,
+def probability_tables(features: np.ndarray, kernels: np.ndarray,
                        rows: slice) -> np.ndarray:
     """Outcome probabilities of Alice's grid points in the slice rows against
     every grid point of Bob's, shape (4, len(rows), n), 32 * len(rows) * n
-    bytes for n grid points.
+    bytes for n grid points: the per-block stage of table_blocks, from the
+    grid's _features (n, 6) and the scheme's _outcome_kernels.
 
     Axis 0 is the outcome (OO, OT, TO, TT); entry [:, a, b] pairs Alice's
     grid point a (counted from rows.start) with Bob's grid point b, both in
-    points() order. Each table is the rank-6 product F[rows] @ K[o] @ F.T of
-    the grid features and the outcome kernels, which come from nine state
-    evolutions by bilinearity. Rounding can leave true zeros at about -1e-16;
-    they are clipped to 0."""
-    features = _features(*grid.angles())
-    probs = (features[rows] @ _outcome_kernels(scheme)) @ features.T
+    points() order. Each table is the rank-6 product F[rows] @ K[o] @ F.T.
+    Rounding can leave true zeros at about -1e-16; they are clipped to 0."""
+    probs = (features[rows] @ kernels) @ features.T
     np.maximum(probs, 0.0, out=probs)
     return probs
-
-
-def weigh_outcomes(game: GameMatrix, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's and Bob's payoffs from outcome probabilities of shape (4, ...)."""
-    alice = np.einsum("o,o...->...", game.alice_by_outcome(), probs)
-    bob = np.einsum("o,o...->...", game.bob_by_outcome(), probs)
-    return alice, bob
 
 
 def table_blocks(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid):
     """The grid's tables in blocks of Alice's rows, in grid order: one
     (rows, probs, alice, bob) per block of about BLOCK_BYTES of
-    probabilities, where probs is probability_tables(scheme, grid, rows) and
-    alice, bob are its payoff tables. Memory is O(n * block) however large
-    the grid is. No reference to a block is kept once it is handed over, so
-    a consumer that drops probs frees them before the next block is built."""
+    probabilities, where probs is the block's probability_tables and alice,
+    bob are its payoff tables. The features, the outcome kernels (nine state
+    evolutions and one measurement basis) and the payoff weights are built
+    once, in this call. Memory is O(n * block) however large the grid is.
+    No reference to a block is kept once it is handed over, so a consumer
+    that drops probs frees them before the next block is built."""
     n = grid.theta_steps * grid.phi_steps
     step = max(1, BLOCK_BYTES // (32 * n))
-    return (_table_block(game, scheme, grid, slice(lo, min(lo + step, n)))
+    features, kernels = _features(*grid.angles()), _outcome_kernels(scheme)
+    weights = game.alice_by_outcome(), game.bob_by_outcome()
+    return (_table_block(features, kernels, weights, slice(lo, min(lo + step, n)))
             for lo in range(0, n, step))
 
 
-def _table_block(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
-                 rows: slice) -> tuple:
-    probs = probability_tables(scheme, grid, rows)
-    return (rows, probs, *weigh_outcomes(game, probs))
+def _table_block(features, kernels, weights, rows: slice) -> tuple:
+    probs = probability_tables(features, kernels, rows)
+    return (rows, probs, *(np.einsum("o,o...->...", w, probs) for w in weights))
 
 
 def check_eps(eps: float) -> None:

@@ -23,9 +23,8 @@ from qgame.equilibrium import (
     PROFILE_BYTES,
     StrategyGrid,
     epsilon_nash,
-    probability_tables,
     sweep_schemes,
-    weigh_outcomes,
+    table_blocks,
 )
 from qgame.scheme import GameMatrix, SchemeParams, battle_of_sexes
 
@@ -542,7 +541,7 @@ class TestSweep:
         monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 4 * 32 * 15)
         code, out, err = run_cli(capsys, "sweep", *argv, "--format", fmt)
         assert code == 0, err
-        rows = reference_sweep_rows(argv, step=4)
+        rows = reference_sweep_rows(argv)
         if fmt == "csv":
             assert out == _csv_table(SWEEP_FIELDS, rows)
         else:
@@ -586,18 +585,16 @@ def reference_inputs(argv):
     return opts, game, StrategyGrid(steps[0], steps[1], opts.get("--phi-range", "narrow"))
 
 
-def reference_sweep_rows(argv, step=None):
+def reference_sweep_rows(argv):
     """The per-profile rows as one list of dicts, built profile by profile
-    from probability_tables slices of step rows, by default the whole grid."""
+    from the blocks of table_blocks stacked whole."""
     opts, game, grid = reference_inputs(argv)
-    n = grid.theta_steps * grid.phi_steps
-    step = step or n
     rows = []
     for scheme in sweep_schemes(parse_angle_list(opts["--gamma"]),
                                 parse_angle_list(opts["--delta"])):
-        probs = np.concatenate([probability_tables(scheme, grid, slice(lo, lo + step))
-                                for lo in range(0, n, step)], axis=1)
-        alice, bob = weigh_outcomes(game, probs)
+        _, probs, alice, bob = zip(*table_blocks(game, scheme, grid))
+        probs, alice, bob = (np.concatenate(probs, axis=1), np.concatenate(alice),
+                             np.concatenate(bob))
         for a, s1 in enumerate(grid.points()):
             for b, s2 in enumerate(grid.points()):
                 rows.append({

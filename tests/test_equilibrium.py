@@ -1,4 +1,3 @@
-import functools
 import math
 import sys
 import tracemalloc
@@ -15,12 +14,13 @@ from qgame.equilibrium import (
     POINT_BYTES,
     PROFILE_BYTES,
     StrategyGrid,
+    _features,
+    _outcome_kernels,
     epsilon_nash,
     probability_tables,
     sweep,
     sweep_schemes,
     table_blocks,
-    weigh_outcomes,
 )
 from qgame.scheme import (
     GameMatrix,
@@ -53,6 +53,13 @@ def whole_tables(game, scheme, grid):
     table_blocks: exactly the tables the certificate paths see."""
     _, _, alice, bob = zip(*table_blocks(game, scheme, grid))
     return np.concatenate(alice), np.concatenate(bob)
+
+
+def whole_probabilities(scheme, grid):
+    """The (4, n, n) outcome probabilities of the whole grid, stacked from
+    table_blocks; the game does not enter them."""
+    _, probs, _, _ = zip(*table_blocks(bos210(), scheme, grid))
+    return np.concatenate(probs, axis=1)
 
 
 def thetas_of(grid, a, b):
@@ -129,19 +136,21 @@ class TestPayoffTables:
                 assert bob[a, b] == pytest.approx(want.bob, abs=1e-12)
 
     def test_probability_tables_sum_to_one(self):
-        probs = probability_tables(SchemeParams(1.0, 0.5), StrategyGrid(4, 3), slice(None))
+        probs = whole_probabilities(SchemeParams(1.0, 0.5), StrategyGrid(4, 3))
         np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-9)
         assert (probs >= -1e-15).all()
 
     def test_probabilities_never_negative(self):
         # at gamma = delta = pi/2 many probabilities are exactly zero, and the
         # rank-6 product rounds some of them to about -1e-16 before clipping
-        probs = probability_tables(QUANTUM, StrategyGrid(33, 17), slice(None))
+        probs = whole_probabilities(QUANTUM, StrategyGrid(33, 17))
         assert probs.min() >= 0.0
 
     def test_tables_call_basis_once_and_no_scalar_path(self, monkeypatch):
         # a traced `qgame verify` run counts these calls exactly; the tables
-        # must add one measurement basis and nothing from the scalar paths
+        # must add one measurement basis and nothing from the scalar paths;
+        # the kernels' basis and nine corner evolutions are made once per
+        # table_blocks pass, however many blocks it has
         counts = Counter()
 
         def counting(name, func):
@@ -153,14 +162,16 @@ class TestPayoffTables:
         for module_name, module in list(sys.modules.items()):
             if module_name != "qgame" and not module_name.startswith("qgame."):
                 continue
-            for name in ("measurement_basis", "payoffs_oracle", "payoff_general"):
+            for name in ("measurement_basis", "final_state", "payoffs_oracle",
+                         "payoff_general"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        scheme, grid = SchemeParams(0.7, 0.4), StrategyGrid(5, 3)
-        probability_tables(scheme, grid, slice(None))
-        assert counts == {"measurement_basis": 1}
+        monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 4 * 32 * 15)
+        scheme, grid = SchemeParams(0.7, 0.4), StrategyGrid(5, 3)  # 4 blocks
+        assert len(list(table_blocks(bos210(), scheme, grid))) == 4
+        assert counts == {"measurement_basis": 1, "final_state": 9}
         epsilon_nash(bos210(), scheme, grid, eps=1e-9)
-        assert counts == {"measurement_basis": 2}
+        assert counts == {"measurement_basis": 2, "final_state": 18}
 
 
 class TestGridSizeLimit:
@@ -195,10 +206,12 @@ def test_table_blocks_slice_the_grid_in_order(monkeypatch):
     blocks = list(table_blocks(bos210(), scheme, grid))
     assert [rows for rows, *_ in blocks] == [slice(0, 4), slice(4, 8), slice(8, 12),
                                              slice(12, 15)]
+    features, kernels = _features(*grid.angles()), _outcome_kernels(scheme)
     for rows, probs, alice, bob in blocks:
-        want = probability_tables(scheme, grid, rows)
+        want = probability_tables(features, kernels, rows)
         assert np.array_equal(probs, want)
-        want_a, want_b = weigh_outcomes(bos210(), want)
+        want_a = np.einsum("o,o...->...", bos210().alice_by_outcome(), want)
+        want_b = np.einsum("o,o...->...", bos210().bob_by_outcome(), want)
         assert np.array_equal(alice, want_a) and np.array_equal(bob, want_b)
 
 
@@ -222,7 +235,7 @@ class TestOracleEquivalence:
         basis = measurement_basis(delta)
         want = np.array([[outcome_probabilities(final_state(gamma, s1, s2), basis)
                           for s2 in pts] for s1 in pts]).transpose(2, 0, 1)
-        np.testing.assert_allclose(probability_tables(scheme, grid, slice(None)), want,
+        np.testing.assert_allclose(whole_probabilities(scheme, grid), want,
                                    rtol=0, atol=1e-12)
         for game in self.GAMES:
             oracle = [[payoffs_oracle(game, scheme, s1, s2) for s2 in pts] for s1 in pts]
@@ -513,12 +526,8 @@ BLOCK_CASES = {
 
 @pytest.fixture
 def one_row_blocks(monkeypatch):
-    """Certify one Alice grid row per block. The outcome kernels depend on
-    the scheme alone, so they are computed once per scheme here, which
-    keeps thousands of one-row blocks fast."""
+    """Certify one Alice grid row per block."""
     monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 1)
-    monkeypatch.setattr(equilibrium, "_outcome_kernels",
-                        functools.lru_cache(equilibrium._outcome_kernels))
 
 
 @pytest.mark.usefixtures("one_row_blocks")
