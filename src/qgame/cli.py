@@ -49,6 +49,8 @@ SUMMARY_FIELDS = ("gamma", "delta", "equilibria", "best_payoff_a",
 EQUILIBRIA_FIELDS = ("theta1", "phi1", "theta2", "phi2", "payoff_a",
                      "payoff_b", "eps_cert")
 
+CSV_ROWS = 1024  # rows per _csv_rows call, which bounds its memory on any grid
+
 
 def parse_angle(text: str) -> float:
     token = text.strip()
@@ -143,6 +145,122 @@ def _csv_table(fields, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _CsvCells:
+    """Writes "," + "%.15g" % v for each float v into a fixed cell of CELL
+    bytes, each a byte of the text or a NUL pad that one bytes.translate drops.
+
+    A cell is ",-0.000", a NUL, then the digits of n = round(|v| 10^(14 - e)),
+    e = floor(log10 |v|), as (digit, ".") pairs: a 0 and n's 15 digits, in
+    four groups of four from pairs. Which bytes stay depends only on the
+    sign, on e and on the count of significant digits; keep holds that mask
+    for each case. A CSV table builds its own tables, in about a millisecond,
+    so commands that write none do not pay for them.
+    """
+
+    CELL = 40
+
+    def __init__(self):
+        self.pow10 = np.cumprod([1.0] + [10.0] * 18)  # 10^0 .. 10^18, all exact
+        digits = np.indices((10,) * 4, np.uint8).reshape(4, 10000)  # column q: q's digits
+        # row q < 10000: the digits of q as (digit, ".") pairs; row 10000: a cell's start
+        self.pairs = np.full((10001, 8), ord("."), np.uint8)
+        self.pairs[:10000, ::2] = digits.T + ord("0")
+        self.pairs[10000] = np.frombuffer(b",-0.000\0", np.uint8)
+        zero = digits == 0
+        trailing = zero[3] * (1 + zero[2] * (1 + zero[1] * (1 + zero[0])))  # 4 for q = 0
+        self.trailing_zeros = trailing.astype(np.int8)
+        # row (sign * 21 + e + 4) * 16 + count keeps the bytes of the text of a
+        # value with that sign, exponent e (-4 to 14) and count of significant
+        # digits; e = 15 keeps "0" or "-0", e = 16 the "," alone
+        e = np.arange(-4, 17)[:, None, None]
+        count = np.arange(16)[:, None]
+        pos = np.arange(self.CELL)
+        j = (pos - 10) // 2  # pairs from pos 10 hold digit j of n
+        keep = np.empty((2, 21, 16, self.CELL), bool)
+        keep[:] = ((pos == 0) | ((pos == 2) & ((e < 0) | (e == 15))) | ((pos == 3) & (e < 0))
+                   | ((pos >= 4) & (pos <= 6) & (pos <= 2 - e))
+                   | ((pos >= 10) & (pos % 2 == 0) & ((j < count) | (j <= e)) & (e <= 14))
+                   | ((pos >= 10) & (pos % 2 == 1) & (j == e) & (count > e + 1)))
+        keep[1, :, :, 1] = e[:, :, 0] <= 15  # the minus sign
+        self.keep = keep.view(np.uint8).reshape(-1, self.CELL)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The (len(x), CELL) cells of the float vector x.
+
+        Values in fixed notation (1e-4 <= |v| < 1e15) and zeros are written
+        here, all others by Python. p = 10^(14 - e) is exact and |v| p < 10^15
+        < 2^50, so the rounded product hi has an ulp of at most 1/8, and its
+        error lo (Dekker's exact product) decides only a fraction of exactly
+        .5, which rounds half to even as CPython's dtoa does. An e that log10
+        put one too low gives n = 10^15, the same digits as a carry; one too
+        high gives hi < 10^14, which Python formats.
+        """
+        ax = np.abs(x)
+        finite = (ax > 0) & (ax < 1e16)
+        safe = np.where(finite, ax, 1.0)
+        e = np.clip(np.floor(np.log10(safe)), -4, 14).astype(np.intp)
+        p = self.pow10[14 - e]
+        hi = safe * p
+        whole = np.floor(hi)
+        n = whole.astype(np.int64)
+        frac = hi - whole
+        up = frac > 0.5
+        tie = np.flatnonzero(frac == 0.5)
+        if tie.size:
+            a, b = safe[tie], p[tie]
+            a_hi = 134217729.0 * a  # Veltkamp's split by 2^27 + 1
+            a_hi -= a_hi - a
+            b_hi = 134217729.0 * b
+            b_hi -= b_hi - b
+            a_lo, b_lo = a - a_hi, b - b_hi
+            lo = ((a_hi * b_hi - hi[tie]) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+            up[tie] = (lo > 0) | ((lo == 0) & (n[tie] % 2 == 1))
+        n += up
+        carry = n == 10 ** 15
+        n[carry] = 10 ** 14
+        e += carry
+        fixed = finite & (hi >= 1e14) & (n < 10 ** 15) & (e <= 14)
+
+        top, bottom = np.divmod(n, 10 ** 8)
+        quads = [*np.divmod(top, 10 ** 4), *np.divmod(bottom, 10 ** 4)]  # n's digits by 4s
+        z0, z1, z2, z3 = (np.take(self.trailing_zeros, quad) for quad in quads)  # 4 for 0000
+        digits = 15 - (z3 + (z3 == 4) * (z2 + (z2 == 4) * (z1 + (z1 == 4) * z0)))
+        starts = np.full(len(x), 10000)
+        cells = np.take(self.pairs, np.stack([starts, *quads], axis=1), axis=0)
+        cells = cells.reshape(len(x), self.CELL)
+        case = np.where(fixed, e, np.where(ax == 0, 15, 16))
+        cells *= np.take(self.keep, (np.signbit(x) * 21 + case + 4) * 16 + digits, axis=0)
+        others = np.flatnonzero(case == 16)
+        if others.size:
+            # at most 22 characters, "-1.23456789012345e-100"; no text holds a space
+            texts = ("%-22.15g" * others.size % tuple(x[others].tolist())).encode("ascii")
+            texts = np.frombuffer(texts, np.uint8).reshape(others.size, 22)
+            cells[others, 1:23] = np.where(texts == ord(" "), 0, texts)
+        return cells
+
+
+def _padded(texts: list[str]) -> np.ndarray:
+    """ASCII texts as the rows of a NUL-padded uint8 array."""
+    width = max(map(len, texts))
+    data = "".join(text.ljust(width, "\0") for text in texts).encode("ascii")
+    return np.frombuffer(data, np.uint8).reshape(len(texts), width)
+
+
+def _csv_rows(pieces: list[tuple[str, np.ndarray, np.ndarray]], points: np.ndarray,
+              cells: _CsvCells) -> str:
+    """The CSV lines of pieces (head, Bob's indices, their rows of values):
+    head + points[b] + the values' cells for each index b."""
+    heads, bobs, values = zip(*pieces)
+    values = np.concatenate(values)
+    rows, k = values.shape
+    line = np.concatenate([
+        np.repeat(_padded(list(heads)), [len(b) for b in bobs], axis=0),
+        np.take(points, np.concatenate(bobs), axis=0),
+        cells(values.ravel()).reshape(rows, k * cells.CELL),
+        np.full((rows, 1), ord("\n"), np.uint8)], axis=1)
+    return line.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _emit_chunks(chunks: Iterable[str], out: str | None) -> None:
     """Write each piece as it is produced; --out is opened before the first."""
     if out is None:
@@ -158,46 +276,56 @@ def _table_chunks(fields: tuple[str, ...], fmt: str, grid: StrategyGrid, pad: in
     of json.dumps(rows, indent=2) + "\n" nested pad - 2 spaces deep for json.
 
     A block is (prefix values, Alice's grid index a, Bob's grid indices, one
-    row of values per Bob index), written by a single %-format of its rows'
-    template; a row is head(prefix, theta1, phi1) + tail(theta2, phi2, specs).
+    row of values per Bob index). CSV rows go through _csv_rows, CSV_ROWS of
+    them at a time (the last call fewer); json rows through a single %-format
+    of each block's template, head(prefix, theta1, phi1) + tail(theta2, phi2,
+    specs) per row.
     """
-    bob = fields.index("theta2")  # Bob's point and the values follow
-    if fmt == "csv":
-        num, spec = _fmt_csv, "%.15g"
-        start = empty = ",".join(fields) + "\n"
-        sep = end = ""
-
-        def head(texts):
-            return ",".join(texts) + ","
-
-        def tail(texts):
-            return ",".join(texts) + "\n"
-    else:
-        # json writes a float as its repr, which %s gives too; every value is
-        # finite because GameMatrix bounds the payoffs by MAX_PAYOFF
-        num, spec = json.dumps, "%s"
-        indent = " " * pad
-        start, sep, end, empty = "[\n", ",\n", f"\n{indent[2:]}]\n", "[]\n"
-
-        def head(texts):
-            lines = zip(fields, texts)
-            return indent + "{\n" + "".join(f'{indent}  "{f}": {t},\n' for f, t in lines)
-
-        def tail(texts):
-            lines = zip(fields[bob:], texts)
-            return ",\n".join(f'{indent}  "{f}": {t}' for f, t in lines) + f"\n{indent}}}"
-
-    # formatted numbers hold no "%", so they can sit inside a %-template
     thetas, phis = grid.angles()
+    if fmt == "csv":
+        points = [f"{_fmt_csv(t)},{_fmt_csv(p)}" for t, p in zip(thetas.tolist(), phis.tolist())]
+        bob_points, cells = _padded(["," + point for point in points]), _CsvCells()
+        # the header goes out with the first rows, after the first block
+        lead, pieces, rows = ",".join(fields) + "\n", [], 0
+        for prefix, a, bs, values in blocks:
+            head = ",".join([_fmt_csv(v) for v in prefix] + [points[a]])
+            lo = 0
+            while lo < len(bs):
+                hi = lo + CSV_ROWS - rows
+                pieces.append((head, bs[lo:hi], values[lo:hi]))
+                rows += len(pieces[-1][1])
+                lo = hi
+                if rows == CSV_ROWS:
+                    yield lead + _csv_rows(pieces, bob_points, cells)
+                    lead, pieces, rows = "", [], 0
+        if pieces or lead:
+            yield lead + (_csv_rows(pieces, bob_points, cells) if pieces else "")
+        return
+
+    bob = fields.index("theta2")  # Bob's point and the values follow
+    indent = " " * pad
+
+    def head(texts):
+        lines = zip(fields, texts)
+        return indent + "{\n" + "".join(f'{indent}  "{f}": {t},\n' for f, t in lines)
+
+    def tail(texts):
+        lines = zip(fields[bob:], texts)
+        return ",\n".join(f'{indent}  "{f}": {t}' for f, t in lines) + f"\n{indent}}}"
+
+    # json writes a float as its repr, which %s gives too; every value is
+    # finite because GameMatrix bounds the payoffs by MAX_PAYOFF. Formatted
+    # numbers hold no "%", so they can sit inside a %-template
+    num = json.dumps
     points = [[num(t), num(p)] for t, p in zip(thetas.tolist(), phis.tolist())]
-    tails = [tail(point + [spec] * (len(fields) - bob - 2)) for point in points]
-    lead = start  # the first block opens the table; without one it is empty
+    tails = [tail(point + ["%s"] * (len(fields) - bob - 2)) for point in points]
+    lead = "[\n"  # the first block opens the table; without one it is empty
     for prefix, a, bs, values in blocks:
         row_head = head([num(v) for v in prefix] + points[a])
-        template = row_head + (sep + row_head).join([tails[b] for b in bs.tolist()])
+        template = row_head + (",\n" + row_head).join([tails[b] for b in bs.tolist()])
         yield lead + template % tuple(values.ravel().tolist())
-        lead = sep
-    yield end if lead == sep else empty
+        lead = ",\n"
+    yield f"\n{indent[2:]}]\n" if lead == ",\n" else "[]\n"
 
 
 def cmd_payoff(args: argparse.Namespace) -> int:

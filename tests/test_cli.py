@@ -535,10 +535,12 @@ class TestSweep:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_match_uneven_blocks(self, capsys, monkeypatch, fmt):
-        # 15 grid points in blocks of 4, 4, 4 and 3 of Alice's rows
+        # 15 grid points in blocks of 4, 4, 4 and 3 of Alice's rows; CSV rows
+        # are written 7 at a time, which splits blocks and joins their pieces
         argv = ["--bos", "2,1,0", "--gamma", "0.7,pi/2", "--delta", "0.4,0.3",
                 "--grid", "5,3"]
         monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 4 * 32 * 15)
+        monkeypatch.setattr(cli, "CSV_ROWS", 7)
         code, out, err = run_cli(capsys, "sweep", *argv, "--format", fmt)
         assert code == 0, err
         rows = reference_sweep_rows(argv)
@@ -570,6 +572,74 @@ class TestSweep:
         err = proc.stderr.read()
         proc.stderr.close()
         assert (proc.wait(), err) == (-signal.SIGPIPE, b"")
+
+
+def assert_formats_as_python(x):
+    """cli._CsvCells()(x) holds "," + "%.15g" % v for each v, byte for byte."""
+    x = np.asarray(x, dtype=float)
+    got = cli._CsvCells()(x).tobytes().translate(None, b"\0").decode("ascii")
+    want = ",%.15g" * x.size % tuple(x.tolist())
+    if got != want:
+        got, want = got.split(","), want.split(",")
+        i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+        pytest.fail(f"{x[i - 1]!r} formats as {got[i]!r}, not {want[i]!r}")
+
+
+def tie_draws(rng, count):
+    """Floats whose 15-digit rounding is an exact tie: odd / 2^(15 - e) in
+    [10^e, 10^(e + 1)) has |x| 10^(14 - e) = odd 5^(14 - e) / 2."""
+    e = rng.integers(-4, 15, count)
+    scale = 2.0 ** (15 - e)
+    odd = np.floor(rng.uniform(10.0 ** e * scale, 10.0 ** (e + 1) * scale) / 2) * 2 + 1
+    x = odd / scale
+    inside = (x >= 10.0 ** e) & (x < 10.0 ** (e + 1))
+    assert np.all(x[inside] * 10.0 ** (14 - e[inside]) % 1 == 0.5)
+    return x[inside]
+
+
+class TestCsvCells:
+    def test_random_doubles(self):
+        # a million doubles, log-uniform over the whole range and over the
+        # fixed-notation range the kernel writes itself
+        rng = np.random.default_rng(20041018)
+        magnitudes = 10.0 ** np.r_[rng.uniform(-320, 300, 200_000), rng.uniform(-5, 16, 800_000)]
+        signs = rng.choice([-1.0, 1.0], magnitudes.size)
+        assert_formats_as_python(np.r_[0.0, -0.0, signs * magnitudes])
+
+    def test_ties_round_half_to_even(self):
+        ties = tie_draws(np.random.default_rng(7), 50_000)
+        # with their neighbours one ulp away, which are not ties
+        assert_formats_as_python(np.concatenate([ties, -ties, np.nextafter(ties, 0),
+                                                 np.nextafter(ties, np.inf)]))
+
+    @pytest.mark.parametrize("value,text", [
+        (123456789012345.5, "123456789012346"),  # ties, to the even digit
+        (123456789012344.5, "123456789012344"),
+        (12345678901234.25, "12345678901234.2"),
+        # |x| 10^(14 - e) rounds to a .5 that it is not; its error term decides
+        (638709.1317702235, "638709.131770223"),
+        (92530.44862698785, "92530.4486269879"),
+        (9.999999999999998, "10"),  # carries into a new digit
+        (0.09999999999999999, "0.1"),
+        (999999999999999.5, "1e+15"),
+        (1e-4, "0.0001"),  # the ends of fixed notation
+        (np.nextafter(1e-4, 0), "0.0001"),
+        (1e15, "1e+15"),
+        (np.nextafter(1e15, 0), "1e+15"),
+        (1e14, "100000000000000"),
+        (120.0, "120"),
+        (99999999999999.8, "99999999999999.8"),  # log10 rounds up to 14
+        (0.0, "0"),
+        (-0.0, "-0"),
+        (-0.5, "-0.5"),
+        (5e-324, "4.94065645841247e-324"),
+        (-1.7976931348623157e308, "-1.79769313486232e+308"),
+        (math.inf, "inf"),
+        (math.nan, "nan"),
+    ])
+    def test_edge_cases(self, value, text):
+        assert "%.15g" % value == text
+        assert_formats_as_python([value])
 
 
 def reference_inputs(argv):

@@ -46,6 +46,10 @@ CASES = {
                                "--delta", "pi/2", "--grid", "9,5"],
     "equilibria_full.json": ["equilibria", "--bos", "2,1,0", "--gamma", "pi/4",
                              "--delta", "0.3", "--grid", "9,5", "--phi-range", "full"],
+    # Eisert, Wilkens & Lewenstein's Q x Q of the Prisoner's Dilemma (PRL 83,
+    # 3077, 1999): at full entanglement the one equilibrium, with payoffs (3, 3)
+    "equilibria_pd_eisert.csv": ["equilibria", "--matrix", "3,3,0,5,5,0,1,1",
+                                 "--gamma", "pi/2", "--delta", "pi/2", "--format", "csv"],
     "verify_seed0.txt": ["verify", "--seed", "0"],
 }
 
