@@ -35,12 +35,10 @@ from .scheme import (
     StrategyParams,
     battle_of_sexes,
     final_state,
-    flip_op,
     initial_state,
     measurement_basis,
     outcome_probabilities,
     payoffs_oracle,
-    rotation_op,
     strategy_op,
 )
 from .verification import VerificationReport, run_verification
@@ -61,7 +59,6 @@ __all__ = [
     "bos_coefficients",
     "epsilon_nash",
     "final_state",
-    "flip_op",
     "initial_state",
     "measurement_basis",
     "outcome_probabilities",
@@ -74,7 +71,6 @@ __all__ = [
     "payoff_du_maximal",
     "payoff_general",
     "payoffs_oracle",
-    "rotation_op",
     "run_verification",
     "strategy_op",
     "sweep",

@@ -49,7 +49,7 @@ SUMMARY_FIELDS = ("gamma", "delta", "equilibria", "best_payoff_a",
 EQUILIBRIA_FIELDS = ("theta1", "phi1", "theta2", "phi2", "payoff_a",
                      "payoff_b", "eps_cert")
 
-CSV_ROWS = 1024  # rows per _csv_rows call, which bounds its memory on any grid
+CSV_ROWS = 1024  # rows per piece _table_chunks writes, in both formats, on any grid
 
 
 def parse_angle(text: str) -> float:
@@ -246,21 +246,6 @@ def _padded(texts: list[str]) -> np.ndarray:
     return np.frombuffer(data, np.uint8).reshape(len(texts), width)
 
 
-def _csv_rows(pieces: list[tuple[str, np.ndarray, np.ndarray]], points: np.ndarray,
-              cells: _CsvCells) -> str:
-    """The CSV lines of pieces (head, Bob's indices, their rows of values):
-    head + points[b] + the values' cells for each index b."""
-    heads, bobs, values = zip(*pieces)
-    values = np.concatenate(values)
-    rows, k = values.shape
-    line = np.concatenate([
-        np.repeat(_padded(list(heads)), [len(b) for b in bobs], axis=0),
-        np.take(points, np.concatenate(bobs), axis=0),
-        cells(values.ravel()).reshape(rows, k * cells.CELL),
-        np.full((rows, 1), ord("\n"), np.uint8)], axis=1)
-    return line.tobytes().translate(None, b"\0").decode("ascii")
-
-
 def _emit_chunks(chunks: Iterable[str], out: str | None) -> None:
     """Write each piece as it is produced; --out is opened before the first."""
     if out is None:
@@ -271,61 +256,81 @@ def _emit_chunks(chunks: Iterable[str], out: str | None) -> None:
 
 
 def _table_chunks(fields: tuple[str, ...], fmt: str, grid: StrategyGrid, pad: int,
-                  blocks: Iterable[tuple]) -> Iterator[str]:
+                  chunks: Iterable[tuple]) -> Iterator[str]:
     """Per-profile rows in pieces: the bytes of _csv_table(fields, rows) for csv,
     of json.dumps(rows, indent=2) + "\n" nested pad - 2 spaces deep for json.
 
-    A block is (prefix values, Alice's grid index a, Bob's grid indices, one
-    row of values per Bob index). CSV rows go through _csv_rows, CSV_ROWS of
-    them at a time (the last call fewer); json rows through a single %-format
-    of each block's template, head(prefix, theta1, phi1) + tail(theta2, phi2,
-    specs) per row.
+    A chunk is (prefix values, profiles, columns). profiles is a sliceable
+    sequence of flat profile indices a * n + b in output order (Alice's grid
+    point a, Bob's b, n grid points), and columns holds one 1-D array per
+    value field, in the same order. Both formats run one loop: each slice of
+    at most CSV_ROWS profiles becomes one piece, csv rows as bytes (the
+    prefix, Alice's and Bob's point text gathered by np.take, the _CsvCells
+    cells of the values) and json rows as one %-template, head(prefix) +
+    Alice's lines + Bob's tail per row. So the pieces are bounded on any
+    grid, and the point text is built once per table, not per chunk.
     """
     thetas, phis = grid.angles()
+    n = len(thetas)
     if fmt == "csv":
-        points = [f"{_fmt_csv(t)},{_fmt_csv(p)}" for t, p in zip(thetas.tolist(), phis.tolist())]
-        bob_points, cells = _padded(["," + point for point in points]), _CsvCells()
-        # the header goes out with the first rows, after the first block
-        lead, pieces, rows = ",".join(fields) + "\n", [], 0
-        for prefix, a, bs, values in blocks:
-            head = ",".join([_fmt_csv(v) for v in prefix] + [points[a]])
-            lo = 0
-            while lo < len(bs):
-                hi = lo + CSV_ROWS - rows
-                pieces.append((head, bs[lo:hi], values[lo:hi]))
-                rows += len(pieces[-1][1])
-                lo = hi
-                if rows == CSV_ROWS:
-                    yield lead + _csv_rows(pieces, bob_points, cells)
-                    lead, pieces, rows = "", [], 0
-        if pieces or lead:
-            yield lead + (_csv_rows(pieces, bob_points, cells) if pieces else "")
-        return
+        alices = _padded([f"{_fmt_csv(t)},{_fmt_csv(p)}"
+                          for t, p in zip(thetas.tolist(), phis.tolist())])
+        bobs = np.concatenate([np.full((n, 1), ord(","), np.uint8), alices], axis=1)
+        cells = _CsvCells()
 
-    bob = fields.index("theta2")  # Bob's point and the values follow
-    indent = " " * pad
+        def head(prefix):
+            text = "".join(_fmt_csv(v) + "," for v in prefix)
+            return np.frombuffer(text.encode("ascii"), np.uint8)
 
-    def head(texts):
-        lines = zip(fields, texts)
-        return indent + "{\n" + "".join(f'{indent}  "{f}": {t},\n' for f, t in lines)
+        def render(start, a, b, values):
+            rows, k = values.shape
+            line = np.concatenate([
+                np.broadcast_to(start, (rows, len(start))),
+                np.take(alices, a, axis=0),
+                np.take(bobs, b, axis=0),
+                cells(values.ravel()).reshape(rows, k * cells.CELL),
+                np.full((rows, 1), ord("\n"), np.uint8)], axis=1)
+            return line.tobytes().translate(None, b"\0").decode("ascii")
 
-    def tail(texts):
-        lines = zip(fields[bob:], texts)
-        return ",\n".join(f'{indent}  "{f}": {t}' for f, t in lines) + f"\n{indent}}}"
+        header = ",".join(fields) + "\n"  # goes out with the first rows, or alone
+        lead, sep, empty, close = header, "", header, ""
+    else:
+        # json writes a float as its repr, which %s gives too; every value is
+        # finite because GameMatrix bounds the payoffs by MAX_PAYOFF. Formatted
+        # numbers hold no "%", so they can sit inside a %-template
+        num = json.dumps
+        bob = fields.index("theta2")  # Alice's point comes right before Bob's
+        indent = " " * pad
 
-    # json writes a float as its repr, which %s gives too; every value is
-    # finite because GameMatrix bounds the payoffs by MAX_PAYOFF. Formatted
-    # numbers hold no "%", so they can sit inside a %-template
-    num = json.dumps
-    points = [[num(t), num(p)] for t, p in zip(thetas.tolist(), phis.tolist())]
-    tails = [tail(point + ["%s"] * (len(fields) - bob - 2)) for point in points]
-    lead = "[\n"  # the first block opens the table; without one it is empty
-    for prefix, a, bs, values in blocks:
-        row_head = head([num(v) for v in prefix] + points[a])
-        template = row_head + (",\n" + row_head).join([tails[b] for b in bs.tolist()])
-        yield lead + template % tuple(values.ravel().tolist())
-        lead = ",\n"
-    yield f"\n{indent[2:]}]\n" if lead == ",\n" else "[]\n"
+        def line(field, text):
+            return f'{indent}  "{field}": {text},\n'
+
+        def head(prefix):
+            return indent + "{\n" + "".join(map(line, fields, map(num, prefix)))
+
+        def tail(texts):
+            lines = zip(fields[bob:], texts)
+            return ",\n".join(f'{indent}  "{f}": {t}' for f, t in lines) + f"\n{indent}}}"
+
+        def render(start, a, b, values):
+            template = ",\n".join([start + alices[i] + tails[j]
+                                   for i, j in zip(a.tolist(), b.tolist())])
+            return template % tuple(values.ravel().tolist())
+
+        alices, tails, specs = [], [], ["%s"] * (len(fields) - bob - 2)
+        for t, p in zip(map(num, thetas.tolist()), map(num, phis.tolist())):
+            alices.append(line(fields[bob - 2], t) + line(fields[bob - 1], p))
+            tails.append(tail([t, p, *specs]))
+        lead, sep, empty, close = "[\n", ",\n", "[]\n", f"\n{indent[2:]}]\n"
+    wrote = False
+    for prefix, profiles, columns in chunks:
+        start = head(prefix)
+        for lo in range(0, len(profiles), CSV_ROWS):
+            a, b = np.divmod(np.asarray(profiles[lo:lo + CSV_ROWS], np.intp), n)
+            values = np.stack([column[lo:lo + CSV_ROWS] for column in columns], axis=1)
+            yield lead + render(start, a, b, values)
+            lead, wrote = sep, True
+    yield close if wrote else empty
 
 
 def cmd_payoff(args: argparse.Namespace) -> int:
@@ -371,15 +376,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _sweep_blocks(game: GameMatrix, schemes: list[SchemeParams], grid: StrategyGrid):
-    """Every scheme's rows, one block per Alice grid point, from one block of
-    table_blocks at a time; each row's values are stacked on their own, so
-    no copy of a whole block is made."""
-    bobs = np.arange(grid.theta_steps * grid.phi_steps)
+    """Every scheme's rows as _table_chunks chunks, one per block of
+    table_blocks: its profiles as a range and its tables' raveled views as
+    the columns, so no copy of a block and no index array is made."""
+    n = grid.theta_steps * grid.phi_steps
     for scheme in schemes:
         for rows, probs, alice, bob in table_blocks(game, scheme, grid):
-            for i, a in enumerate(range(rows.start, rows.stop)):
-                row = np.stack([alice[i], bob[i], *probs[:, i]], axis=-1)  # SWEEP_FIELDS order
-                yield (scheme.gamma, scheme.delta), a, bobs, row
+            yield ((scheme.gamma, scheme.delta), range(rows.start * n, rows.stop * n),
+                   [alice.ravel(), bob.ravel(), *probs.reshape(4, -1)])  # SWEEP_FIELDS order
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -403,8 +407,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 0
 
     # everything that can reject the input runs before the first byte
-    blocks = _sweep_blocks(game, sweep_schemes(gammas, deltas), grid)
-    _emit_chunks(_table_chunks(SWEEP_FIELDS, args.format, grid, 2, blocks), args.out)
+    chunks = _sweep_blocks(game, sweep_schemes(gammas, deltas), grid)
+    _emit_chunks(_table_chunks(SWEEP_FIELDS, args.format, grid, 2, chunks), args.out)
     return 0
 
 
@@ -414,10 +418,7 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
     grid = StrategyGrid(*parse_grid(args.grid), args.phi_range)
     a, b, values = epsilon_nash(game, scheme, grid, args.eps)
     print(f"equilibria found: {len(a)}", file=sys.stderr)
-    # one block per Alice grid point, whose profiles are contiguous in a
-    firsts = np.flatnonzero(np.diff(a, prepend=-1)).tolist()
-    blocks = (((), a[lo], b[lo:hi], values[lo:hi])
-              for lo, hi in zip(firsts, firsts[1:] + [len(a)]))
+    chunks = [((), a * (grid.theta_steps * grid.phi_steps) + b, values.T)]
     head, tail = "", ""
     if args.format == "json":
         payload = {
@@ -426,7 +427,7 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
             "phi_range": grid.phi_range, "count": len(a), "profiles": [],
         }
         head, tail = (json.dumps(payload, indent=2) + "\n").rsplit("[]\n", 1)
-    table = _table_chunks(EQUILIBRIA_FIELDS, args.format, grid, 4, blocks)
+    table = _table_chunks(EQUILIBRIA_FIELDS, args.format, grid, 4, chunks)
     _emit_chunks(chain([head], table, [tail]), args.out)
     return 0
 

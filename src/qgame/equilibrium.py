@@ -229,7 +229,9 @@ def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid, eps
         np.maximum(best_a, alice.max(axis=0), out=best_a)
         gain_b = bob.max(axis=1)[:, np.newaxis] - bob
         a, b = np.nonzero((best_a - alice <= eps) & (gain_b <= eps))
-        held.append((a + rows.start, b,
+        # a and b are strided views of one (k, 2) array; a copy of b holds
+        # 8 bytes a profile where the view would keep all 16 alive
+        held.append((a + rows.start, np.ascontiguousarray(b),
                      np.stack([alice[a, b], bob[a, b], gain_b[a, b]], axis=1)))
         count += len(a)
         # pruning each time the count doubles keeps its cost linear in it
@@ -241,6 +243,7 @@ def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid, eps
                     f"a {grid.theta_steps}x{grid.phi_steps} grid holds over "
                     f"{MAX_TABLE_BYTES // PROFILE_BYTES} candidate profiles, the limit of "
                     f"{MAX_TABLE_BYTES} bytes at {PROFILE_BYTES} bytes per profile")
+    del a, b, alice, bob, gain_b  # the last block's tables and nonzero's array
     for _, b, values in held:
         np.maximum(best_a[b] - values[:, 0], values[:, 2], out=values[:, 2])
     held = [_keep(chunk, chunk[2][:, 2] <= eps) for chunk in held]

@@ -208,19 +208,6 @@ def initial_state(gamma: float) -> np.ndarray:
                     dtype=np.complex128)
 
 
-def rotation_op(phi: float) -> np.ndarray:
-    """Phase rotation diag(e^{i phi}, e^{-i phi})."""
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi!r}")
-    return np.array([[np.exp(1j * phi), 0.0], [0.0, np.exp(-1j * phi)]],
-                    dtype=np.complex128)
-
-
-def flip_op() -> np.ndarray:
-    """Flip with the sign convention C|O> = -|T>, C|T> = |O>."""
-    return np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=np.complex128)
-
-
 def strategy_op(s: StrategyParams) -> np.ndarray:
     """U(theta, phi) = cos(theta/2) R(phi) + sin(theta/2) C; always unitary.
 

@@ -31,6 +31,8 @@ from qgame.scheme import GameMatrix, SchemeParams, battle_of_sexes
 HP = math.pi / 2
 # payoffs at the largest float, over MAX_PAYOFF: weighting them would overflow to inf
 OVERFLOWING = ["--matrix", ",".join(["1.7976931348623157e308,1"] * 4)]
+# a constant game: every profile is an equilibrium
+CONSTANT = ["--matrix", "1,1,1,1,1,1,1,1", "--gamma", "0.3", "--delta", "0.2"]
 
 
 def run_cli(capsys, *argv):
@@ -535,8 +537,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_match_uneven_blocks(self, capsys, monkeypatch, fmt):
-        # 15 grid points in blocks of 4, 4, 4 and 3 of Alice's rows; CSV rows
-        # are written 7 at a time, which splits blocks and joins their pieces
+        # 15 grid points in blocks of 4, 4, 4 and 3 of Alice's rows; rows are
+        # written at most 7 at a time, which splits every block, in CSV and
+        # now in JSON too
         argv = ["--bos", "2,1,0", "--gamma", "0.7,pi/2", "--delta", "0.4,0.3",
                 "--grid", "5,3"]
         monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 4 * 32 * 15)
@@ -548,6 +551,25 @@ class TestSweep:
             assert out == _csv_table(SWEEP_FIELDS, rows)
         else:
             assert out == json.dumps(rows, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv,rows", [
+        (["sweep", "--bos", "2,1,0", "--gamma", "0.7,pi/2", "--delta", "0.4,0.3"],
+         2 * 45 ** 2),
+        (["equilibria", *CONSTANT], 45 ** 2),
+    ], ids=["sweep-2pairs", "equilibria-constant"])
+    def test_pieces_hold_at_most_csv_rows(self, monkeypatch, fmt, argv, rows):
+        pieces = []
+        monkeypatch.setattr(cli, "_emit_chunks", lambda chunks, out: pieces.extend(chunks))
+        monkeypatch.setattr(cli, "CSV_ROWS", 7)
+        assert main([*argv, "--grid", "9,5", "--format", fmt]) == 0
+        if fmt == "csv":
+            header = ",".join(SWEEP_FIELDS if argv[0] == "sweep" else EQUILIBRIA_FIELDS)
+            counts = [piece.count("\n") - piece.startswith(header + "\n") for piece in pieces]
+        else:
+            counts = [piece.count('"theta1": ') for piece in pieces]
+        assert sum(counts) == rows
+        assert max(counts) == 7, counts
 
     def test_blocks_peak_far_below_the_whole_table(self):
         grid = StrategyGrid(65, 33)  # whole tables: 32 * 2145^2 bytes, 147 MB
@@ -782,9 +804,6 @@ def assert_same_text(got, want):
                  min(len(got), len(want)))
         pytest.fail(f"outputs differ from byte {i} (lengths {len(got)}, {len(want)}): "
                     f"{got[i - 60:i + 60]!r} != {want[i - 60:i + 60]!r}")
-
-
-CONSTANT = ["--matrix", "1,1,1,1,1,1,1,1", "--gamma", "0.3", "--delta", "0.2"]
 
 
 class TestEquilibriaStreaming:

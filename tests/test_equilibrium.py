@@ -620,6 +620,21 @@ class TestRowBlockMemory:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak
 
+    def test_held_profiles_peak_at_twice_the_result(self):
+        # the constant game certifies all 561^2 profiles of 33x17, held in
+        # three chunks until they are concatenated: 40 bytes a profile held
+        # and 40 in the result. Holding views of nonzero's (k, 2) index
+        # arrays, or the last block's tables, would add 8 or more a profile
+        tracemalloc.start()
+        try:
+            a, b, values = epsilon_nash(CONSTANT, SchemeParams(0.3, 0.2), StrategyGrid(33, 17),
+                                        eps=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(a) == 561 ** 2
+        assert peak < 2.1 * (a.nbytes + b.nbytes + values.nbytes), peak
+
     def test_each_block_of_probabilities_is_freed(self, monkeypatch):
         # only the payoffs are certified, so neither table_blocks nor the
         # certificates may hold a block's probabilities into the next block

@@ -13,12 +13,10 @@ from qgame.scheme import (
     battle_of_sexes,
     check_phi,
     final_state,
-    flip_op,
     initial_state,
     measurement_basis,
     outcome_probabilities,
     payoffs_oracle,
-    rotation_op,
     strategy_op,
 )
 
@@ -26,6 +24,18 @@ HP = math.pi / 2
 ISQ2 = 1.0 / math.sqrt(2.0)
 # the computational basis states, Alice's letter first
 KET_OO, KET_OT, KET_TO, KET_TT = np.eye(4, dtype=np.complex128)
+
+
+# the definition of strategy_op: U(theta, phi) = cos(theta/2) R(phi) + sin(theta/2) C
+def rotation_op(phi: float) -> np.ndarray:
+    """Phase rotation R(phi) = diag(e^{i phi}, e^{-i phi})."""
+    return np.array([[np.exp(1j * phi), 0.0], [0.0, np.exp(-1j * phi)]],
+                    dtype=np.complex128)
+
+
+def flip_op() -> np.ndarray:
+    """Flip with the sign convention C|O> = -|T>, C|T> = |O>."""
+    return np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=np.complex128)
 
 
 def bos210():
