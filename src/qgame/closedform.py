@@ -1,4 +1,6 @@
-"""Analytic payoff formulas for Battle of the Sexes under the two-angle scheme.
+"""Analytic payoff formulas for Battle of the Sexes under the two-angle scheme,
+for every game of its form, alice = ((alpha, sigma), (sigma, beta)) and bob =
+((beta, sigma), (sigma, alpha)) in any order, read from GameMatrix.bos.
 
 payoff_general evaluates the full (gamma, delta) expression; the payoff_case_*
 functions evaluate the specializations obtained by pinning some parameters

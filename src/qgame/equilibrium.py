@@ -28,14 +28,15 @@ from .scheme import (
 
 # The grid commands build tables in blocks of Alice's rows (table_blocks),
 # about BLOCK_BYTES of probabilities each, never whole ones. MAX_TABLE_BYTES
-# is the byte budget of two bounds: the grid, at POINT_BYTES per point (the
-# features and one block's other per-point arrays held at once, whatever the
-# block size), and the candidate profiles the certificates hold, at
-# PROFILE_BYTES each: two grid indices and three values.
+# is the byte budget of two bounds: the grid, at POINT_BYTES per point (all a
+# command holds per point at once: the features, one block's other arrays and
+# the row writer's point text; traced on 1025x513, JSON sweep rows peak at 562),
+# and the candidate profiles the certificates hold, at PROFILE_BYTES each: two
+# grid indices and three values.
 MAX_TABLE_BYTES = 2**30
 BLOCK_BYTES = 2**22
 PROFILE_BYTES = 40
-POINT_BYTES = 192
+POINT_BYTES = 576
 
 # U(theta, phi) = v0 I + v1 iZ + v2 C with real coefficients
 # v = (cos(theta/2) cos(phi), cos(theta/2) sin(phi), sin(theta/2)); these

@@ -113,24 +113,23 @@ def _as_cells(name, cells) -> tuple[tuple[float, float], tuple[float, float]]:
 class GameMatrix:
     """2x2 bimatrix: alice[i][j], bob[i][j] with i Alice's move, O=0 and T=1.
 
-    bos carries (alpha, beta, sigma) when the game was built by
-    battle_of_sexes; closed forms require it.
+    bos is (alpha, beta, sigma) when alice = ((alpha, sigma), (sigma, beta))
+    and bob = ((beta, sigma), (sigma, alpha)), in any order, else None. It is
+    derived from the cells, once, and the closed forms need it.
     """
 
     alice: tuple[tuple[float, float], tuple[float, float]]
     bob: tuple[tuple[float, float], tuple[float, float]]
-    bos: tuple[float, float, float] | None = None
+    bos: tuple[float, float, float] | None = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alice", _as_cells("alice payoffs", self.alice))
-        object.__setattr__(self, "bob", _as_cells("bob payoffs", self.bob))
-        if self.bos is not None:
-            alpha, beta, sigma = map(float, self.bos)
-            object.__setattr__(self, "bos", (alpha, beta, sigma))
-            expected_a = ((alpha, sigma), (sigma, beta))
-            expected_b = ((beta, sigma), (sigma, alpha))
-            if self.alice != expected_a or self.bob != expected_b:
-                raise ValueError("bos tag does not match the payoff matrices")
+        alice = _as_cells("alice payoffs", self.alice)
+        bob = _as_cells("bob payoffs", self.bob)
+        (alpha, sigma), (_, beta) = alice
+        form = alice[1][0] == sigma and bob == ((beta, sigma), (sigma, alpha))
+        object.__setattr__(self, "alice", alice)
+        object.__setattr__(self, "bob", bob)
+        object.__setattr__(self, "bos", (alpha, beta, sigma) if form else None)
 
     def alice_by_outcome(self) -> tuple[float, float, float, float]:
         """Alice's payoffs in basis order OO, OT, TO, TT."""
@@ -143,20 +142,14 @@ class GameMatrix:
 def battle_of_sexes(alpha: float, beta: float, sigma: float) -> GameMatrix:
     """Coordination game with matched payoffs alpha/beta and mismatch sigma.
 
-    Requires alpha > beta > sigma strictly.
+    Requires alpha > beta > sigma strictly; GameMatrix derives bos from the cells.
     """
-    for name, v in (("alpha", alpha), ("beta", beta), ("sigma", sigma)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
     if not (alpha > beta > sigma):
         raise ValueError(
             f"battle of sexes requires alpha > beta > sigma, got {alpha!r}, {beta!r}, {sigma!r}"
         )
-    return GameMatrix(
-        alice=((alpha, sigma), (sigma, beta)),
-        bob=((beta, sigma), (sigma, alpha)),
-        bos=(alpha, beta, sigma),
-    )
+    return GameMatrix(alice=((alpha, sigma), (sigma, beta)),
+                      bob=((beta, sigma), (sigma, alpha)))
 
 
 @dataclass(frozen=True, eq=False)

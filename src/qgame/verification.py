@@ -303,7 +303,7 @@ def _check_measurement_only(game: GameMatrix) -> list[CheckResult]:
     probe = CheckResult(
         "measurement_only_interference", shift, ORACLE_TOL, shift > ORACLE_TOL,
         note="payoff shift at theta=pi/2, phi1+phi2=pi/2 vs phase-free classical play")
-    alpha, beta, _ = game.bos if game.bos is not None else (0.0, 0.0, 0.0)
+    alpha, beta, _ = game.bos
     actual = 0.25 * (alpha - beta)
     printed = 0.5 * (alpha - beta)
     info = CheckResult(

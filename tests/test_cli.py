@@ -700,6 +700,43 @@ def reference_sweep_rows(argv):
     return rows
 
 
+class TestBosFormMatrix:
+    """A game typed as --matrix A,B,S,S,S,S,B,A is the game --bos A,B,S: the
+    same cells, so the same closed forms and the same output."""
+
+    COMMANDS = {
+        "payoff": ["payoff", "--gamma", "0.7", "--delta", "0.4", "--s1", "1.1,0.3",
+                   "--s2", "2.5,1.2"],
+        "sweep": ["sweep", "--gamma", "0,0.7", "--delta", "0.4", "--grid", "3,2"],
+        "summary": ["sweep", "--gamma", "0,0.7,pi/2", "--delta", "0.4,0,pi/2",
+                    "--grid", "5,3", "--summary"],
+        "equilibria": ["equilibria", "--gamma", "pi/2", "--delta", "pi/2", "--grid", "5,3"],
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("a,b,s", [("2", "1", "0"), ("3", "2", "0.5")])
+    def test_same_output_as_bos(self, capsys, command, fmt, a, b, s):
+        argv = [*self.COMMANDS[command], "--format", fmt]
+        bos = run_cli(capsys, *argv, "--bos", f"{a},{b},{s}")
+        matrix = run_cli(capsys, *argv, "--matrix", ",".join([a, b, s, s, s, s, b, a]))
+        assert bos[0] == 0
+        assert matrix == bos
+
+    @pytest.mark.parametrize("cells", ["1,2,0,0,0,0,2,1", "1,1,1,1,1,1,1,1"])
+    def test_any_order_gets_closed_forms(self, capsys, cells):
+        # beta > alpha, and the constant game: no ordering is needed
+        code, out, _ = run_cli(capsys, "payoff", "--matrix", cells,
+                               *self.COMMANDS["payoff"][1:])
+        row = json.loads(out)
+        assert code == 0
+        assert max(row["abs_diff_a"], row["abs_diff_b"]) <= 1e-9
+        code, out, _ = run_cli(capsys, "sweep", "--matrix", cells,
+                               *self.COMMANDS["summary"][1:])
+        assert code == 0
+        assert all(r["max_formula_dev"] <= 1e-9 for r in json.loads(out))
+
+
 class TestEquilibria:
     def test_classical_two_pure(self, capsys):
         code, out, err = run_cli(capsys, "equilibria", "--bos", "2,1,0", "--gamma", "0",

@@ -23,6 +23,7 @@ from qgame.scheme import (
     battle_of_sexes,
     payoffs_oracle,
 )
+from qgame.verification import IDENTITY_TOL, ORACLE_TOL
 
 HP = math.pi / 2
 
@@ -115,7 +116,7 @@ class TestPayoffGeneral:
                                    payoffs_oracle(game, scheme, s1, s2)))
         assert worst <= 1e-9
 
-    def test_rejects_untagged_matrix(self):
+    def test_rejects_matrix_without_bos_form(self):
         pd = GameMatrix(alice=((3, 0), (5, 1)), bob=((3, 5), (0, 1)))
         with pytest.raises(ValueError, match="battle-of-sexes"):
             payoff_general(pd, SchemeParams(0, 0), StrategyParams(0, 0),
@@ -361,3 +362,57 @@ class TestCaseD:
             got = payoff_case_d(game, delta, s1, s2)
             want = payoff_general(game, SchemeParams(0.0, delta), s1, s2)
             assert dev(got, want) <= 1e-12
+
+
+class TestBosFormFromCells:
+    """Games typed as plain cells of the BoS form get the closed forms, with
+    alpha, beta and sigma in any order, ties and the constant game included."""
+
+    @staticmethod
+    def draw_cells(rng):
+        # half of the draws from a small set, so that ties and constant games come up
+        values = (rng.choice([-1.5, 0.0, 0.25, 2.0, 3.0], 3) if rng.random() < 0.5
+                  else rng.uniform(-5.0, 5.0, size=3))
+        alpha, beta, sigma = values.tolist()
+        game = GameMatrix(alice=((alpha, sigma), (sigma, beta)),
+                          bob=((beta, sigma), (sigma, alpha)))
+        return game, (alpha, beta, sigma)
+
+    def test_general_matches_oracle(self):
+        rng = np.random.default_rng(211)
+        for _ in range(300):
+            game, expected = self.draw_cells(rng)
+            assert game.bos == expected
+            scheme = SchemeParams(float(rng.uniform(0, HP)), float(rng.uniform(0, HP)))
+            s1, s2 = draw_strategy(rng, full_phi=True), draw_strategy(rng, full_phi=True)
+            assert dev(payoff_general(game, scheme, s1, s2),
+                       payoffs_oracle(game, scheme, s1, s2)) <= ORACLE_TOL
+
+    def test_cases_match_general_at_their_substitution(self):
+        rng = np.random.default_rng(223)
+        for _ in range(300):
+            game, _ = self.draw_cells(rng)
+            gamma, delta, phi1, split = rng.uniform(0, HP, size=4).tolist()
+            th1, th2 = rng.uniform(0, math.pi, size=2).tolist()
+            s1, s2 = draw_strategy(rng), draw_strategy(rng)
+            zero1, zero2 = StrategyParams(th1, 0.0), StrategyParams(th2, 0.0)
+            pairs = [
+                (payoff_case_a_i(game, gamma, th1, th2),
+                 payoff_general(game, SchemeParams(gamma, 0.0), zero1, zero2)),
+                (payoff_case_a_ii(game, gamma, th1, th2),
+                 payoff_general(game, SchemeParams(gamma, 0.0), StrategyParams(th1, split),
+                                StrategyParams(th2, HP - split))),
+                (payoff_case_b_i(game, gamma, s1, s2),
+                 payoff_general(game, SchemeParams(gamma, gamma), s1, s2)),
+                (payoff_case_b_ii(game, th1, th2),
+                 payoff_general(game, SchemeParams(HP, HP), zero1, zero2)),
+                (payoff_case_c(game, gamma, delta, th1, th2),
+                 payoff_general(game, SchemeParams(gamma, delta), zero1, zero2)),
+                (payoff_case_d(game, delta, StrategyParams(th1, phi1), s2),
+                 payoff_general(game, SchemeParams(0.0, delta), StrategyParams(th1, phi1),
+                                s2)),
+                (payoff_du_maximal(game, s1, s2, "corrected"),
+                 payoff_general(game, SchemeParams(HP, HP), s1, s2)),
+            ]
+            for case, general in pairs:
+                assert dev(case, general) <= IDENTITY_TOL

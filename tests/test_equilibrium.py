@@ -179,7 +179,7 @@ class TestGridSizeLimit:
     MAX_TABLE_BYTES bounds the grid itself at that rate."""
 
     def test_oversized_grid_rejected_before_allocating(self):
-        # 8,388,608 points, over the limit of 5,592,405
+        # 8,388,608 points, over the limit of 1,864,135
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=(
@@ -412,7 +412,7 @@ class TestSweep:
                      eps=1e-9)
         assert all(r.max_formula_dev <= 1e-9 for r in rows)
 
-    def test_no_deviation_reported_for_untagged_games(self):
+    def test_no_deviation_reported_for_games_without_bos_form(self):
         pennies = GameMatrix(alice=((1, -1), (-1, 1)), bob=((-1, 1), (1, -1)))
         rows = sweep(pennies, [0.0], [0.0], pure_grid(), eps=1e-9)
         assert rows[0].max_formula_dev is None

@@ -94,13 +94,37 @@ class TestGameMatrix:
         with pytest.raises(ValueError, match="alpha > beta > sigma"):
             battle_of_sexes(a, b, s)
 
-    def test_plain_matrix_has_no_bos_tag(self):
-        g = GameMatrix(alice=((3, 0), (5, 1)), bob=((3, 5), (0, 1)))
-        assert g.bos is None
+    def test_plain_matrix_has_no_bos_form(self):
+        games = [((3, 0), (5, 1), (3, 5), (0, 1)),  # prisoner's dilemma
+                 ((1, -1), (-1, 1), (-1, 1), (1, -1)),  # matching pennies
+                 ((0, 0), (0, 0), (1, 2), (3, 4)),  # Alice indifferent
+                 ((1, 2), (3, 4), (0, 0), (0, 0))]  # Bob indifferent
+        for a0, a1, b0, b1 in games:
+            assert GameMatrix(alice=(a0, a1), bob=(b0, b1)).bos is None
 
-    def test_mismatched_bos_tag_rejected(self):
-        with pytest.raises(ValueError, match="bos tag"):
-            GameMatrix(alice=((3, 0), (5, 1)), bob=((3, 5), (0, 1)), bos=(2, 1, 0))
+    def test_bos_is_not_an_init_parameter(self):
+        with pytest.raises(TypeError):
+            GameMatrix(alice=((2, 0), (0, 1)), bob=((1, 0), (0, 2)), bos=(2, 1, 0))
+
+    @pytest.mark.parametrize("a,b,s", [(2, 1, 0), (1, 2, 0), (0, 1, 2), (-1, 3, 0.5),
+                                       (1, 1, 0), (2, 1, 2), (1, 1, 1), (0, 0, 0)])
+    def test_bos_derived_from_cells_in_any_order(self, a, b, s):
+        g = GameMatrix(alice=((a, s), (s, b)), bob=((b, s), (s, a)))
+        assert g.bos == (a, b, s)
+        assert all(type(v) is float for v in g.bos)
+
+    def test_one_ulp_off_is_not_bos(self):
+        cells = [2.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 2.0]  # alice, then bob, row-major
+        for i in range(8):
+            moved = list(cells)
+            moved[i] = math.nextafter(moved[i], math.inf)
+            g = GameMatrix(alice=(moved[0:2], moved[2:4]), bob=(moved[4:6], moved[6:8]))
+            assert g.bos is None
+
+    def test_equal_games_compare_equal(self):
+        plain = GameMatrix(alice=((2, 0), (0, 1)), bob=((1, 0), (0, 2)))
+        assert bos210() == plain and hash(bos210()) == hash(plain)
+        assert bos210().bos == (2.0, 1.0, 0.0)
 
     def test_nonfinite_entries_rejected(self):
         with pytest.raises(ValueError, match="finite"):
