@@ -50,6 +50,10 @@ EQUILIBRIA_FIELDS = ("theta1", "phi1", "theta2", "phi2", "payoff_a",
                      "payoff_b", "eps_cert")
 
 CSV_ROWS = 1024  # rows per piece _table_chunks writes, in both formats, on any grid
+# bytes of probabilities per table block of sweep rows; the smallest budget
+# that costs no wall time (a rows block is cheap to set up, unlike a
+# certificate block of equilibrium.BLOCK_BYTES)
+ROW_BLOCK_BYTES = 2**20
 
 
 def parse_angle(text: str) -> float:
@@ -145,100 +149,6 @@ def _csv_table(fields, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _CsvCells:
-    """Writes "," + "%.15g" % v for each float v into a fixed cell of CELL
-    bytes, each a byte of the text or a NUL pad that one bytes.translate drops.
-
-    A cell is ",-0.000", a NUL, then the digits of n = round(|v| 10^(14 - e)),
-    e = floor(log10 |v|), as (digit, ".") pairs: a 0 and n's 15 digits, in
-    four groups of four from pairs. Which bytes stay depends only on the
-    sign, on e and on the count of significant digits; keep holds that mask
-    for each case. A CSV table builds its own tables, in about a millisecond,
-    so commands that write none do not pay for them.
-    """
-
-    CELL = 40
-
-    def __init__(self):
-        self.pow10 = np.cumprod([1.0] + [10.0] * 18)  # 10^0 .. 10^18, all exact
-        digits = np.indices((10,) * 4, np.uint8).reshape(4, 10000)  # column q: q's digits
-        # row q < 10000: the digits of q as (digit, ".") pairs; row 10000: a cell's start
-        self.pairs = np.full((10001, 8), ord("."), np.uint8)
-        self.pairs[:10000, ::2] = digits.T + ord("0")
-        self.pairs[10000] = np.frombuffer(b",-0.000\0", np.uint8)
-        zero = digits == 0
-        trailing = zero[3] * (1 + zero[2] * (1 + zero[1] * (1 + zero[0])))  # 4 for q = 0
-        self.trailing_zeros = trailing.astype(np.int8)
-        # row (sign * 21 + e + 4) * 16 + count keeps the bytes of the text of a
-        # value with that sign, exponent e (-4 to 14) and count of significant
-        # digits; e = 15 keeps "0" or "-0", e = 16 the "," alone
-        e = np.arange(-4, 17)[:, None, None]
-        count = np.arange(16)[:, None]
-        pos = np.arange(self.CELL)
-        j = (pos - 10) // 2  # pairs from pos 10 hold digit j of n
-        keep = np.empty((2, 21, 16, self.CELL), bool)
-        keep[:] = ((pos == 0) | ((pos == 2) & ((e < 0) | (e == 15))) | ((pos == 3) & (e < 0))
-                   | ((pos >= 4) & (pos <= 6) & (pos <= 2 - e))
-                   | ((pos >= 10) & (pos % 2 == 0) & ((j < count) | (j <= e)) & (e <= 14))
-                   | ((pos >= 10) & (pos % 2 == 1) & (j == e) & (count > e + 1)))
-        keep[1, :, :, 1] = e[:, :, 0] <= 15  # the minus sign
-        self.keep = keep.view(np.uint8).reshape(-1, self.CELL)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """The (len(x), CELL) cells of the float vector x.
-
-        Values in fixed notation (1e-4 <= |v| < 1e15) and zeros are written
-        here, all others by Python. p = 10^(14 - e) is exact and |v| p < 10^15
-        < 2^50, so the rounded product hi has an ulp of at most 1/8, and its
-        error lo (Dekker's exact product) decides only a fraction of exactly
-        .5, which rounds half to even as CPython's dtoa does. An e that log10
-        put one too low gives n = 10^15, the same digits as a carry; one too
-        high gives hi < 10^14, which Python formats.
-        """
-        ax = np.abs(x)
-        finite = (ax > 0) & (ax < 1e16)
-        safe = np.where(finite, ax, 1.0)
-        e = np.clip(np.floor(np.log10(safe)), -4, 14).astype(np.intp)
-        p = self.pow10[14 - e]
-        hi = safe * p
-        whole = np.floor(hi)
-        n = whole.astype(np.int64)
-        frac = hi - whole
-        up = frac > 0.5
-        tie = np.flatnonzero(frac == 0.5)
-        if tie.size:
-            a, b = safe[tie], p[tie]
-            a_hi = 134217729.0 * a  # Veltkamp's split by 2^27 + 1
-            a_hi -= a_hi - a
-            b_hi = 134217729.0 * b
-            b_hi -= b_hi - b
-            a_lo, b_lo = a - a_hi, b - b_hi
-            lo = ((a_hi * b_hi - hi[tie]) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-            up[tie] = (lo > 0) | ((lo == 0) & (n[tie] % 2 == 1))
-        n += up
-        carry = n == 10 ** 15
-        n[carry] = 10 ** 14
-        e += carry
-        fixed = finite & (hi >= 1e14) & (n < 10 ** 15) & (e <= 14)
-
-        top, bottom = np.divmod(n, 10 ** 8)
-        quads = [*np.divmod(top, 10 ** 4), *np.divmod(bottom, 10 ** 4)]  # n's digits by 4s
-        z0, z1, z2, z3 = (np.take(self.trailing_zeros, quad) for quad in quads)  # 4 for 0000
-        digits = 15 - (z3 + (z3 == 4) * (z2 + (z2 == 4) * (z1 + (z1 == 4) * z0)))
-        starts = np.full(len(x), 10000)
-        cells = np.take(self.pairs, np.stack([starts, *quads], axis=1), axis=0)
-        cells = cells.reshape(len(x), self.CELL)
-        case = np.where(fixed, e, np.where(ax == 0, 15, 16))
-        cells *= np.take(self.keep, (np.signbit(x) * 21 + case + 4) * 16 + digits, axis=0)
-        others = np.flatnonzero(case == 16)
-        if others.size:
-            # at most 22 characters, "-1.23456789012345e-100"; no text holds a space
-            texts = ("%-22.15g" * others.size % tuple(x[others].tolist())).encode("ascii")
-            texts = np.frombuffer(texts, np.uint8).reshape(others.size, 22)
-            cells[others, 1:23] = np.where(texts == ord(" "), 0, texts)
-        return cells
-
-
 def _padded(texts: list[str]) -> np.ndarray:
     """ASCII texts as the rows of a NUL-padded uint8 array."""
     width = max(map(len, texts))
@@ -263,73 +173,83 @@ def _table_chunks(fields: tuple[str, ...], fmt: str, grid: StrategyGrid, pad: in
     A chunk is (prefix values, profiles, columns). profiles is a sliceable
     sequence of flat profile indices a * n + b in output order (Alice's grid
     point a, Bob's b, n grid points), and columns holds one 1-D array per
-    value field, in the same order. Both formats run one loop: each slice of
-    at most CSV_ROWS profiles becomes one piece, csv rows as bytes (the
-    prefix, Alice's and Bob's point text gathered by np.take, the _CsvCells
-    cells of the values) and json rows as one %-template, head(prefix) +
-    Alice's lines + Bob's tail per row. So the pieces are bounded on any
-    grid, and the point text is built once per table, not per chunk.
+    value field, in the same order. Each slice of at most CSV_ROWS profiles
+    becomes one piece, built as bytes in both formats: a row is its head
+    (the separator from the row before, and the prefix), then a fixed label
+    and a text for each field from theta1 on. The four angles' texts are
+    gathered by np.take from the NUL-padded text of the grid's theta and phi
+    values, built once per table and none per grid point; the values' texts
+    are the cells of cells.CsvCells or cells.ReprCells. So the pieces are
+    bounded on any grid.
     """
-    thetas, phis = grid.angles()
-    n = len(thetas)
+    from .cells import CsvCells, ReprCells  # loaded by the commands that write rows
+
+    thetas, phis = grid.theta_values().tolist(), grid.phi_values().tolist()
+    steps, n = len(phis), len(thetas) * len(phis)
+    first = fields.index("theta1")  # the prefix fields come before it
     if fmt == "csv":
-        alices = _padded([f"{_fmt_csv(t)},{_fmt_csv(p)}"
-                          for t, p in zip(thetas.tolist(), phis.tolist())])
-        bobs = np.concatenate([np.full((n, 1), ord(","), np.uint8), alices], axis=1)
-        cells = _CsvCells()
+        cells, angle = CsvCells(), _fmt_csv
 
         def head(prefix):
-            text = "".join(_fmt_csv(v) + "," for v in prefix)
-            return np.frombuffer(text.encode("ascii"), np.uint8)
+            return "".join(_fmt_csv(v) + "," for v in prefix)
 
-        def render(start, a, b, values):
-            rows, k = values.shape
-            line = np.concatenate([
-                np.broadcast_to(start, (rows, len(start))),
-                np.take(alices, a, axis=0),
-                np.take(bobs, b, axis=0),
-                cells(values.ravel()).reshape(rows, k * cells.CELL),
-                np.full((rows, 1), ord("\n"), np.uint8)], axis=1)
-            return line.tobytes().translate(None, b"\0").decode("ascii")
-
+        # the cells start with their ","
+        labels = ["", ",", ",", ","] + [""] * (len(fields) - first - 4)
+        sep, end = "", "\n"
         header = ",".join(fields) + "\n"  # goes out with the first rows, or alone
-        lead, sep, empty, close = header, "", header, ""
+        lead, empty, close = header, header, ""
     else:
-        # json writes a float as its repr, which %s gives too; every value is
-        # finite because GameMatrix bounds the payoffs by MAX_PAYOFF. Formatted
-        # numbers hold no "%", so they can sit inside a %-template
-        num = json.dumps
-        bob = fields.index("theta2")  # Alice's point comes right before Bob's
-        indent = " " * pad
-
-        def line(field, text):
-            return f'{indent}  "{field}": {text},\n'
+        # every value is finite because GameMatrix bounds the payoffs by MAX_PAYOFF
+        cells, angle = ReprCells(), json.dumps
+        indent, sep = " " * pad, ",\n"
+        end = "\n" + indent + "}"
 
         def head(prefix):
-            return indent + "{\n" + "".join(map(line, fields, map(num, prefix)))
+            return sep + indent + "{\n" + "".join(
+                f'{indent}  "{f}": {json.dumps(v)},\n' for f, v in zip(fields, prefix))
 
-        def tail(texts):
-            lines = zip(fields[bob:], texts)
-            return ",\n".join(f'{indent}  "{f}": {t}' for f, t in lines) + f"\n{indent}}}"
+        labels = [("" if i == first else ",\n") + f'{indent}  "{f}": '
+                  for i, f in enumerate(fields) if i >= first]
+        lead, empty, close = "[\n", "[]\n", f"\n{indent[2:]}]\n"
+    angles = [_padded([angle(v) for v in values]) for values in (thetas, phis)]
+    # a row after its head: the labels, NULs where the texts go and the end
+    widths = [angles[0].shape[1], angles[1].shape[1]] * 2 + [cells.CELL] * (len(labels) - 4)
+    body, offsets = "", []
+    for label, width in zip(labels, widths):
+        body += label
+        offsets.append(len(body))
+        body += "\0" * width
+    body += end
 
-        def render(start, a, b, values):
-            template = ",\n".join([start + alices[i] + tails[j]
-                                   for i, j in zip(a.tolist(), b.tolist())])
-            return template % tuple(values.ravel().tolist())
+    def render(row, shift, profiles, values):
+        """The rows of the profiles: each is row, a head of shift bytes and
+        then body, with the texts written into its NUL slots."""
+        a, b = np.divmod(profiles, n)
+        points = [*np.divmod(a, steps), *np.divmod(b, steps)]  # theta and phi indices
+        texts = [np.take(angles[i % 2], index, axis=0) for i, index in enumerate(points)]
+        texts.extend(cells(values).reshape(-1, len(profiles), cells.CELL))
+        # the rows go into a bytearray, which translate reads with no tobytes copy
+        line = bytearray(len(profiles) * len(row))
+        view = np.frombuffer(line, np.uint8).reshape(len(profiles), len(row))
+        view[:] = row
+        for at, text in zip(offsets, texts):
+            view[:, shift + at:shift + at + text.shape[1]] = text
+        view[0, :len(sep)] = 0  # the piece's lead goes before its first row
+        del texts, view
+        piece = line.translate(None, b"\0")
+        del line  # each copy is freed as soon as the next is made
+        return piece.decode("ascii")
 
-        alices, tails, specs = [], [], ["%s"] * (len(fields) - bob - 2)
-        for t, p in zip(map(num, thetas.tolist()), map(num, phis.tolist())):
-            alices.append(line(fields[bob - 2], t) + line(fields[bob - 1], p))
-            tails.append(tail([t, p, *specs]))
-        lead, sep, empty, close = "[\n", ",\n", "[]\n", f"\n{indent[2:]}]\n"
     wrote = False
     for prefix, profiles, columns in chunks:
         start = head(prefix)
+        row = np.frombuffer((start + body).encode("ascii"), np.uint8)
         for lo in range(0, len(profiles), CSV_ROWS):
-            a, b = np.divmod(np.asarray(profiles[lo:lo + CSV_ROWS], np.intp), n)
-            values = np.stack([column[lo:lo + CSV_ROWS] for column in columns], axis=1)
-            yield lead + render(start, a, b, values)
+            values = np.concatenate([column[lo:lo + CSV_ROWS] for column in columns])
+            ids = np.asarray(profiles[lo:lo + CSV_ROWS], np.intp)
+            yield lead + render(row, len(start), ids, values)
             lead, wrote = sep, True
+        del profiles, columns  # the chunk's block goes before the next is built
     yield close if wrote else empty
 
 
@@ -377,13 +297,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _sweep_blocks(game: GameMatrix, schemes: list[SchemeParams], grid: StrategyGrid):
     """Every scheme's rows as _table_chunks chunks, one per block of
-    table_blocks: its profiles as a range and its tables' raveled views as
-    the columns, so no copy of a block and no index array is made."""
+    table_blocks of ROW_BLOCK_BYTES: its profiles as a range and its tables'
+    raveled views as the columns, so no copy of a block and no index array is
+    made. A block is dropped before the next is built, so one is alive."""
     n = grid.theta_steps * grid.phi_steps
     for scheme in schemes:
-        for rows, probs, alice, bob in table_blocks(game, scheme, grid):
+        for rows, probs, alice, bob in table_blocks(game, scheme, grid, ROW_BLOCK_BYTES):
             yield ((scheme.gamma, scheme.delta), range(rows.start * n, rows.stop * n),
                    [alice.ravel(), bob.ravel(), *probs.reshape(4, -1)])  # SWEEP_FIELDS order
+            del probs, alice, bob
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

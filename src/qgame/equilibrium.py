@@ -27,16 +27,19 @@ from .scheme import (
 )
 
 # The grid commands build tables in blocks of Alice's rows (table_blocks),
-# about BLOCK_BYTES of probabilities each, never whole ones. MAX_TABLE_BYTES
-# is the byte budget of two bounds: the grid, at POINT_BYTES per point (all a
-# command holds per point at once: the features, one block's other arrays and
-# the row writer's point text; traced on 1025x513, JSON sweep rows peak at 562),
-# and the candidate profiles the certificates hold, at PROFILE_BYTES each: two
-# grid indices and three values.
+# never whole ones. The certificate paths (epsilon_nash, so equilibria and
+# sweep --summary) use blocks of about BLOCK_BYTES of probabilities, as each
+# block they certify has a cost of its own; sweep rows use smaller blocks of
+# their own budget, cli.ROW_BLOCK_BYTES. MAX_TABLE_BYTES is the byte budget
+# of two bounds: the grid, at POINT_BYTES per point (all a command holds per
+# point at once: the features and one block's other arrays; traced on
+# 1025x513, sweep --summary peaks at 216, equilibria at 200 and sweep rows at
+# 193), and the candidate profiles the certificates hold, at PROFILE_BYTES
+# each: two grid indices and three values.
 MAX_TABLE_BYTES = 2**30
 BLOCK_BYTES = 2**22
 PROFILE_BYTES = 40
-POINT_BYTES = 576
+POINT_BYTES = 224
 
 # U(theta, phi) = v0 I + v1 iZ + v2 C with real coefficients
 # v = (cos(theta/2) cos(phi), cos(theta/2) sin(phi), sin(theta/2)); these
@@ -164,17 +167,20 @@ def probability_tables(features: np.ndarray, kernels: np.ndarray,
     return probs
 
 
-def table_blocks(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid):
+def table_blocks(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
+                 block_bytes: int | None = None):
     """The grid's tables in blocks of Alice's rows, in grid order: one
-    (rows, probs, alice, bob) per block of about BLOCK_BYTES of
-    probabilities, where probs is the block's probability_tables and alice,
-    bob are its payoff tables. The features, the outcome kernels (nine state
+    (rows, probs, alice, bob) per block of about block_bytes of
+    probabilities (BLOCK_BYTES when None, read at call time), at least one
+    row each, where probs is the block's probability_tables and alice, bob
+    are its payoff tables. The features, the outcome kernels (nine state
     evolutions and one measurement basis) and the payoff weights are built
     once, in this call. Memory is O(n * block) however large the grid is.
     No reference to a block is kept once it is handed over, so a consumer
-    that drops probs frees them before the next block is built."""
+    that drops every reference to a block (probs, alice, bob and views of
+    them) before asking for the next one holds one block at a time."""
     n = grid.theta_steps * grid.phi_steps
-    step = max(1, BLOCK_BYTES // (32 * n))
+    step = max(1, (BLOCK_BYTES if block_bytes is None else block_bytes) // (32 * n))
     features, kernels = _features(*grid.angles()), _outcome_kernels(scheme)
     weights = game.alice_by_outcome(), game.bob_by_outcome()
     return (_table_block(features, kernels, weights, slice(lo, min(lo + step, n)))

@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from qgame import cli, equilibrium
+from qgame.cells import CsvCells, ReprCells
 from qgame.cli import (
     EQUILIBRIA_FIELDS,
     SWEEP_FIELDS,
@@ -537,12 +539,12 @@ class TestSweep:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_match_uneven_blocks(self, capsys, monkeypatch, fmt):
-        # 15 grid points in blocks of 4, 4, 4 and 3 of Alice's rows; rows are
-        # written at most 7 at a time, which splits every block, in CSV and
-        # now in JSON too
+        # 15 grid points in row blocks of 4, 4, 4 and 3 of Alice's rows; rows
+        # are written at most 7 at a time, which splits every block, in CSV
+        # and in JSON
         argv = ["--bos", "2,1,0", "--gamma", "0.7,pi/2", "--delta", "0.4,0.3",
                 "--grid", "5,3"]
-        monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 4 * 32 * 15)
+        monkeypatch.setattr(cli, "ROW_BLOCK_BYTES", 4 * 32 * 15)
         monkeypatch.setattr(cli, "CSV_ROWS", 7)
         code, out, err = run_cli(capsys, "sweep", *argv, "--format", fmt)
         assert code == 0, err
@@ -596,10 +598,41 @@ class TestSweep:
         assert (proc.wait(), err) == (-signal.SIGPIPE, b"")
 
 
+class TestRowBlockMemory:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_block_of_probabilities_is_freed(self, monkeypatch, tmp_path, fmt):
+        # sweep rows hold one block at a time: neither _sweep_blocks nor the
+        # row writer may hold a block's probabilities into the next block
+        freed = []
+        build = equilibrium.probability_tables
+
+        def tracking(*args):
+            assert all(ref() is None for ref in freed)
+            probs = build(*args)
+            freed.append(weakref.ref(probs))
+            return probs
+
+        monkeypatch.setattr(equilibrium, "probability_tables", tracking)
+        monkeypatch.setattr(cli, "ROW_BLOCK_BYTES", 4 * 32 * 15)
+        # 15 grid points in blocks of 4, 4, 4 and 3 rows, for each of 2 pairs
+        assert main(["sweep", "--bos", "2,1,0", "--gamma", "0.7,pi/2", "--delta", "0.4,0.3",
+                     "--grid", "5,3", "--format", fmt, "--out", str(tmp_path / "rows")]) == 0
+        assert len(freed) == 8
+
+    def test_rows_take_their_own_block_budget(self, monkeypatch):
+        # the certificate paths' budget does not size the rows blocks
+        grid = StrategyGrid(5, 3)
+        monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 1)
+        monkeypatch.setattr(cli, "ROW_BLOCK_BYTES", 4 * 32 * 15)
+        chunks = cli._sweep_blocks(battle_of_sexes(2, 1, 0), [SchemeParams(0.7, 0.4)], grid)
+        assert [profiles for _, profiles, _ in chunks] == [
+            range(0, 60), range(60, 120), range(120, 180), range(180, 225)]
+
+
 def assert_formats_as_python(x):
-    """cli._CsvCells()(x) holds "," + "%.15g" % v for each v, byte for byte."""
+    """CsvCells()(x) holds "," + "%.15g" % v for each v, byte for byte."""
     x = np.asarray(x, dtype=float)
-    got = cli._CsvCells()(x).tobytes().translate(None, b"\0").decode("ascii")
+    got = CsvCells()(x).tobytes().translate(None, b"\0").decode("ascii")
     want = ",%.15g" * x.size % tuple(x.tolist())
     if got != want:
         got, want = got.split(","), want.split(",")
@@ -662,6 +695,74 @@ class TestCsvCells:
     def test_edge_cases(self, value, text):
         assert "%.15g" % value == text
         assert_formats_as_python([value])
+
+
+def assert_writes_repr(x):
+    """ReprCells()(x) holds repr(v) for each v, byte for byte."""
+    x = np.asarray(x, dtype=float)
+    cells = ReprCells()(x)
+    got = cells.tobytes().translate(None, b"\0").decode("ascii")
+    if got != "".join(map(repr, x.tolist())):
+        i = next(i for i, v in enumerate(x.tolist())
+                 if bytes(cells[i]).translate(None, b"\0").decode("ascii") != repr(v))
+        text = bytes(cells[i]).translate(None, b"\0").decode("ascii")
+        pytest.fail(f"{x[i]!r} is written as {text!r}")
+
+
+def repr_draws(rng, count):
+    """About count doubles of both signs, for the repr writer: log-uniform
+    over the fixed-notation range [1e-4, 1e16) and over all doubles,
+    uniform in [0, 1) scaled by powers of ten, decimals of 1 to 15 places,
+    exact ties at 15, 16 and 17 digits (odd / 2^(digits - e)), integers up
+    to 2^53 and powers of two; each with its neighbours one ulp away."""
+    k = count // 21  # 7 families, each with its two neighbours
+    e = rng.integers(-4, 16, k)
+    places = 10.0 ** rng.integers(1, 16, k)
+    scale = 2.0 ** (rng.integers(15, 18, k) - e)
+    base = np.concatenate([
+        [0.0, 1e-4, 1e16, 2.0 ** 53],
+        10.0 ** rng.uniform(-4, 16, k),
+        10.0 ** rng.uniform(-320, 300, k),
+        rng.uniform(0, 1, k) * 10.0 ** e,
+        np.round(rng.uniform(0, 1000, k) * places) / places,
+        (np.floor(rng.uniform(10.0 ** e * scale, 10.0 ** (e + 1) * scale) / 2) * 2 + 1) / scale,
+        np.floor(rng.uniform(0, 2.0 ** 53, k) / 10.0 ** rng.integers(0, 16, k)),
+        2.0 ** rng.integers(-16, 60, k),
+    ])
+    base = np.concatenate([base, np.nextafter(base, 0), np.nextafter(base, np.inf)])
+    return rng.choice([-1.0, 1.0], base.size) * base
+
+
+class TestReprCells:
+    def test_random_doubles(self):
+        # about 200,000 doubles; the 10-million-value run of CI draws the same families
+        assert_writes_repr(repr_draws(np.random.default_rng(20041019), 200_000))
+
+    @pytest.mark.parametrize("value,text", [
+        (0.1, "0.1"),  # the 15-digit decimal is inside the rounding interval
+        (0.7853981633974483, "0.7853981633974483"),  # 16 digits
+        (0.30000000000000004, "0.30000000000000004"),  # 17 digits
+        (1e-4, "0.0001"),  # the ends of fixed notation
+        (np.nextafter(1e-4, 0), "9.999999999999999e-05"),
+        (np.nextafter(1e16, 0), "9999999999999998.0"),
+        (1e16, "1e+16"),
+        (120.0, "120.0"),  # an integer ends in ".0"
+        (1234567890123456.8, "1234567890123456.8"),
+        (2251799813685248.5, "2251799813685248.5"),  # its 16-digit rounding is a tie
+        (999.9999999999999, "999.9999999999999"),  # log10 rounds up to 3
+        (0.09999999999999999, "0.09999999999999999"),
+        (2.0 ** -13, "0.0001220703125"),  # a power of two
+        (0.0, "0.0"),
+        (-0.0, "-0.0"),
+        (-2.5, "-2.5"),
+        (5e-324, "5e-324"),
+        (-1.7976931348623157e308, "-1.7976931348623157e+308"),
+        (math.inf, "inf"),
+        (math.nan, "nan"),
+    ])
+    def test_edge_cases(self, value, text):
+        assert repr(float(value)) == text
+        assert_writes_repr([value])
 
 
 def reference_inputs(argv):
@@ -910,19 +1011,21 @@ class TestEquilibriaStreaming:
     def test_over_profile_limit_writes_nothing(self, capsys, monkeypatch, tmp_path, fmt,
                                                to_file):
         # the constant game certifies all 15^2 profiles of a 5x3 grid; the
-        # limit, below one 9x5 table, is inclusive
+        # limit is inclusive. The profiles are made costly rather than the
+        # budget small, so the grid limit, on the same budget, stays far off
         target = tmp_path / "equilibria"
         argv = ["equilibria", *CONSTANT, "--grid", "5,3", "--format", fmt,
                 *(["--out", str(target)] if to_file else [])]
-        monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 225 * PROFILE_BYTES)
+        limit = equilibrium.MAX_TABLE_BYTES
+        monkeypatch.setattr(equilibrium, "PROFILE_BYTES", limit // 225)
         code, _, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "equilibria found: 225\n")
         target.unlink(missing_ok=True)
-        monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 225 * PROFILE_BYTES - 1)
+        monkeypatch.setattr(equilibrium, "PROFILE_BYTES", limit // 224)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == (f"error: a 5x3 grid holds over 224 candidate profiles, the limit of "
-                       f"{225 * PROFILE_BYTES - 1} bytes at {PROFILE_BYTES} bytes per profile\n")
+                       f"{limit} bytes at {limit // 224} bytes per profile\n")
         assert not target.exists()
 
 

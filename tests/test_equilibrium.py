@@ -215,6 +215,16 @@ def test_table_blocks_slice_the_grid_in_order(monkeypatch):
         assert np.array_equal(alice, want_a) and np.array_equal(bob, want_b)
 
 
+def test_table_blocks_take_a_block_budget(monkeypatch):
+    # an explicit budget wins over BLOCK_BYTES, which is read at call time
+    grid = StrategyGrid(5, 3)
+    monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 1)
+    one_row = [rows for rows, *_ in table_blocks(bos210(), QUANTUM, grid)]
+    assert one_row == [slice(a, a + 1) for a in range(15)]
+    blocks = [rows for rows, *_ in table_blocks(bos210(), QUANTUM, grid, 8 * 32 * 15)]
+    assert blocks == [slice(0, 8), slice(8, 15)]
+
+
 PRISONERS = GameMatrix(alice=((3, 0), (5, 1)), bob=((3, 5), (0, 1)))
 PENNIES = GameMatrix(alice=((1, -1), (-1, 1)), bob=((-1, 1), (1, -1)))
 
