@@ -50,10 +50,6 @@ EQUILIBRIA_FIELDS = ("theta1", "phi1", "theta2", "phi2", "payoff_a",
                      "payoff_b", "eps_cert")
 
 CSV_ROWS = 1024  # rows per piece _table_chunks writes, in both formats, on any grid
-# bytes of probabilities per table block of sweep rows; the smallest budget
-# that costs no wall time (a rows block is cheap to set up, unlike a
-# certificate block of equilibrium.BLOCK_BYTES)
-ROW_BLOCK_BYTES = 2**20
 
 
 def parse_angle(text: str) -> float:
@@ -297,12 +293,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _sweep_blocks(game: GameMatrix, schemes: list[SchemeParams], grid: StrategyGrid):
     """Every scheme's rows as _table_chunks chunks, one per block of
-    table_blocks of ROW_BLOCK_BYTES: its profiles as a range and its tables'
-    raveled views as the columns, so no copy of a block and no index array is
-    made. A block is dropped before the next is built, so one is alive."""
+    table_blocks: its profiles as a range and its tables' raveled views as
+    the columns, so no copy of a block and no index array is made. A block is
+    dropped before the next is built, so one is alive."""
     n = grid.theta_steps * grid.phi_steps
     for scheme in schemes:
-        for rows, probs, alice, bob in table_blocks(game, scheme, grid, ROW_BLOCK_BYTES):
+        for rows, probs, alice, bob in table_blocks(game, scheme, grid):
             yield ((scheme.gamma, scheme.delta), range(rows.start * n, rows.stop * n),
                    [alice.ravel(), bob.ravel(), *probs.reshape(4, -1)])  # SWEEP_FIELDS order
             del probs, alice, bob

@@ -27,17 +27,16 @@ from .scheme import (
 )
 
 # The grid commands build tables in blocks of Alice's rows (table_blocks),
-# never whole ones. The certificate paths (epsilon_nash, so equilibria and
-# sweep --summary) use blocks of about BLOCK_BYTES of probabilities, as each
-# block they certify has a cost of its own; sweep rows use smaller blocks of
-# their own budget, cli.ROW_BLOCK_BYTES. MAX_TABLE_BYTES is the byte budget
-# of two bounds: the grid, at POINT_BYTES per point (all a command holds per
-# point at once: the features and one block's other arrays; traced on
-# 1025x513, sweep --summary peaks at 216, equilibria at 200 and sweep rows at
-# 193), and the candidate profiles the certificates hold, at PROFILE_BYTES
-# each: two grid indices and three values.
+# never whole ones, of about BLOCK_BYTES of probabilities each (a grid of up
+# to 181 points is one block): the smallest budget that costs no wall time
+# on the certificate paths or on sweep rows. MAX_TABLE_BYTES is the byte
+# budget of two bounds: the grid, at POINT_BYTES per point (all a command
+# holds per point at once: the features and one block's other arrays; traced
+# on 1025x513, sweep --summary peaks at 216, equilibria at 200 and sweep rows
+# at 193), and the candidate profiles the certificates hold, at
+# PROFILE_BYTES each: two grid indices and three values.
 MAX_TABLE_BYTES = 2**30
-BLOCK_BYTES = 2**22
+BLOCK_BYTES = 2**20
 PROFILE_BYTES = 40
 POINT_BYTES = 224
 
@@ -167,20 +166,19 @@ def probability_tables(features: np.ndarray, kernels: np.ndarray,
     return probs
 
 
-def table_blocks(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
-                 block_bytes: int | None = None):
+def table_blocks(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid):
     """The grid's tables in blocks of Alice's rows, in grid order: one
-    (rows, probs, alice, bob) per block of about block_bytes of
-    probabilities (BLOCK_BYTES when None, read at call time), at least one
-    row each, where probs is the block's probability_tables and alice, bob
-    are its payoff tables. The features, the outcome kernels (nine state
-    evolutions and one measurement basis) and the payoff weights are built
-    once, in this call. Memory is O(n * block) however large the grid is.
-    No reference to a block is kept once it is handed over, so a consumer
-    that drops every reference to a block (probs, alice, bob and views of
-    them) before asking for the next one holds one block at a time."""
+    (rows, probs, alice, bob) per block of about BLOCK_BYTES of probabilities
+    (read at call time), at least one row each, where probs is the block's
+    probability_tables and alice, bob are its payoff tables. The features,
+    the outcome kernels (nine state evolutions and one measurement basis) and
+    the payoff weights are built once, in this call. Memory is O(n * block)
+    however large the grid is. No reference to a block is kept once it is
+    handed over, so a consumer that drops every reference to a block (probs,
+    alice, bob and views of them) before asking for the next one holds one
+    block at a time."""
     n = grid.theta_steps * grid.phi_steps
-    step = max(1, (BLOCK_BYTES if block_bytes is None else block_bytes) // (32 * n))
+    step = max(1, BLOCK_BYTES // (32 * n))
     features, kernels = _features(*grid.angles()), _outcome_kernels(scheme)
     weights = game.alice_by_outcome(), game.bob_by_outcome()
     return (_table_block(features, kernels, weights, slice(lo, min(lo + step, n)))
@@ -215,11 +213,12 @@ def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid, eps
     memory is O(n * block + profiles). Bob's best replies are exact within a
     block, and Alice's are running column maxima. A profile more than eps
     short of either can never be certified, because the maxima only grow, so
-    only the profiles within eps of both (the candidates) are held, and they
-    are pruned as the maxima grow. Once the maxima are final, eps_cert is
-    computed as max(column max - payoff_a, row max - payoff_b), so it equals,
-    bit for bit, the certificate of the blocks' tables stacked and certified
-    whole.
+    only the profiles within eps of both (the candidates) are held. Each time
+    their count doubles they are pruned and merged into one chunk, so a prune
+    visits that chunk and one chunk per block since: the work is linear in
+    blocks plus profiles. Once the maxima are final, eps_cert is computed as
+    max(column max - payoff_a, row max - payoff_b), so it equals, bit for
+    bit, the certificate of the blocks' tables stacked and certified whole.
 
     Raises ValueError when the candidates left after a block take more than
     MAX_TABLE_BYTES at PROFILE_BYTES each."""
@@ -241,10 +240,11 @@ def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid, eps
         held.append((a + rows.start, np.ascontiguousarray(b),
                      np.stack([alice[a, b], bob[a, b], gain_b[a, b]], axis=1)))
         count += len(a)
-        # pruning each time the count doubles keeps its cost linear in it
+        # pruning into one chunk each time the count doubles keeps it linear
         if count > 2 * pruned or count * PROFILE_BYTES > MAX_TABLE_BYTES:
             held = [_keep(chunk, best_a[chunk[1]] - chunk[2][:, 0] <= eps) for chunk in held]
-            count = pruned = sum(len(chunk[0]) for chunk in held)
+            held = [tuple(np.concatenate(parts) for parts in zip(*held))]
+            count = pruned = len(held[0][0])
             if count * PROFILE_BYTES > MAX_TABLE_BYTES:
                 raise ValueError(
                     f"a {grid.theta_steps}x{grid.phi_steps} grid holds over "

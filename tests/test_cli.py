@@ -544,7 +544,7 @@ class TestSweep:
         # and in JSON
         argv = ["--bos", "2,1,0", "--gamma", "0.7,pi/2", "--delta", "0.4,0.3",
                 "--grid", "5,3"]
-        monkeypatch.setattr(cli, "ROW_BLOCK_BYTES", 4 * 32 * 15)
+        monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 4 * 32 * 15)
         monkeypatch.setattr(cli, "CSV_ROWS", 7)
         code, out, err = run_cli(capsys, "sweep", *argv, "--format", fmt)
         assert code == 0, err
@@ -613,20 +613,11 @@ class TestRowBlockMemory:
             return probs
 
         monkeypatch.setattr(equilibrium, "probability_tables", tracking)
-        monkeypatch.setattr(cli, "ROW_BLOCK_BYTES", 4 * 32 * 15)
+        monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 4 * 32 * 15)
         # 15 grid points in blocks of 4, 4, 4 and 3 rows, for each of 2 pairs
         assert main(["sweep", "--bos", "2,1,0", "--gamma", "0.7,pi/2", "--delta", "0.4,0.3",
                      "--grid", "5,3", "--format", fmt, "--out", str(tmp_path / "rows")]) == 0
         assert len(freed) == 8
-
-    def test_rows_take_their_own_block_budget(self, monkeypatch):
-        # the certificate paths' budget does not size the rows blocks
-        grid = StrategyGrid(5, 3)
-        monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 1)
-        monkeypatch.setattr(cli, "ROW_BLOCK_BYTES", 4 * 32 * 15)
-        chunks = cli._sweep_blocks(battle_of_sexes(2, 1, 0), [SchemeParams(0.7, 0.4)], grid)
-        assert [profiles for _, profiles, _ in chunks] == [
-            range(0, 60), range(60, 120), range(120, 180), range(180, 225)]
 
 
 def assert_formats_as_python(x):

@@ -215,16 +215,6 @@ def test_table_blocks_slice_the_grid_in_order(monkeypatch):
         assert np.array_equal(alice, want_a) and np.array_equal(bob, want_b)
 
 
-def test_table_blocks_take_a_block_budget(monkeypatch):
-    # an explicit budget wins over BLOCK_BYTES, which is read at call time
-    grid = StrategyGrid(5, 3)
-    monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 1)
-    one_row = [rows for rows, *_ in table_blocks(bos210(), QUANTUM, grid)]
-    assert one_row == [slice(a, a + 1) for a in range(15)]
-    blocks = [rows for rows, *_ in table_blocks(bos210(), QUANTUM, grid, 8 * 32 * 15)]
-    assert blocks == [slice(0, 8), slice(8, 15)]
-
-
 PRISONERS = GameMatrix(alice=((3, 0), (5, 1)), bob=((3, 5), (0, 1)))
 PENNIES = GameMatrix(alice=((1, -1), (-1, 1)), bob=((-1, 1), (1, -1)))
 
@@ -576,6 +566,39 @@ class TestRowBlocks:
         alice, _ = whole_tables(LATE_MAXIMA, CLASSICAL, grid)
         assert (alice.argmax(axis=0) >= len(alice) - grid.phi_steps).all()
 
+    @pytest.mark.parametrize("scheme,grid", [
+        (SchemeParams(0.7, 0.4), StrategyGrid(33, 17)),
+        (CLASSICAL, StrategyGrid(33, 17)),
+        (SchemeParams(1.2, 0.3), StrategyGrid(65, 33)),
+    ], ids=["0.7-0.4-33x17", "classical-33x17", "1.2-0.3-65x33"])
+    def test_each_prune_visits_the_chunks_since_the_last(self, monkeypatch, scheme, grid):
+        # the chunks left by a prune are merged into one, so _keep sees each
+        # block's chunk once, the merged chunk once a prune and once at the
+        # end: linear in the blocks, where visiting every held chunk at each
+        # prune made 6,602, 5,271 and 17,966 calls
+        events = []
+        blocks, keep = equilibrium.table_blocks, equilibrium._keep
+
+        def tracking_blocks(*args):
+            for block in blocks(*args):
+                events.append("block")
+                yield block
+            events.append("end")
+
+        def tracking_keep(*args):
+            events.append("keep")
+            return keep(*args)
+
+        monkeypatch.setattr(equilibrium, "table_blocks", tracking_blocks)
+        monkeypatch.setattr(equilibrium, "_keep", tracking_keep)
+        epsilon_nash(bos210(), scheme, grid, eps=1e-9)
+        # a prune is a run of _keep calls right after a block
+        prunes = sum(1 for i, event in enumerate(events)
+                     if event == "block" and events[i + 1:i + 2] == ["keep"])
+        n = grid.theta_steps * grid.phi_steps
+        assert events.count("block") == n
+        assert events.count("keep") <= n + prunes + 1, (events.count("keep"), prunes)
+
 
 class TestProfileLimit:
     """The certificate paths build no whole table: MAX_TABLE_BYTES bounds the
@@ -632,8 +655,8 @@ class TestRowBlockMemory:
 
     def test_held_profiles_peak_at_twice_the_result(self):
         # the constant game certifies all 561^2 profiles of 33x17, held in
-        # three chunks until they are concatenated: 40 bytes a profile held
-        # and 40 in the result. Holding views of nonzero's (k, 2) index
+        # chunks (merged at each prune) until they are concatenated: 40 bytes
+        # a profile held and 40 in the result. Holding views of nonzero's (k, 2) index
         # arrays, or the last block's tables, would add 8 or more a profile
         tracemalloc.start()
         try:
