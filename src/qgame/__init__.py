@@ -29,7 +29,6 @@ from .equilibrium import (
 )
 from .scheme import (
     GameMatrix,
-    MeasurementBasis,
     PayoffPair,
     SchemeParams,
     StrategyParams,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BosCoefficients",
     "GameMatrix",
-    "MeasurementBasis",
     "PayoffPair",
     "SchemeParams",
     "StrategyGrid",

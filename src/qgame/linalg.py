@@ -1,10 +1,8 @@
-"""The default numerical tolerance of the state checks in scheme.py.
+"""An empty module, kept only because the benchmark tracer names it.
 
-States are length-4 complex vectors over the ordered basis |OO>, |OT>, |TO>,
-|TT>, Alice's letter first; single-player operators are 2x2 complex
-matrices. The arithmetic itself is plain numpy in scheme.py.
+perfbench/tracer.py lists "linalg" in LAYERS and imports qgame.linalg, so
+the traced benchmark runs fail without this file. It holds no code: the
+state arithmetic is plain numpy in scheme.py. ROADMAP.md item 1 (the
+stage-level benchmark contract) drops linalg from LAYERS and deletes this
+module.
 """
-
-from __future__ import annotations
-
-DEFAULT_TOL = 1e-9

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL
-
 HALF_PI = math.pi / 2
 TWO_PI = 2.0 * math.pi
 
@@ -27,9 +25,6 @@ PHI_RANGES = {
     "narrow": (0.0, HALF_PI),
     "full": (0.0, TWO_PI),
 }
-
-_EYE4 = np.eye(4)
-_EYE4.flags.writeable = False
 
 # Largest payoff magnitude of a game: tables stay below 1e300, certificates
 # (differences of two payoffs) below 2e300, closed forms below 4e300.
@@ -152,38 +147,6 @@ def battle_of_sexes(alpha: float, beta: float, sigma: float) -> GameMatrix:
                       bob=((beta, sigma), (sigma, alpha)))
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementBasis:
-    """Four orthonormal, complete measurement directions, one per outcome.
-
-    states holds them as the rows of a 4x4 array, in outcome order OO, OT,
-    TO, TT. They are validated once, on construction, and kept as a read-only
-    copy; bras is its read-only conjugate, the rows <x|, so bras @ state
-    gives every outcome amplitude at once. Bases compare by identity.
-    """
-
-    states: np.ndarray
-    bras: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        states = np.array(self.states, dtype=np.complex128)
-        if states.shape != (4, 4):
-            raise ValueError(f"measurement basis needs four 4-amplitude states, got shape "
-                             f"{states.shape}")
-        if not np.isfinite(states).all():
-            raise ValueError("measurement basis states must have finite entries")
-        bras = states.conj()
-        # Gram matrix <x|y> and the sum of the projectors |x><x|
-        if np.abs(bras @ states.T - _EYE4).max() > DEFAULT_TOL:
-            raise ValueError("measurement basis states must be orthonormal")
-        if np.abs(states.T @ bras - _EYE4).max() > DEFAULT_TOL:
-            raise ValueError("measurement basis projectors must sum to the identity")
-        states.flags.writeable = False
-        bras.flags.writeable = False
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "bras", bras)
-
-
 @dataclass(frozen=True)
 class PayoffPair:
     alice: float
@@ -221,23 +184,31 @@ def final_state(gamma: float, s1: StrategyParams, s2: StrategyParams) -> np.ndar
     return (strategy_op(s1) @ amps @ strategy_op(s2).T).reshape(4)
 
 
-def measurement_basis(delta: float) -> MeasurementBasis:
-    """Outcome basis entangled by delta; delta=0 is the computational basis."""
+def measurement_basis(delta: float) -> np.ndarray:
+    """Outcome basis entangled by delta; delta=0 is the computational basis.
+
+    The four outcome kets are the rows of a read-only complex 4x4 array, in
+    order OO, OT, TO, TT. They are orthonormal and complete for every delta
+    (cos^2 + sin^2 = 1); verify's measurement_orthonormal_complete check and
+    the tests confirm it, so it is not re-checked here.
+    """
     _check_interval("delta", delta, 0.0, HALF_PI, "[0, pi/2]")
     c, s = math.cos(delta / 2), math.sin(delta / 2)
     rows = np.array([[c, 0.0, 0.0, 1j * s],
                      [0.0, c, -1j * s, 0.0],
                      [0.0, -1j * s, c, 0.0],
                      [1j * s, 0.0, 0.0, c]], dtype=np.complex128)
-    return MeasurementBasis(rows)
+    rows.flags.writeable = False
+    return rows
 
 
-def outcome_probabilities(state, basis: MeasurementBasis) -> tuple[float, float, float, float]:
-    """|<psi_b|state>|^2 for each outcome, in order OO, OT, TO, TT."""
+def outcome_probabilities(state, basis: np.ndarray) -> tuple[float, float, float, float]:
+    """|<psi_b|state>|^2 for each outcome ket psi_b, a row of basis, in order
+    OO, OT, TO, TT."""
     state = np.asarray(state, dtype=np.complex128)
     if state.shape != (4,) or not np.isfinite(state).all():
         raise ValueError(f"state must be 4 finite amplitudes, got {state!r}")
-    return tuple((np.abs(basis.bras @ state) ** 2).tolist())  # type: ignore[return-value]
+    return tuple((np.abs(basis.conj() @ state) ** 2).tolist())  # type: ignore[return-value]
 
 
 def payoffs_oracle(game: GameMatrix, scheme: SchemeParams, s1: StrategyParams,

@@ -239,7 +239,7 @@ def _check_measurement(rng) -> list[CheckResult]:
     worst = 0.0
     for _ in range(BASIS_DRAWS):
         delta = _uniform(rng, HALF_PI)
-        states = measurement_basis(delta).states
+        states = measurement_basis(delta)
         gram = np.array([[np.vdot(x, y) for y in states] for x in states])
         worst = max(worst, float(np.max(np.abs(gram - np.eye(4)))))
         complete = sum(np.outer(s, s.conj()) for s in states)

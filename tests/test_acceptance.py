@@ -143,7 +143,7 @@ def test_measurement_structure():
     rng = np.random.default_rng(SEED + 3)
     worst = 0.0
     for _ in range(100):
-        states = measurement_basis(float(rng.uniform(0, HP))).states
+        states = measurement_basis(float(rng.uniform(0, HP)))
         gram = np.array([[np.vdot(x, y) for y in states] for x in states])
         worst = max(worst, float(np.max(np.abs(gram - np.eye(4)))))
         complete = sum(np.outer(s, s.conj()) for s in states)

@@ -1020,6 +1020,37 @@ class TestEquilibriaStreaming:
         assert not target.exists()
 
 
+# Runs main(argv[2:]) and writes its exit code and which of the lazily
+# imported modules it loaded, as JSON, to the file argv[1].
+LOADED_SCRIPT = """
+import json, sys
+from qgame.cli import main
+code = main(sys.argv[2:])
+loaded = [name for name in ("numpy.random", "qgame.cells") if name in sys.modules]
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump({"code": code, "loaded": loaded}, fh)
+"""
+
+BOS_SCHEME = ["--bos", "2,1,0", "--gamma", "0.7", "--delta", "0.4"]
+
+
+class TestLazyImports:
+    # numpy.random costs about 5 MiB of peak RSS, cells.py its own 0.3-0.5 MiB;
+    # a command that draws nothing or writes no rows must not load them
+    @pytest.mark.parametrize("argv,want", [
+        (["payoff", *BOS_SCHEME, "--s1", "1,0.5", "--s2", "0.3,0.2"], []),
+        (["sweep", *BOS_SCHEME, "--grid", "5,3", "--summary"], []),
+        (["equilibria", *BOS_SCHEME, "--grid", "5,3"], ["qgame.cells"]),
+        (["sweep", *BOS_SCHEME, "--grid", "5,3"], ["qgame.cells"]),
+        (["sweep", *BOS_SCHEME, "--grid", "5,3", "--format", "csv"], ["qgame.cells"]),
+    ], ids=["payoff", "sweep-summary", "equilibria", "sweep-json", "sweep-csv"])
+    def test_commands_load_only_what_they_use(self, tmp_path, argv, want):
+        result = tmp_path / "loaded.json"
+        subprocess.run([sys.executable, "-c", LOADED_SCRIPT, str(result), *argv,
+                        "--out", str(tmp_path / "out")], check=True, capture_output=True)
+        assert json.loads(result.read_text(encoding="utf-8")) == {"code": 0, "loaded": want}
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(

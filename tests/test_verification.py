@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qgame import verification
-from qgame.scheme import HALF_PI, TWO_PI, GameMatrix, battle_of_sexes
+from qgame import cli, verification
+from qgame.scheme import HALF_PI, TWO_PI, GameMatrix, battle_of_sexes, measurement_basis
 from qgame.verification import VERIFY_MAX_PAYOFF, run_verification
 
 REQUIRED_CHECKS = {
@@ -93,6 +93,19 @@ def test_verify_makes_the_traced_call_counts(verify_seed0):
     assert code == 0
     assert calls == {"payoffs_oracle": 14002, "measurement_basis": 15103,
                      "payoff_general": 17000}
+
+
+def test_non_orthonormal_basis_fails_verify(monkeypatch, capsys):
+    # measurement_basis does not check its rows; verify's own check must
+    # catch a basis that is not orthonormal, and the command must exit 2
+    scaled = 2 * measurement_basis(0.3)
+    monkeypatch.setattr(verification, "measurement_basis", lambda delta: scaled)
+    assert cli.main(["verify", "--seed", "0"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    failed = {line.split()[1] for line in lines if line.startswith("[FAIL]")}
+    # the probabilities of a doubled basis sum to 4, not 1
+    assert failed == {"measurement_orthonormal_complete", "outcome_probability_sum"}
+    assert "result: FAIL" in lines
 
 
 @pytest.mark.parametrize("hi", [HALF_PI, math.pi, TWO_PI, 5.0])
