@@ -257,6 +257,12 @@ class TestOutcomeProbabilities:
     def test_computational_on_ket(self):
         assert outcome_probabilities(KET_OO, measurement_basis(0.0)) == (1, 0, 0, 0)
 
+    def test_takes_a_hand_built_basis_array(self):
+        # any 4x4 array of rows serves as the basis, in the order given
+        rows = np.array([KET_OT, KET_OO, KET_TO, KET_TT])
+        assert outcome_probabilities(KET_OO, rows) == (0, 1, 0, 0)
+        assert outcome_probabilities(KET_OO, np.eye(4)) == (1, 0, 0, 0)
+
     def test_entangled_state_computational_basis(self):
         state = np.array([ISQ2, 0, 0, 1j * ISQ2])
         probs = outcome_probabilities(state, measurement_basis(0.0))

@@ -95,15 +95,21 @@ def test_verify_makes_the_traced_call_counts(verify_seed0):
                      "payoff_general": 17000}
 
 
-def test_non_orthonormal_basis_fails_verify(monkeypatch, capsys):
+@pytest.mark.parametrize("fault", ["not-normalized", "not-orthogonal"])
+def test_non_orthonormal_basis_fails_verify(monkeypatch, capsys, fault):
     # measurement_basis does not check its rows; verify's own check must
     # catch a basis that is not orthonormal, and the command must exit 2
-    scaled = 2 * measurement_basis(0.3)
-    monkeypatch.setattr(verification, "measurement_basis", lambda delta: scaled)
+    rows = measurement_basis(0.3)
+    if fault == "not-normalized":
+        bad = 2 * rows
+    else:
+        bad = rows[[0, 0, 2, 3]]
+    monkeypatch.setattr(verification, "measurement_basis", lambda delta: bad)
     assert cli.main(["verify", "--seed", "0"]) == 2
     lines = capsys.readouterr().out.splitlines()
     failed = {line.split()[1] for line in lines if line.startswith("[FAIL]")}
-    # the probabilities of a doubled basis sum to 4, not 1
+    # the probabilities of a doubled basis sum to 4, and those of a basis
+    # with a repeated row miss the dropped row's share, so neither sums to 1
     assert failed == {"measurement_orthonormal_complete", "outcome_probability_sum"}
     assert "result: FAIL" in lines
 
