@@ -119,15 +119,11 @@ def load_config(path: str) -> list[str]:
 
 
 def _game(args: argparse.Namespace) -> GameMatrix:
-    if args.bos is not None and args.matrix is not None:
-        raise ValueError("give either --bos or --matrix, not both")
     if args.matrix is not None:
         v = _split_floats(args.matrix, 8, "matrix")
         # order: a_oo,b_oo,a_ot,b_ot,a_to,b_to,a_tt,b_tt
         return GameMatrix(alice=((v[0], v[2]), (v[4], v[6])),
                           bob=((v[1], v[3]), (v[5], v[7])))
-    if args.bos is None:
-        raise ValueError("a game is required: --bos A,B,S or --matrix (8 values)")
     return battle_of_sexes(*_split_floats(args.bos, 3, "bos"))
 
 
@@ -277,8 +273,6 @@ def cmd_payoff(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.matrix is not None:
-        raise ValueError("verify runs on battle-of-sexes games only; use --bos")
     game = _game(args)
     try:
         seed = int(args.seed)
@@ -334,15 +328,15 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
     game = _game(args)
     scheme = SchemeParams(parse_angle(args.gamma), parse_angle(args.delta))
     grid = StrategyGrid(*parse_grid(args.grid), args.phi_range)
-    a, b, values = epsilon_nash(game, scheme, grid, args.eps)
-    print(f"equilibria found: {len(a)}", file=sys.stderr)
-    chunks = [((), a * (grid.theta_steps * grid.phi_steps) + b, values.T)]
+    profiles, values = epsilon_nash(game, scheme, grid, args.eps)
+    print(f"equilibria found: {len(profiles)}", file=sys.stderr)
+    chunks = [((), profiles, values.T)]
     head, tail = "", ""
     if args.format == "json":
         payload = {
             "gamma": scheme.gamma, "delta": scheme.delta, "eps": args.eps,
             "theta_steps": grid.theta_steps, "phi_steps": grid.phi_steps,
-            "phi_range": grid.phi_range, "count": len(a), "profiles": [],
+            "phi_range": grid.phi_range, "count": len(profiles), "profiles": [],
         }
         head, tail = (json.dumps(payload, indent=2) + "\n").rsplit("[]\n", 1)
     table = _table_chunks(EQUILIBRIA_FIELDS, args.format, grid, 4, chunks)
@@ -357,11 +351,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+def _add_game(sp: argparse.ArgumentParser, bos: str | None = None) -> None:
+    # one game per command, required unless --bos has a default
+    game = sp.add_mutually_exclusive_group(required=bos is None)
+    game.add_argument("--bos", default=bos, help="battle of sexes payoffs A,B,S with A > B > S"
+                      + (f" (default {bos})" if bos else ""))
+    game.add_argument("--matrix", help="full bimatrix a_oo,b_oo,a_ot,b_ot,a_to,b_to,a_tt,b_tt")
+
+
 def _add_common(sp: argparse.ArgumentParser, *, strategies: bool = False,
                 grid: bool = False) -> None:
-    sp.add_argument("--bos", help="battle of sexes payoffs A,B,S with A > B > S")
-    sp.add_argument("--matrix",
-                    help="full bimatrix a_oo,b_oo,a_ot,b_ot,a_to,b_to,a_tt,b_tt")
+    _add_game(sp)
     sp.add_argument("--gamma", required=True, help="initial-state entanglement angle(s)")
     sp.add_argument("--delta", required=True, help="measurement entanglement angle(s)")
     if strategies:
@@ -393,9 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     payoff.set_defaults(func=cmd_payoff)
 
     verify = sub.add_parser("verify", help="run the closed-form vs simulation suite")
-    verify.add_argument("--bos", default="2,1,0",
-                        help="battle of sexes payoffs A,B,S (default %(default)s)")
-    verify.add_argument("--matrix", help=argparse.SUPPRESS)
+    _add_game(verify, bos="2,1,0")
     verify.add_argument("--seed", default="0",
                         help="seed for the verification draws (default %(default)s)")
     verify.add_argument("--out", help="write the report to this path")

@@ -34,10 +34,10 @@ from .scheme import (
 # holds per point at once: the features and one block's other arrays; traced
 # on 1025x513, sweep --summary peaks at 216, equilibria at 200 and sweep rows
 # at 193), and the candidate profiles the certificates hold, at
-# PROFILE_BYTES each: two grid indices and three values.
+# PROFILE_BYTES each: one flat profile index and three values.
 MAX_TABLE_BYTES = 2**30
 BLOCK_BYTES = 2**20
-PROFILE_BYTES = 40
+PROFILE_BYTES = 32
 POINT_BYTES = 224
 
 # U(theta, phi) = v0 I + v1 iZ + v2 C with real coefficients
@@ -202,10 +202,10 @@ def _keep(chunk: tuple[np.ndarray, ...], mask: np.ndarray) -> tuple[np.ndarray, 
 
 
 def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid, eps: float,
-                 *, visit=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 *, visit=None) -> tuple[np.ndarray, np.ndarray]:
     """Every grid profile no player can improve by more than eps on-grid:
-    Alice's and Bob's grid indices a and b of the m profiles, ordered
-    lexicographically (Alice's point first), and their (m, 3) payoff_a,
+    the m profiles as flat indices a * n + b in increasing order (Alice's
+    grid point a, Bob's b, n grid points), and their (m, 3) payoff_a,
     payoff_b and eps_cert; empty arrays are a valid outcome. visit(rows,
     alice, bob), if given, sees every block's payoff tables.
 
@@ -223,10 +223,11 @@ def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid, eps
     Raises ValueError when the candidates left after a block take more than
     MAX_TABLE_BYTES at PROFILE_BYTES each."""
     check_eps(eps)
-    best_a = np.full(grid.theta_steps * grid.phi_steps, -np.inf)
-    # candidate chunks (a, b, values); a value row is payoff_a, payoff_b and
-    # Bob's gain from deviating, which is final when the chunk is made
-    held: list[tuple[np.ndarray, ...]] = []
+    n = grid.theta_steps * grid.phi_steps
+    best_a = np.full(n, -np.inf)
+    # candidate chunks (profiles, values); a value row is payoff_a, payoff_b
+    # and Bob's gain from deviating, which is final when the chunk is made
+    held: list[tuple[np.ndarray, np.ndarray]] = []
     count = pruned = 0
     for rows, probs, alice, bob in table_blocks(game, scheme, grid):
         del probs  # only the payoffs are certified; free the block now
@@ -234,15 +235,14 @@ def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid, eps
             visit(rows, alice, bob)
         np.maximum(best_a, alice.max(axis=0), out=best_a)
         gain_b = bob.max(axis=1)[:, np.newaxis] - bob
-        a, b = np.nonzero((best_a - alice <= eps) & (gain_b <= eps))
-        # a and b are strided views of one (k, 2) array; a copy of b holds
-        # 8 bytes a profile where the view would keep all 16 alive
-        held.append((a + rows.start, np.ascontiguousarray(b),
-                     np.stack([alice[a, b], bob[a, b], gain_b[a, b]], axis=1)))
-        count += len(a)
+        ids = np.flatnonzero((best_a - alice <= eps) & (gain_b <= eps))
+        # only held refers to a chunk, so a merge frees all and the heap shrinks
+        held.append((ids + rows.start * n,
+                     np.stack([table.ravel()[ids] for table in (alice, bob, gain_b)], axis=1)))
+        count += len(ids)
         # pruning into one chunk each time the count doubles keeps it linear
         if count > 2 * pruned or count * PROFILE_BYTES > MAX_TABLE_BYTES:
-            held = [_keep(chunk, best_a[chunk[1]] - chunk[2][:, 0] <= eps) for chunk in held]
+            held = [_keep(chunk, best_a[chunk[0] % n] - chunk[1][:, 0] <= eps) for chunk in held]
             held = [tuple(np.concatenate(parts) for parts in zip(*held))]
             count = pruned = len(held[0][0])
             if count * PROFILE_BYTES > MAX_TABLE_BYTES:
@@ -250,10 +250,10 @@ def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid, eps
                     f"a {grid.theta_steps}x{grid.phi_steps} grid holds over "
                     f"{MAX_TABLE_BYTES // PROFILE_BYTES} candidate profiles, the limit of "
                     f"{MAX_TABLE_BYTES} bytes at {PROFILE_BYTES} bytes per profile")
-    del a, b, alice, bob, gain_b  # the last block's tables and nonzero's array
-    for _, b, values in held:
-        np.maximum(best_a[b] - values[:, 0], values[:, 2], out=values[:, 2])
-    held = [_keep(chunk, chunk[2][:, 2] <= eps) for chunk in held]
+    del ids, alice, bob, gain_b  # the last block's tables and candidates
+    for profiles, values in held:
+        np.maximum(best_a[profiles % n] - values[:, 0], values[:, 2], out=values[:, 2])
+    held = [_keep(chunk, chunk[1][:, 2] <= eps) for chunk in held]
     return tuple(np.concatenate(parts) for parts in zip(*held))
 
 
@@ -299,16 +299,16 @@ def sweep(game: GameMatrix, gamma_values, delta_values, grid: StrategyGrid,
                               thetas[np.newaxis, :], phis[np.newaxis, :])
             devs.append(max(np.abs(al - alice).max(), np.abs(bo - bob).max()))
 
-        a, _, values = epsilon_nash(game, scheme, grid, eps,
-                                    visit=None if game.bos is None else formula_dev)
+        profiles, values = epsilon_nash(game, scheme, grid, eps,
+                                        visit=None if game.bos is None else formula_dev)
         best: PayoffPair | None = None
-        if len(a):
+        if len(profiles):
             pa, pb = values[:, 0], values[:, 1]
             # lexsort's last key is the primary one; the final entry is the
             # largest, and -index makes the earliest profile win a full tie
-            top = np.lexsort((-np.arange(len(a)), pa + pb, np.minimum(pa, pb)))[-1]
+            top = np.lexsort((-np.arange(len(profiles)), pa + pb, np.minimum(pa, pb)))[-1]
             best = PayoffPair(float(pa[top]), float(pb[top]))
         dev = float(max(devs)) if devs else None
-        rows.append(SweepRow(gamma=scheme.gamma, delta=scheme.delta, equilibria=len(a),
+        rows.append(SweepRow(gamma=scheme.gamma, delta=scheme.delta, equilibria=len(profiles),
                              best=best, max_formula_dev=dev))
     return rows

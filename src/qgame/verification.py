@@ -67,12 +67,9 @@ class VerificationReport:
         return all(c.passed for c in self.checks if c.required)
 
     def render(self) -> str:
-        lines = ["verification report", f"seed: {self.seed}"]
-        if self.game.bos is not None:
-            a, b, s = self.game.bos
-            lines.append(f"game: bos alpha={a:g} beta={b:g} sigma={s:g}")
-        else:
-            lines.append(f"game: matrix {self.game.alice} / {self.game.bob}")
+        a, b, s = self.game.bos  # run_verification takes battle-of-sexes games only
+        lines = ["verification report", f"seed: {self.seed}",
+                 f"game: bos alpha={a:g} beta={b:g} sigma={s:g}"]
         lines.append(
             f"draws: equivalence={EQUIVALENCE_DRAWS} cases={CASE_DRAWS} "
             f"basis={BASIS_DRAWS} unitarity={UNITARITY_DRAWS}"
@@ -224,14 +221,15 @@ def _check_classical(rng, game: GameMatrix) -> list[CheckResult]:
                         worst <= IDENTITY_TOL)
 
     grid = StrategyGrid(theta_steps=2, phi_steps=1)
-    a, b, values = epsilon_nash(game, scheme, grid, eps=1e-9)
+    profiles, values = epsilon_nash(game, scheme, grid, eps=1e-9)
+    a, b = np.divmod(profiles, 2)
     grid_thetas = grid.angles()[0]
     thetas = list(zip(grid_thetas[a].tolist(), grid_thetas[b].tolist()))
     expected = [(0.0, 0.0), (math.pi, math.pi)]
-    cert = float(values[:, 2].max()) if len(a) else math.inf
+    cert = float(values[:, 2].max()) if len(profiles) else math.inf
     ok = thetas == expected and cert <= IDENTITY_TOL
     eq = CheckResult("classical_pure_equilibria", cert, IDENTITY_TOL, ok,
-                     note=f"{len(a)} equilibria on the pure-strategy grid")
+                     note=f"{len(profiles)} equilibria on the pure-strategy grid")
     return [limit, eq]
 
 

@@ -129,7 +129,8 @@ def test_classical_recovery():
     payoffs_ok = worst <= IDENTITY_TOL
 
     grid = StrategyGrid(2, 1)
-    a, b, values = epsilon_nash(game, scheme, grid, eps=1e-9)
+    profiles, values = epsilon_nash(game, scheme, grid, eps=1e-9)
+    a, b = np.divmod(profiles, 2)  # flat indices a * n + b on the 2-point grid
     grid_thetas = grid.angles()[0]
     thetas = list(zip(grid_thetas[a].tolist(), grid_thetas[b].tolist()))
     certs_ok = bool((values[:, 2] <= IDENTITY_TOL).all())

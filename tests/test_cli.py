@@ -124,7 +124,7 @@ class TestPayoff:
                                "--matrix", "3,3,0,5,5,0,1,1", "--gamma", "0",
                                "--delta", "0", "--s1", "0,0", "--s2", "0,0")
         assert code == 1
-        assert "either" in err
+        assert "argument --matrix: not allowed with argument --bos" in err
 
     def test_bos_ordering_validated(self, capsys):
         code, _, err = run_cli(capsys, "payoff", "--bos", "1,2,0", "--gamma", "0",
@@ -277,7 +277,7 @@ OPTIONS = {
     },
     "verify": {
         "bos": ("3,2,1", "5,3,1", "1,2,0"),
-        "matrix": (None, None, "3,3,0,5,5,0,1,1"),
+        "matrix": ("3,2,1,1,1,1,2,3", "5,3,1,1,1,1,3,5", "1,2,3"),
         "seed": ("3", "4", "-1"),
         "out": ("{out}/a", "{out}/b", "{out}/missing/a"),
     },
@@ -403,10 +403,16 @@ class TestVerify:
         assert "rejected by simulation" in out  # the printed-form flag line
         assert "(3, 3) vs simulated (1, 2)" in out
 
-    def test_matrix_not_allowed(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--matrix", "3,3,0,5,5,0,1,1")
-        assert code == 1
-        assert "--bos" in err
+    def test_matrix_without_bos_form_exits_one(self, capsys):
+        # the Prisoner's Dilemma: verification needs the battle-of-sexes form
+        code, out, err = run_cli(capsys, "verify", "--matrix", "3,3,0,5,5,0,1,1")
+        assert (code, out) == (1, "")
+        assert "verification needs a battle-of-sexes game" in err
+
+    def test_bos_form_matrix_prints_the_bos_report(self, capsys, verify_seed0):
+        # a game is its cells: --matrix A,B,S,S,S,S,B,A is the game --bos A,B,S
+        argv, code, out, _ = verify_seed0
+        assert run_cli(capsys, *argv, "--matrix", "2,1,0,0,0,0,1,2") == (code, out, "")
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     def test_payoffs_above_bound_exit_one(self, capsys, tmp_path, to_file):
@@ -416,6 +422,38 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert "at most 1e+06 in magnitude" in err
         assert not target.exists()
+
+
+class TestGameOptions:
+    """--bos and --matrix are one mutually exclusive group in every command;
+    verify alone has a default game, --bos 2,1,0."""
+
+    ARGS = {
+        "payoff": ["--gamma", "0", "--delta", "0", "--s1", "0,0", "--s2", "0,0"],
+        "verify": [],
+        "sweep": ["--gamma", "0", "--delta", "0", "--grid", "2,1"],
+        "equilibria": ["--gamma", "0", "--delta", "0", "--grid", "2,1"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    @pytest.mark.parametrize("order", ["bos-first", "matrix-first"])
+    def test_bos_with_matrix_exits_one(self, capsys, tmp_path, command, order):
+        # the --bos value is verify's default: given, it still counts
+        games = [["--bos", "2,1,0"], ["--matrix", "2,1,0,0,0,0,1,2"]]
+        if order == "matrix-first":
+            games.reverse()
+        target = tmp_path / "result"
+        code, out, err = run_cli(capsys, command, *games[0], *games[1], *self.ARGS[command],
+                                 "--out", str(target))
+        assert (code, out) == (1, "")
+        assert "not allowed with argument" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("command", ["payoff", "sweep", "equilibria"])
+    def test_a_game_is_required(self, capsys, command):
+        code, out, err = run_cli(capsys, command, *self.ARGS[command])
+        assert (code, out) == (1, "")
+        assert "one of the arguments --bos --matrix is required" in err
 
 
 class TestSweep:
@@ -908,7 +946,8 @@ def reference_equilibria(argv, fmt):
     opts, game, grid = reference_inputs(argv)
     scheme = SchemeParams(parse_angle(opts["--gamma"]), parse_angle(opts["--delta"]))
     eps = float(opts.get("--eps", "1e-9"))
-    a, b, values = epsilon_nash(game, scheme, grid, eps)
+    profiles, values = epsilon_nash(game, scheme, grid, eps)
+    a, b = np.divmod(profiles, grid.theta_steps * grid.phi_steps)
     thetas, phis = (angles.tolist() for angles in grid.angles())
     rows = [{
         "theta1": thetas[i], "phi1": phis[i],

@@ -62,10 +62,16 @@ def whole_probabilities(scheme, grid):
     return np.concatenate(probs, axis=1)
 
 
-def thetas_of(grid, a, b):
-    """The (Alice's theta, Bob's theta) pair of each profile with grid
-    indices a and b."""
+def grid_pairs(grid, profiles):
+    """Alice's and Bob's grid indices a and b of the flat profile indices
+    a * n + b that epsilon_nash returns, n the grid's point count."""
+    return np.divmod(profiles, grid.theta_steps * grid.phi_steps)
+
+
+def thetas_of(grid, profiles):
+    """The (Alice's theta, Bob's theta) pair of each profile."""
     thetas = grid.angles()[0]
+    a, b = grid_pairs(grid, profiles)
     return list(zip(thetas[a].tolist(), thetas[b].tolist()))
 
 
@@ -247,7 +253,7 @@ class TestOracleEquivalence:
             # eps = 0 would count genuine ties by rounding luck
             cert = certificates(want_a, want_b)
             for eps in (1e-12, 1e-9, 1e-6):
-                a, b, _ = epsilon_nash(game, scheme, grid, eps)
+                a, b = grid_pairs(grid, epsilon_nash(game, scheme, grid, eps)[0])
                 assert np.column_stack([a, b]).tolist() == np.argwhere(cert <= eps).tolist()
 
     @pytest.mark.parametrize("grid", GRIDS, ids=["5x3", "5x4-full", "2x1"])
@@ -258,7 +264,8 @@ class TestOracleEquivalence:
             alice, bob = whole_tables(game, scheme, grid)
             cert = certificates(alice, bob)
             for eps in (1e-12, 1e-9, 1e-6):
-                a, b, values = epsilon_nash(game, scheme, grid, eps)
+                profiles, values = epsilon_nash(game, scheme, grid, eps)
+                a, b = grid_pairs(grid, profiles)
                 assert np.column_stack([a, b]).tolist() == np.argwhere(cert <= eps).tolist()
                 assert values.shape == (len(a), 3)
                 assert values.tolist() == np.column_stack(
@@ -313,28 +320,29 @@ class TestBestReply:
 
 class TestEpsilonNash:
     def test_classical_pure_equilibria(self):
-        a, b, values = epsilon_nash(bos210(), CLASSICAL, pure_grid(), eps=1e-9)
-        assert thetas_of(pure_grid(), a, b) == [(0.0, 0.0), (math.pi, math.pi)]
+        profiles, values = epsilon_nash(bos210(), CLASSICAL, pure_grid(), eps=1e-9)
+        assert thetas_of(pure_grid(), profiles) == [(0.0, 0.0), (math.pi, math.pi)]
         assert values[:, 0].tolist() == pytest.approx([2.0, 1.0])
         assert values[:, 1].tolist() == pytest.approx([1.0, 2.0])
         assert (values[:, 2] <= 1e-12).all()
 
     def test_single_point_grid(self):
-        a, _, values = epsilon_nash(bos210(), CLASSICAL, StrategyGrid(1, 1), eps=0.0)
-        assert len(a) == 1
+        profiles, values = epsilon_nash(bos210(), CLASSICAL, StrategyGrid(1, 1), eps=0.0)
+        assert len(profiles) == 1
         assert values[0, 2] == 0.0
 
     def test_interior_theta_point_excluded(self):
         grid = StrategyGrid(3, 1)
-        a, b, _ = epsilon_nash(bos210(), CLASSICAL, grid, eps=0.0)
-        assert thetas_of(grid, a, b) == [(0.0, 0.0), (math.pi, math.pi)]
+        profiles, _ = epsilon_nash(bos210(), CLASSICAL, grid, eps=0.0)
+        assert thetas_of(grid, profiles) == [(0.0, 0.0), (math.pi, math.pi)]
 
     def test_certificates_verified_by_scalar_oracle(self):
         game = bos210()
         scheme = SchemeParams(0.9, 0.4)
         grid = StrategyGrid(5, 3)
         pts = grid.points()
-        a, b, values = epsilon_nash(game, scheme, grid, eps=0.05)
+        profiles, values = epsilon_nash(game, scheme, grid, eps=0.05)
+        a, b = grid_pairs(grid, profiles)
         for i, j, cert in zip(a.tolist(), b.tolist(), values[:, 2].tolist()):
             s1, s2 = pts[i], pts[j]
             own = payoffs_oracle(game, scheme, s1, s2)
@@ -349,8 +357,8 @@ class TestEpsilonNash:
         last = 0.0
         for steps in (2, 3, 5, 9, 33):
             grid = StrategyGrid(steps, 1)
-            a, b, values = epsilon_nash(game, CLASSICAL, grid, eps=1e-9)
-            pure = dict(zip(thetas_of(grid, a, b), values[:, 2].tolist()))
+            profiles, values = epsilon_nash(game, CLASSICAL, grid, eps=1e-9)
+            pure = dict(zip(thetas_of(grid, profiles), values[:, 2].tolist()))
             assert (0.0, 0.0) in pure and (math.pi, math.pi) in pure
             assert pure[(0.0, 0.0)] <= 1e-12
             assert pure[(math.pi, math.pi)] <= 1e-12
@@ -382,8 +390,8 @@ class TestEpsilonNash:
     def test_empty_result_is_valid(self):
         # matching pennies has no pure equilibrium
         pennies = GameMatrix(alice=((1, -1), (-1, 1)), bob=((-1, 1), (1, -1)))
-        a, b, values = epsilon_nash(pennies, CLASSICAL, pure_grid(), eps=1e-9)
-        assert len(a) == len(b) == 0 and values.shape == (0, 3)
+        profiles, values = epsilon_nash(pennies, CLASSICAL, pure_grid(), eps=1e-9)
+        assert len(profiles) == 0 and values.shape == (0, 3)
 
 
 class TestSweep:
@@ -545,9 +553,14 @@ class TestRowBlocks:
         for eps in (0.0, 1e-12, 1e-9):
             a, b = np.nonzero(cert <= eps)
             values = np.stack([alice[a, b], bob[a, b], cert[a, b]], axis=1)
-            got_a, got_b, got_values = epsilon_nash(game, scheme, grid, eps)
+            profiles, got_values = epsilon_nash(game, scheme, grid, eps)
+            # flat indices a * n + b: intp, strictly increasing, inside the n x n table
+            assert profiles.dtype == np.intp and (np.diff(profiles) > 0).all()
+            assert ((profiles >= 0) & (profiles < alice.size)).all()
+            got_a, got_b = grid_pairs(grid, profiles)
             assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
             assert np.array_equal(got_values, values)
+            assert got_values.tobytes() == values.tobytes()
             row, = sweep(game, [scheme.gamma], [scheme.delta], grid, eps)
             assert (row.equilibria, row.best) == (len(a), reference_best(alice, bob, eps))
             dev = None
@@ -626,6 +639,11 @@ class TestProfileLimit:
         with pytest.raises(ValueError, match=message):
             sweep(CONSTANT, [HP], [HP], grid, eps=1e-9)
 
+    def test_profile_bytes_are_one_index_and_three_values(self):
+        profiles, values = epsilon_nash(CONSTANT, QUANTUM, StrategyGrid(3, 2), eps=1e-9)
+        assert len(profiles) == 36
+        assert PROFILE_BYTES == profiles.itemsize + values.shape[1] * values.itemsize
+
     @pytest.mark.usefixtures("one_row_blocks")
     def test_ruled_out_candidates_are_dropped(self, monkeypatch):
         # Bob is indifferent and Alice's classical payoff grows with theta1,
@@ -633,7 +651,7 @@ class TestProfileLimit:
         # them: only the last 5 * 45 stay, and only if the others are dropped
         grid = StrategyGrid(9, 5)
         monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 5 * 45 * PROFILE_BYTES)
-        a, b, _ = epsilon_nash(BOB_INDIFFERENT, CLASSICAL, grid, eps=1e-9)
+        a, b = grid_pairs(grid, epsilon_nash(BOB_INDIFFERENT, CLASSICAL, grid, eps=1e-9)[0])
         assert (a.tolist(), b.tolist()) == ([i for i in range(40, 45) for _ in range(45)],
                                             list(range(45)) * 5)
 
@@ -655,18 +673,19 @@ class TestRowBlockMemory:
 
     def test_held_profiles_peak_at_twice_the_result(self):
         # the constant game certifies all 561^2 profiles of 33x17, held in
-        # chunks (merged at each prune) until they are concatenated: 40 bytes
-        # a profile held and 40 in the result. Holding views of nonzero's (k, 2) index
-        # arrays, or the last block's tables, would add 8 or more a profile
+        # chunks (merged at each prune) until they are concatenated: 32 bytes
+        # a profile held and 32 in the result. Holding the last block's
+        # tables or chunk into the concatenation would add more
         tracemalloc.start()
         try:
-            a, b, values = epsilon_nash(CONSTANT, SchemeParams(0.3, 0.2), StrategyGrid(33, 17),
-                                        eps=1e-9)
+            profiles, values = epsilon_nash(CONSTANT, SchemeParams(0.3, 0.2),
+                                            StrategyGrid(33, 17), eps=1e-9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(a) == 561 ** 2
-        assert peak < 2.1 * (a.nbytes + b.nbytes + values.nbytes), peak
+        assert len(profiles) == 561 ** 2
+        assert profiles.nbytes + values.nbytes == 32 * 561 ** 2
+        assert peak < 2.1 * (profiles.nbytes + values.nbytes), peak
 
     def test_each_block_of_probabilities_is_freed(self, monkeypatch):
         # only the payoffs are certified, so neither table_blocks nor the

@@ -22,7 +22,9 @@ def test_readme_quick_tour_runs_as_documented():
     exec(block, namespace)
     assert namespace["oracle"] == namespace["formula"] == PayoffPair(1.0, 2.0)
     assert f"# {namespace['oracle']!r}" in block
-    a, b, values = namespace["a"], namespace["b"], namespace["values"]
+    profiles, values = namespace["profiles"], namespace["values"]
+    assert profiles.tolist() == [0, 3] and f"profiles = {profiles}" in block
+    a, b = namespace["a"], namespace["b"]
     assert (a.tolist(), b.tolist()) == ([0, 1], [0, 1])
     assert f"a = {a} and b = {b}" in block
     assert values.tolist() == [[2.0, 1.0, 0.0], [1.0, 2.0, 0.0]]
