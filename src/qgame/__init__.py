@@ -9,7 +9,6 @@ on strategy grids.
 """
 
 from .closedform import (
-    BosCoefficients,
     bos_coefficients,
     payoff_case_a_i,
     payoff_case_a_ii,
@@ -22,7 +21,6 @@ from .closedform import (
 )
 from .equilibrium import (
     StrategyGrid,
-    SweepRow,
     epsilon_nash,
     sweep,
     table_blocks,
@@ -45,13 +43,11 @@ from .verification import VerificationReport, run_verification
 __version__ = "0.1.0"
 
 __all__ = [
-    "BosCoefficients",
     "GameMatrix",
     "PayoffPair",
     "SchemeParams",
     "StrategyGrid",
     "StrategyParams",
-    "SweepRow",
     "VerificationReport",
     "battle_of_sexes",
     "bos_coefficients",

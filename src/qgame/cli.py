@@ -20,6 +20,7 @@ import numpy as np
 
 from .closedform import payoff_general
 from .equilibrium import (
+    SUMMARY_FIELDS,
     StrategyGrid,
     check_eps,
     epsilon_nash,
@@ -44,8 +45,6 @@ ANGLE_TOKENS = {"pi": math.pi, "pi/2": math.pi / 2, "pi/4": math.pi / 4}
 
 SWEEP_FIELDS = ("gamma", "delta", "theta1", "phi1", "theta2", "phi2",
                 "payoff_a", "payoff_b", "p_oo", "p_ot", "p_to", "p_tt")
-SUMMARY_FIELDS = ("gamma", "delta", "equilibria", "best_payoff_a",
-                  "best_payoff_b", "max_formula_dev")
 EQUILIBRIA_FIELDS = ("theta1", "phi1", "theta2", "phi2", "payoff_a",
                      "payoff_b", "eps_cert")
 
@@ -303,15 +302,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     gammas = parse_angle_list(args.gamma)
     deltas = parse_angle_list(args.delta)
     grid = StrategyGrid(*parse_grid(args.grid), args.phi_range)
-    check_eps(args.eps)
+    eps = check_eps(args.eps)
 
     if args.summary == "true":
-        rows = [{
-            "gamma": r.gamma, "delta": r.delta, "equilibria": r.equilibria,
-            "best_payoff_a": None if r.best is None else r.best.alice,
-            "best_payoff_b": None if r.best is None else r.best.bob,
-            "max_formula_dev": r.max_formula_dev,
-        } for r in sweep(game, gammas, deltas, grid, args.eps)]
+        rows = sweep(game, gammas, deltas, grid, eps)
         if args.format == "csv":
             _emit_chunks([_csv_table(SUMMARY_FIELDS, rows)], args.out)
         else:
@@ -328,13 +322,14 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
     game = _game(args)
     scheme = SchemeParams(parse_angle(args.gamma), parse_angle(args.delta))
     grid = StrategyGrid(*parse_grid(args.grid), args.phi_range)
-    profiles, values = epsilon_nash(game, scheme, grid, args.eps)
+    eps = check_eps(args.eps)
+    profiles, values = epsilon_nash(game, scheme, grid, eps)
     print(f"equilibria found: {len(profiles)}", file=sys.stderr)
     chunks = [((), profiles, values.T)]
     head, tail = "", ""
     if args.format == "json":
         payload = {
-            "gamma": scheme.gamma, "delta": scheme.delta, "eps": args.eps,
+            "gamma": scheme.gamma, "delta": scheme.delta, "eps": eps,
             "theta_steps": grid.theta_steps, "phi_steps": grid.phi_steps,
             "phi_range": grid.phi_range, "count": len(profiles), "profiles": [],
         }

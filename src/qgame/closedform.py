@@ -17,7 +17,6 @@ simulation; see payoff_du_maximal.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,14 +32,6 @@ from .scheme import (
 DU_FORMS = ("printed", "corrected")
 
 
-class BosCoefficients(NamedTuple):
-    """Measurement-weighted payoff weights xi, eta and interference weight chi."""
-
-    xi: float
-    eta: float
-    chi: float
-
-
 def _require_bos(game: GameMatrix) -> tuple[float, float, float]:
     if game.bos is None:
         raise ValueError(
@@ -50,14 +41,15 @@ def _require_bos(game: GameMatrix) -> tuple[float, float, float]:
     return game.bos
 
 
-def bos_coefficients(alpha: float, beta: float, delta: float) -> BosCoefficients:
-    """xi, eta, chi for measurement angle delta; xi + eta = alpha + beta.
+def bos_coefficients(alpha: float, beta: float, delta: float) -> tuple[float, float, float]:
+    """(xi, eta, chi) for measurement angle delta: payoff weights with
+    xi + eta = alpha + beta, and interference weight chi.
 
     Any alpha and beta are accepted: swapping them gives (eta, xi, -chi),
     which exchanges the players' roles."""
     c2, s2 = math.cos(delta / 2) ** 2, math.sin(delta / 2) ** 2
     chi = 0.5 * (alpha - beta) * math.sin(delta)
-    return BosCoefficients(alpha * c2 + beta * s2, alpha * s2 + beta * c2, chi)
+    return alpha * c2 + beta * s2, alpha * s2 + beta * c2, chi
 
 
 def _general(alpha, beta, sigma, gamma, delta, theta1, phi1, theta2, phi2):

@@ -19,7 +19,6 @@ from .closedform import _general
 from .scheme import (
     PHI_RANGES,
     GameMatrix,
-    PayoffPair,
     SchemeParams,
     StrategyParams,
     final_state,
@@ -39,6 +38,10 @@ MAX_TABLE_BYTES = 2**30
 BLOCK_BYTES = 2**20
 PROFILE_BYTES = 32
 POINT_BYTES = 224
+
+# the keys of a sweep summary row, in the order sweep --summary writes them
+SUMMARY_FIELDS = ("gamma", "delta", "equilibria", "best_payoff_a",
+                  "best_payoff_b", "max_formula_dev")
 
 # U(theta, phi) = v0 I + v1 iZ + v2 C with real coefficients
 # v = (cos(theta/2) cos(phi), cos(theta/2) sin(phi), sin(theta/2)); these
@@ -85,15 +88,11 @@ class StrategyGrid:
                 f"of {MAX_TABLE_BYTES // POINT_BYTES} points ({MAX_TABLE_BYTES} bytes at "
                 f"{POINT_BYTES} bytes per point)")
 
-    @property
-    def phi_interval(self) -> tuple[float, float]:
-        return PHI_RANGES[self.phi_range]
-
     def theta_values(self) -> np.ndarray:
         return np.linspace(0.0, math.pi, self.theta_steps)
 
     def phi_values(self) -> np.ndarray:
-        lo, hi = self.phi_interval
+        lo, hi = PHI_RANGES[self.phi_range]
         # the full range is periodic, so its upper endpoint is excluded
         return np.linspace(lo, hi, self.phi_steps, endpoint=self.phi_range != "full")
 
@@ -106,17 +105,6 @@ class StrategyGrid:
         """All grid strategies in angles() order (lexicographic by grid index)."""
         thetas, phis = self.angles()
         return [StrategyParams(t, p) for t, p in zip(thetas.tolist(), phis.tolist())]
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """Per-(gamma, delta) summary: equilibria found and formula agreement."""
-
-    gamma: float
-    delta: float
-    equilibria: int
-    best: PayoffPair | None
-    max_formula_dev: float | None
 
 
 def _features(thetas, phis) -> np.ndarray:
@@ -190,10 +178,11 @@ def _table_block(features, kernels, weights, rows: slice) -> tuple:
     return (rows, probs, *(np.einsum("o,o...->...", w, probs) for w in weights))
 
 
-def check_eps(eps: float) -> None:
-    """Validate an equilibrium tolerance: finite and nonnegative."""
+def check_eps(eps: float) -> float:
+    """An equilibrium tolerance, checked to be finite and nonnegative."""
     if not (math.isfinite(eps) and eps >= 0):
-        raise ValueError(f"eps must be nonnegative, got {eps!r}")
+        raise ValueError(f"eps must be nonnegative and finite, got {eps!r}")
+    return eps + 0.0  # -0.0 as 0.0
 
 
 def _keep(chunk: tuple[np.ndarray, ...], mask: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -222,7 +211,7 @@ def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid, eps
 
     Raises ValueError when the candidates left after a block take more than
     MAX_TABLE_BYTES at PROFILE_BYTES each."""
-    check_eps(eps)
+    eps = check_eps(eps)
     n = grid.theta_steps * grid.phi_steps
     best_a = np.full(n, -np.inf)
     # candidate chunks (profiles, values); a value row is payoff_a, payoff_b
@@ -277,17 +266,19 @@ def sweep_schemes(gamma_values, delta_values) -> list[SchemeParams]:
 
 
 def sweep(game: GameMatrix, gamma_values, delta_values, grid: StrategyGrid,
-          eps: float) -> list[SweepRow]:
-    """Summaries for each (gamma, delta) pair of sweep_schemes, in input order.
+          eps: float) -> list[dict]:
+    """The summary row of each (gamma, delta) pair of sweep_schemes, in input
+    order: a dict keyed by SUMMARY_FIELDS, as sweep --summary writes it.
 
-    Each row records the equilibrium count, the payoff pair of the most
+    Each row records the equilibrium count, the payoffs of the most
     egalitarian equilibrium (largest min(alice, bob), then largest sum, then
-    first in grid order), and the worst observed |simulation - closed form|
-    when the game has the battle-of-sexes structure. Each pair is certified
-    by epsilon_nash, and its closed forms are compared on the same blocks of
-    Alice's grid rows; the same limit on held profiles applies.
+    first in grid order; None when none is certified), and the worst
+    |simulation - closed form| for games of battle-of-sexes form (else None).
+    Each pair is certified by epsilon_nash, and its closed forms are compared
+    on the same blocks of Alice's grid rows; the same limit on held profiles
+    applies.
     """
-    check_eps(eps)
+    eps = check_eps(eps)
     thetas, phis = grid.angles()
     rows = []
     for scheme in sweep_schemes(gamma_values, delta_values):
@@ -301,14 +292,14 @@ def sweep(game: GameMatrix, gamma_values, delta_values, grid: StrategyGrid,
 
         profiles, values = epsilon_nash(game, scheme, grid, eps,
                                         visit=None if game.bos is None else formula_dev)
-        best: PayoffPair | None = None
+        best = None, None
         if len(profiles):
             pa, pb = values[:, 0], values[:, 1]
             # lexsort's last key is the primary one; the final entry is the
             # largest, and -index makes the earliest profile win a full tie
             top = np.lexsort((-np.arange(len(profiles)), pa + pb, np.minimum(pa, pb)))[-1]
-            best = PayoffPair(float(pa[top]), float(pb[top]))
+            best = float(pa[top]), float(pb[top])
         dev = float(max(devs)) if devs else None
-        rows.append(SweepRow(gamma=scheme.gamma, delta=scheme.delta, equilibria=len(profiles),
-                             best=best, max_formula_dev=dev))
+        rows.append(dict(zip(SUMMARY_FIELDS,
+                             (scheme.gamma, scheme.delta, len(profiles), *best, dev))))
     return rows

@@ -43,7 +43,7 @@ def _check_interval(name: str, value: float, lo: float, hi: float, label: str,
     inside = lo <= value < hi if open_upper else lo <= value <= hi
     if not inside:
         raise ValueError(f"{name} must be in {label}, got {value!r}")
-    return value
+    return value + 0.0  # -0.0 as 0.0
 
 
 def check_phi(phi: float, phi_range: str = "narrow") -> None:

@@ -171,10 +171,12 @@ def _check_case_identities(rng) -> list[CheckResult]:
             cf.payoff_case_d(game, delta, StrategyParams(th1, phi1), s2),
             cf.payoff_general(game, SchemeParams(0.0, delta),
                               StrategyParams(th1, phi1), s2)))
+        # with phases zero, the general form depends on gamma - delta alone
         glo, ghi = min(gamma, delta), max(gamma, delta)
-        devs["case_c_shift_vs_case_a_i"] = max(devs["case_c_shift_vs_case_a_i"], _pair_dev(
-            cf.payoff_case_c(game, ghi, glo, th1, th2),
-            cf.payoff_case_a_i(game, ghi - glo, th1, th2)))
+        shifted = cf._general(*game.bos, ghi, glo, th1, 0.0, th2, 0.0)
+        unshifted = cf._general(*game.bos, ghi - glo, 0.0, th1, 0.0, th2, 0.0)
+        devs["case_c_shift_vs_case_a_i"] = max(devs["case_c_shift_vs_case_a_i"], *(
+            float(abs(x - y)) for x, y in zip(shifted, unshifted)))
     return [CheckResult(name, dev, IDENTITY_TOL, dev <= IDENTITY_TOL)
             for name, dev in devs.items()]
 
@@ -302,12 +304,11 @@ def _check_measurement_only(game: GameMatrix) -> list[CheckResult]:
         "measurement_only_interference", shift, ORACLE_TOL, shift > ORACLE_TOL,
         note="payoff shift at theta=pi/2, phi1+phi2=pi/2 vs phase-free classical play")
     alpha, beta, _ = game.bos
-    actual = 0.25 * (alpha - beta)
     printed = 0.5 * (alpha - beta)
     info = CheckResult(
-        "measurement_only_printed_coefficient", abs(printed - actual), None, True,
+        "measurement_only_printed_coefficient", abs(printed - shift), None, True,
         note=f"published interference coefficient is twice the simulated one "
-             f"({printed:g} vs {actual:g} at the probe)")
+             f"({printed:g} vs {shift:g} at the probe)")
     return [probe, info]
 
 

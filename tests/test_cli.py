@@ -15,6 +15,7 @@ from qgame import cli, equilibrium
 from qgame.cells import CsvCells, ReprCells
 from qgame.cli import (
     EQUILIBRIA_FIELDS,
+    SUMMARY_FIELDS,
     SWEEP_FIELDS,
     _csv_table,
     main,
@@ -53,6 +54,18 @@ class TestParsing:
     def test_bad_angle(self):
         with pytest.raises(ValueError, match="invalid angle"):
             parse_angle("tau")
+
+    @pytest.mark.parametrize("grid,message", [
+        ("33", "grid needs 'theta_steps,phi_steps', got '33'"),
+        ("33,17,9", "grid needs 'theta_steps,phi_steps', got '33,17,9'"),
+        ("33,x", "grid steps must be integers, got '33,x'"),
+        ("3.5,2", "grid steps must be integers, got '3.5,2'"),
+    ])
+    @pytest.mark.parametrize("command", ["sweep", "equilibria"])
+    def test_bad_grid_exits_one(self, capsys, command, grid, message):
+        code, out, err = run_cli(capsys, command, "--bos", "2,1,0", "--gamma", "0",
+                                 "--delta", "0", f"--grid={grid}")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestPayoff:
@@ -403,6 +416,12 @@ class TestVerify:
         assert "rejected by simulation" in out  # the printed-form flag line
         assert "(3, 3) vs simulated (1, 2)" in out
 
+    @pytest.mark.parametrize("seed", ["x", "1.5", ""])
+    def test_non_integer_seed_exits_one(self, capsys, seed):
+        code, out, err = run_cli(capsys, "verify", f"--seed={seed}")
+        assert (code, out) == (1, "")
+        assert err == f"error: seed must be a nonnegative integer, got {seed!r}\n"
+
     def test_matrix_without_bos_form_exits_one(self, capsys):
         # the Prisoner's Dilemma: verification needs the battle-of-sexes form
         code, out, err = run_cli(capsys, "verify", "--matrix", "3,3,0,5,5,0,1,1")
@@ -500,6 +519,20 @@ class TestSweep:
             tokens = line.split(",")
             assert [f"{float(t):.15g}" for t in tokens] == tokens
 
+
+    @pytest.mark.parametrize("matrix,empty", [
+        # matching pennies: nothing certified and no closed form
+        ("1,-1,-1,1,-1,1,1,-1", [False, False, False, True, True, True]),
+        # the prisoner's dilemma: certified profiles, but no closed form
+        ("3,3,0,5,5,0,1,1", [False, False, False, False, False, True]),
+    ], ids=["pennies", "prisoners"])
+    def test_summary_csv_leaves_missing_values_empty(self, capsys, matrix, empty):
+        code, out, _ = run_cli(capsys, "sweep", "--matrix", matrix, "--gamma", "0.7",
+                               "--delta", "0.4", "--summary", "--format", "csv")
+        header, row = out.splitlines()
+        assert code == 0 and header == ",".join(SUMMARY_FIELDS)
+        assert row.startswith("0.7,0.4,")
+        assert [cell == "" for cell in row.split(",")] == empty
 
     @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
     def test_summary_rejects_invalid_eps(self, capsys, eps):
@@ -1071,6 +1104,24 @@ with open(sys.argv[1], "w", encoding="utf-8") as fh:
 """
 
 BOS_SCHEME = ["--bos", "2,1,0", "--gamma", "0.7", "--delta", "0.4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["payoff", "--bos", "2,1,0", "--gamma=@", "--delta=@", "--s1=@,@", "--s2=1,@"],
+    ["payoff", "--matrix", "3,3,0,5,5,0,1,1", "--gamma=@", "--delta=@", "--s1=@,@",
+     "--s2=@,1", "--format", "csv"],
+    ["sweep", "--bos", "2,1,0", "--gamma=@", "--delta=@,0.3", "--grid", "2,2",
+     "--format", "csv"],
+    ["sweep", "--bos", "2,1,0", "--gamma=@,0.3", "--delta=@", "--grid", "2,2"],
+    ["sweep", "--bos", "2,1,0", "--gamma=@", "--delta=@", "--grid", "3,2", "--eps=@",
+     "--summary"],
+    ["equilibria", "--bos", "2,1,0", "--gamma=@", "--delta=@", "--grid", "2,1", "--eps=@"],
+], ids=["payoff-json", "payoff-csv", "sweep-csv", "sweep-json", "summary", "equilibria"])
+def test_negative_zero_prints_as_zero(capsys, argv):
+    # "-0" is the same angle or tolerance as "0" and must print as 0
+    outputs = [run_cli(capsys, *[arg.replace("@", zero) for arg in argv])
+               for zero in ("-0", "0")]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
 class TestLazyImports:

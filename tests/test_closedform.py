@@ -50,12 +50,12 @@ def dev(x, y):
 
 class TestBosCoefficients:
     def test_measurement_off(self):
-        c = bos_coefficients(2.0, 1.0, 0.0)
-        assert (c.xi, c.eta, c.chi) == (2.0, 1.0, 0.0)
+        xi, eta, chi = bos_coefficients(2.0, 1.0, 0.0)
+        assert (xi, eta, chi) == (2.0, 1.0, 0.0)
 
     def test_measurement_maximal(self):
-        c = bos_coefficients(2.0, 1.0, HP)
-        assert (c.xi, c.eta, c.chi) == pytest.approx((1.5, 1.5, 0.5))
+        xi, eta, chi = bos_coefficients(2.0, 1.0, HP)
+        assert (xi, eta, chi) == pytest.approx((1.5, 1.5, 0.5))
 
     def test_sum_rule_and_chi_range(self):
         rng = np.random.default_rng(2)
@@ -64,9 +64,9 @@ class TestBosCoefficients:
             if lo == hi:
                 continue
             delta = float(rng.uniform(0, HP))
-            c = bos_coefficients(float(hi), float(lo), delta)
-            assert c.xi + c.eta == pytest.approx(hi + lo, abs=1e-12)
-            assert -1e-12 <= c.chi <= (hi - lo) / 2 + 1e-12
+            xi, eta, chi = bos_coefficients(float(hi), float(lo), delta)
+            assert xi + eta == pytest.approx(hi + lo, abs=1e-12)
+            assert -1e-12 <= chi <= (hi - lo) / 2 + 1e-12
 
     def test_role_swap_is_exact(self):
         rng = np.random.default_rng(3)

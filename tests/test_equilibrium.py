@@ -24,7 +24,6 @@ from qgame.equilibrium import (
 )
 from qgame.scheme import (
     GameMatrix,
-    PayoffPair,
     SchemeParams,
     StrategyParams,
     battle_of_sexes,
@@ -399,17 +398,17 @@ class TestSweep:
         rows = sweep(bos210(), [0.0], [0.0], pure_grid(), eps=1e-9)
         assert len(rows) == 1
         row = rows[0]
-        assert row.equilibria == 2
-        assert (row.best.alice, row.best.bob) == pytest.approx((2.0, 1.0))
-        assert row.max_formula_dev <= 1e-9
+        assert row["equilibria"] == 2
+        assert (row["best_payoff_a"], row["best_payoff_b"]) == pytest.approx((2.0, 1.0))
+        assert row["max_formula_dev"] <= 1e-9
 
     def test_rows_follow_input_order(self):
         rows = sweep(bos210(), [0.0, HP], [0.0, HP], pure_grid(), eps=1e-9)
-        assert [(r.gamma, r.delta) for r in rows] == [(0.0, 0.0), (HP, HP)]
+        assert [(r["gamma"], r["delta"]) for r in rows] == [(0.0, 0.0), (HP, HP)]
 
     def test_singleton_broadcast(self):
         rows = sweep(bos210(), [0.0, 0.5, HP], [0.0], pure_grid(), eps=1e-9)
-        assert [(r.gamma, r.delta) for r in rows] == [(0.0, 0.0), (0.5, 0.0), (HP, 0.0)]
+        assert [(r["gamma"], r["delta"]) for r in rows] == [(0.0, 0.0), (0.5, 0.0), (HP, 0.0)]
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError, match="pair up"):
@@ -418,13 +417,14 @@ class TestSweep:
     def test_formula_deviation_small_everywhere(self):
         rows = sweep(bos210(), [0.0, 0.7, HP], [0.3, 0.3, 0.3], StrategyGrid(5, 3),
                      eps=1e-9)
-        assert all(r.max_formula_dev <= 1e-9 for r in rows)
+        assert all(r["max_formula_dev"] <= 1e-9 for r in rows)
 
     def test_no_deviation_reported_for_games_without_bos_form(self):
         pennies = GameMatrix(alice=((1, -1), (-1, 1)), bob=((-1, 1), (1, -1)))
         rows = sweep(pennies, [0.0], [0.0], pure_grid(), eps=1e-9)
-        assert rows[0].max_formula_dev is None
-        assert rows[0].best is None and rows[0].equilibria == 0
+        assert rows[0]["max_formula_dev"] is None
+        assert rows[0]["best_payoff_a"] is None and rows[0]["best_payoff_b"] is None
+        assert rows[0]["equilibria"] == 0
 
     @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
     def test_invalid_eps_rejected_like_epsilon_nash(self, eps):
@@ -437,7 +437,7 @@ class TestSweep:
         # at gamma = delta = 0 both pure equilibria tie on min(): (2,1) vs (1,2);
         # the sum also ties, so the first in grid order is reported
         rows = sweep(bos210(), [0.0], [0.0], pure_grid(), eps=1e-9)
-        assert (rows[0].best.alice, rows[0].best.bob) == pytest.approx((2.0, 1.0))
+        assert (rows[0]["best_payoff_a"], rows[0]["best_payoff_b"]) == pytest.approx((2.0, 1.0))
 
     @pytest.mark.parametrize("gammas,deltas,grid,message", [
         ([0.3, 2.0], [0.1], pure_grid(), "gamma must be in"),
@@ -461,15 +461,15 @@ class TestSweep:
 
 def reference_best(alice, bob, eps):
     """Summary pick profile by profile: largest min, then largest sum, then
-    first in grid order."""
+    first in grid order, as (best_payoff_a, best_payoff_b)."""
     cert = certificates(alice, bob)
-    best = best_key = None
+    best, best_key = (None, None), None
     for a, b in np.argwhere(cert <= eps):
         pair = (float(alice[a, b]), float(bob[a, b]))
         key = (min(pair), pair[0] + pair[1])
         if best_key is None or key > best_key:
             best_key = key
-            best = PayoffPair(*pair)
+            best = pair
     return best
 
 
@@ -479,7 +479,7 @@ class TestSweepSelection:
     def check(self, game, gamma, delta, grid, eps):
         row, = sweep(game, [gamma], [delta], grid, eps)
         alice, bob = whole_tables(game, SchemeParams(gamma, delta), grid)
-        assert row.best == reference_best(alice, bob, eps)
+        assert (row["best_payoff_a"], row["best_payoff_b"]) == reference_best(alice, bob, eps)
         return row
 
     @pytest.mark.parametrize("seed", range(6))
@@ -497,19 +497,19 @@ class TestSweepSelection:
     def test_classical_ties(self, eps):
         # at gamma = delta = 0 phase copies make hundreds of tied profiles
         row = self.check(bos210(), 0.0, 0.0, StrategyGrid(33, 17), eps)
-        assert row.equilibria > 300
+        assert row["equilibria"] > 300
 
     def test_sum_breaks_min_ties(self):
         # pure equilibria (1, 2) at OO and (1, 3) at TT tie on min; TT wins
         game = GameMatrix(alice=((1, 0), (0, 1)), bob=((2, 0), (0, 3)))
         row = self.check(game, 0.0, 0.0, pure_grid(), 1e-9)
-        assert (row.equilibria, row.best) == (2, PayoffPair(1.0, 3.0))
+        assert (row["equilibria"], row["best_payoff_a"], row["best_payoff_b"]) == (2, 1.0, 3.0)
 
     def test_constant_game_certifies_every_profile(self):
         constant = GameMatrix(alice=((1, 1), (1, 1)), bob=((1, 1), (1, 1)))
         grid = StrategyGrid(9, 5)
         row = self.check(constant, 0.7, 0.3, grid, 1e-9)
-        assert row.equilibria == 45 ** 2
+        assert row["equilibria"] == 45 ** 2
 
 
 CONSTANT = GameMatrix(alice=((1, 1), (1, 1)), bob=((1, 1), (1, 1)))
@@ -562,14 +562,15 @@ class TestRowBlocks:
             assert np.array_equal(got_values, values)
             assert got_values.tobytes() == values.tobytes()
             row, = sweep(game, [scheme.gamma], [scheme.delta], grid, eps)
-            assert (row.equilibria, row.best) == (len(a), reference_best(alice, bob, eps))
+            assert ((row["equilibria"], row["best_payoff_a"], row["best_payoff_b"])
+                    == (len(a), *reference_best(alice, bob, eps)))
             dev = None
             if game.bos is not None:
                 al, bo = _general(*game.bos, scheme.gamma, scheme.delta,
                                   thetas[:, np.newaxis], phis[:, np.newaxis],
                                   thetas[np.newaxis, :], phis[np.newaxis, :])
                 dev = float(max(np.abs(al - alice).max(), np.abs(bo - bob).max()))
-            assert row.max_formula_dev == dev
+            assert row["max_formula_dev"] == dev
 
     @pytest.mark.parametrize("grid", [StrategyGrid(9, 5), StrategyGrid(17, 9, "full")],
                              ids=["9x5", "17x9-full"])
@@ -630,7 +631,7 @@ class TestProfileLimit:
         grid = StrategyGrid(3, 2)  # the constant game certifies all 36 profiles
         monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 36 * PROFILE_BYTES)
         assert len(epsilon_nash(CONSTANT, QUANTUM, grid, eps=1e-9)[0]) == 36
-        assert sweep(CONSTANT, [HP], [HP], grid, eps=1e-9)[0].equilibria == 36
+        assert sweep(CONSTANT, [HP], [HP], grid, eps=1e-9)[0]["equilibria"] == 36
         monkeypatch.setattr(equilibrium, "MAX_TABLE_BYTES", 36 * PROFILE_BYTES - 1)
         message = (f"3x2 grid holds over 35 candidate profiles, the limit of "
                    f"{36 * PROFILE_BYTES - 1} bytes")

@@ -79,6 +79,24 @@ class TestParams:
             check_phi(HP + 0.2, "narrow")
         check_phi(HP + 0.2, "full")
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: SchemeParams("x", 0.0), "gamma must be a finite number, got 'x'"),
+        (lambda: SchemeParams(0.0, [0.1]), r"delta must be a finite number, got \[0.1\]"),
+        (lambda: StrategyParams(None, 0.0), "theta must be a finite number, got None"),
+        (lambda: StrategyParams(0.0, "pi"), "phi must be a finite number, got 'pi'"),
+    ], ids=["text-gamma", "list-delta", "none-theta", "token-phi"])
+    def test_non_numeric_angle_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    @pytest.mark.parametrize("phi_range", ["wide", "Narrow", ""])
+    def test_check_phi_rejects_unknown_range(self, phi_range):
+        with pytest.raises(ValueError, match=r"phi_range must be one of \['full', 'narrow'\]"):
+            check_phi(0.1, phi_range)
+
+
+ALICE, BOB = ((2, 0), (0, 1)), ((1, 0), (0, 2))  # the cells of bos210()
+
 
 class TestGameMatrix:
     def test_bos_structure(self):
@@ -124,6 +142,16 @@ class TestGameMatrix:
         plain = GameMatrix(alice=((2, 0), (0, 1)), bob=((1, 0), (0, 2)))
         assert bos210() == plain and hash(bos210()) == hash(plain)
         assert bos210().bos == (2.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("alice,bob,message", [
+        (((None, 0), (0, 1)), BOB, "alice payoffs must be a 2x2 array of numbers"),
+        (ALICE, 5.0, "bob payoffs must be a 2x2 array of numbers"),
+        (((2, 0, 0), (0, 1, 0)), BOB, r"alice payoffs must be 2x2, got \(\(2, 0, 0\)"),
+        (ALICE, ((1, 0),), r"bob payoffs must be 2x2, got \(\(1, 0\),\)"),
+    ], ids=["none-cell", "scalar", "2x3", "1x2"])
+    def test_cells_not_a_2x2_array_of_numbers_rejected(self, alice, bob, message):
+        with pytest.raises(ValueError, match=message):
+            GameMatrix(alice=alice, bob=bob)
 
     def test_nonfinite_entries_rejected(self):
         with pytest.raises(ValueError, match="finite"):

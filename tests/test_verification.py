@@ -1,11 +1,30 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qgame import cli, verification
-from qgame.scheme import HALF_PI, TWO_PI, GameMatrix, battle_of_sexes, measurement_basis
+from qgame import cli, closedform, verification
+from qgame.scheme import (
+    HALF_PI,
+    TWO_PI,
+    GameMatrix,
+    PayoffPair,
+    battle_of_sexes,
+    measurement_basis,
+)
 from qgame.verification import VERIFY_MAX_PAYOFF, run_verification
+
+
+def _benchmark_tracer():
+    """perfbench/tracer.py, loaded by path: perfbench is a folder of scripts,
+    not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 REQUIRED_CHECKS = {
     "general_vs_oracle",
@@ -91,8 +110,8 @@ def test_verify_makes_the_traced_call_counts(verify_seed0):
     # skipped oracle calls or built fewer bases would fail here too
     _, code, _, calls = verify_seed0
     assert code == 0
-    assert calls == {"payoffs_oracle": 14002, "measurement_basis": 15103,
-                     "payoff_general": 17000}
+    pinned = _benchmark_tracer().VERIFY_EXACT_CALLS  # "scheme.payoffs_oracle.calls": 14002
+    assert calls == {key.split(".")[1]: count for key, count in pinned.items()}
 
 
 @pytest.mark.parametrize("fault", ["not-normalized", "not-orthogonal"])
@@ -123,3 +142,45 @@ def test_uniform_is_generator_uniform_bit_for_bit(hi):
         assert ([hi * u for u in ours.random(3).tolist()]
                 == theirs.uniform(0.0, hi, size=3).tolist())
     assert ours.random() == theirs.random()  # same stream position
+
+
+@pytest.mark.parametrize("bump", [0.0, 1e-6])
+def test_case_c_shift_sees_a_delta_dependence(monkeypatch, bump):
+    # with phases zero the general form depends on gamma - delta alone, so a
+    # general form that also moved with delta must fail the shift check
+    general = closedform._general
+
+    def bumped(alpha, beta, sigma, gamma, delta, *angles):
+        alice, bob = general(alpha, beta, sigma, gamma, delta, *angles)
+        return alice + bump * delta, bob + bump * delta
+
+    monkeypatch.setattr(closedform, "_general", bumped)
+    checks = verification._check_case_identities(np.random.default_rng(0))
+    shift, = (c for c in checks if c.name == "case_c_shift_vs_case_a_i")
+    assert shift.passed == (bump == 0.0)
+    assert (shift.value > 1e-9) == (bump > 0.0)
+
+
+def test_printed_coefficient_record_reads_the_simulated_shift(monkeypatch):
+    game = battle_of_sexes(2.0, 1.0, 0.0)
+    probe, info = verification._check_measurement_only(game)
+    assert info.value == 0.5 - probe.value
+    assert probe.value == pytest.approx(0.25, abs=1e-12)
+    # classical play at theta = pi/2 pays (0.75, 0.75); a probe that moves
+    # both payoffs by 0.375 moves the record with it
+    monkeypatch.setattr(verification, "payoffs_oracle",
+                        lambda *args: PayoffPair(1.125, 0.375))
+    probe, info = verification._check_measurement_only(game)
+    assert info.value == 0.5 - probe.value
+    assert (probe.value, info.value) == pytest.approx((0.375, 0.125), abs=1e-12)
+    assert "(0.5 vs 0.375 at the probe)" in info.note
+
+
+@pytest.mark.parametrize("kwargs,seed", [({}, 0), ({"seed": 3}, 3)],
+                         ids=["no-arguments", "seed-only"])
+def test_default_game_is_bos_210(monkeypatch, kwargs, seed):
+    for name in ("EQUIVALENCE_DRAWS", "CASE_DRAWS", "BASIS_DRAWS", "UNITARITY_DRAWS"):
+        monkeypatch.setattr(verification, name, 5)
+    report = run_verification(**kwargs)
+    assert report == run_verification(battle_of_sexes(2.0, 1.0, 0.0), seed=seed)
+    assert report.game.bos == (2.0, 1.0, 0.0) and report.passed
