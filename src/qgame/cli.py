@@ -70,9 +70,12 @@ def parse_angle_list(text: str) -> list[float]:
 
 def _split_floats(text: str, count: int, what: str) -> list[float]:
     parts = text.split(",")
-    if len(parts) != count:
-        raise ValueError(f"{what} needs {count} comma-separated values, got {text!r}")
-    return [float(p) for p in parts]
+    try:
+        if len(parts) == count:
+            return [float(p) for p in parts]
+    except ValueError:
+        pass
+    raise ValueError(f"{what} needs {count} comma-separated numbers, got {text!r}")
 
 
 def parse_strategy(text: str, phi_range: str) -> StrategyParams:
@@ -108,9 +111,9 @@ def load_config(path: str) -> list[str]:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq or not key:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
             if key == "config":
                 raise ValueError(f"{path}:{lineno}: a config file cannot name another one")
             tokens.append(f"--{key}={value}")
@@ -184,8 +187,7 @@ def _table_chunks(fields: tuple[str, ...], fmt: str, grid: StrategyGrid, pad: in
         def head(prefix):
             return "".join(_fmt_csv(v) + "," for v in prefix)
 
-        # the cells start with their ","
-        labels = ["", ",", ",", ","] + [""] * (len(fields) - first - 4)
+        labels = ["" if i == first else "," for i in range(first, len(fields))]
         sep, end = "", "\n"
         header = ",".join(fields) + "\n"  # goes out with the first rows, or alone
         lead, empty, close = header, header, ""
@@ -204,7 +206,7 @@ def _table_chunks(fields: tuple[str, ...], fmt: str, grid: StrategyGrid, pad: in
         lead, empty, close = "[\n", "[]\n", f"\n{indent[2:]}]\n"
     angles = [_padded([angle(v) for v in values]) for values in (thetas, phis)]
     # a row after its head: the labels, NULs where the texts go and the end
-    widths = [angles[0].shape[1], angles[1].shape[1]] * 2 + [cells.CELL] * (len(labels) - 4)
+    widths = [angles[0].shape[1], angles[1].shape[1]] * 2 + [cells.width] * (len(labels) - 4)
     body, offsets = "", []
     for label, width in zip(labels, widths):
         body += label
@@ -218,7 +220,7 @@ def _table_chunks(fields: tuple[str, ...], fmt: str, grid: StrategyGrid, pad: in
         a, b = np.divmod(profiles, n)
         points = [*np.divmod(a, steps), *np.divmod(b, steps)]  # theta and phi indices
         texts = [np.take(angles[i % 2], index, axis=0) for i, index in enumerate(points)]
-        texts.extend(cells(values).reshape(-1, len(profiles), cells.CELL))
+        texts.extend(cells(values).reshape(-1, len(profiles), cells.width))
         # the rows go into a bytearray, which translate reads with no tobytes copy
         line = bytearray(len(profiles) * len(row))
         view = np.frombuffer(line, np.uint8).reshape(len(profiles), len(row))

@@ -93,7 +93,7 @@ class StrategyParams:
 def _as_cells(name, cells) -> tuple[tuple[float, float], tuple[float, float]]:
     try:
         rows = tuple([tuple([float(v) for v in row]) for row in cells])
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be a 2x2 array of numbers") from exc
     if len(rows) != 2 or len(rows[0]) != 2 or len(rows[1]) != 2:
         raise ValueError(f"{name} must be 2x2, got {cells!r}")

@@ -204,6 +204,13 @@ class TestConfigFile:
         assert code == 1
         assert "key = value" in err
 
+    def test_config_empty_key(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bos = 2,1,0\n = 3\n")
+        code, out, err = run_cli(capsys, "payoff", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == f"error: {cfg}:2: expected 'key = value', got ' = 3\\n'\n"
+
     def test_config_summary_true(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("summary = true\n")
@@ -474,6 +481,20 @@ class TestGameOptions:
         assert (code, out) == (1, "")
         assert "one of the arguments --bos --matrix is required" in err
 
+    @pytest.mark.parametrize("game,message", [
+        (["--bos", "2,x,0"], "bos needs 3 comma-separated numbers, got '2,x,0'"),
+        (["--matrix", "1,2,3,4,5,6,7,x"],
+         "matrix needs 8 comma-separated numbers, got '1,2,3,4,5,6,7,x'"),
+    ], ids=["bos", "matrix"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_payoff_that_is_not_a_number(self, capsys, tmp_path, game, message, to_file):
+        target = tmp_path / "result"
+        out_args = ["--out", str(target)] if to_file else []
+        code, out, err = run_cli(capsys, "payoff", *game, *self.ARGS["payoff"], *out_args)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+        assert not target.exists()
+
 
 class TestSweep:
     def test_single_point_profile_rows(self, capsys):
@@ -692,9 +713,12 @@ class TestRowBlockMemory:
 
 
 def assert_formats_as_python(x):
-    """CsvCells()(x) holds "," + "%.15g" % v for each v, byte for byte."""
+    """CsvCells()(x) holds "%.15g" % v for each v, byte for byte."""
     x = np.asarray(x, dtype=float)
-    got = CsvCells()(x).tobytes().translate(None, b"\0").decode("ascii")
+    cells = CsvCells()(x)
+    # a "," before each cell splits the texts, as the row writer's labels do
+    rows = np.concatenate([np.full((x.size, 1), ord(","), np.uint8), cells], axis=1)
+    got = rows.tobytes().translate(None, b"\0").decode("ascii")
     want = ",%.15g" * x.size % tuple(x.tolist())
     if got != want:
         got, want = got.split(","), want.split(",")
@@ -743,6 +767,9 @@ class TestCsvCells:
         (np.nextafter(1e-4, 0), "0.0001"),
         (1e15, "1e+15"),
         (np.nextafter(1e15, 0), "1e+15"),
+        # 1e15 <= |x| < 1e16: n has 16 digits and Python writes the value
+        (9999999999999998.0, "1e+16"),
+        (1234567890123456.0, "1.23456789012346e+15"),
         (1e14, "100000000000000"),
         (120.0, "120"),
         (99999999999999.8, "99999999999999.8"),  # log10 rounds up to 14
@@ -808,6 +835,7 @@ class TestReprCells:
         (np.nextafter(1e-4, 0), "9.999999999999999e-05"),
         (np.nextafter(1e16, 0), "9999999999999998.0"),
         (1e16, "1e+16"),
+        (1234567890123456.0, "1234567890123456.0"),
         (120.0, "120.0"),  # an integer ends in ".0"
         (1234567890123456.8, "1234567890123456.8"),
         (2251799813685248.5, "2251799813685248.5"),  # its 16-digit rounding is a tie

@@ -146,9 +146,10 @@ class TestGameMatrix:
     @pytest.mark.parametrize("alice,bob,message", [
         (((None, 0), (0, 1)), BOB, "alice payoffs must be a 2x2 array of numbers"),
         (ALICE, 5.0, "bob payoffs must be a 2x2 array of numbers"),
+        ((("a", 0), (0, 1)), BOB, "alice payoffs must be a 2x2 array of numbers"),
         (((2, 0, 0), (0, 1, 0)), BOB, r"alice payoffs must be 2x2, got \(\(2, 0, 0\)"),
         (ALICE, ((1, 0),), r"bob payoffs must be 2x2, got \(\(1, 0\),\)"),
-    ], ids=["none-cell", "scalar", "2x3", "1x2"])
+    ], ids=["none-cell", "scalar", "string-cell", "2x3", "1x2"])
     def test_cells_not_a_2x2_array_of_numbers_rejected(self, alice, bob, message):
         with pytest.raises(ValueError, match=message):
             GameMatrix(alice=alice, bob=bob)
