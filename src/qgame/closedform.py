@@ -54,22 +54,31 @@ def bos_coefficients(alpha: float, beta: float, delta: float) -> tuple[float, fl
 
 def _general(alpha, beta, sigma, gamma, delta, theta1, phi1, theta2, phi2):
     """Both players' general payoffs. delta is a scalar; gamma and the
-    strategy angles are numpy-broadcastable. alpha > beta is not required:
-    swapping them exchanges the players' roles."""
+    strategy angles are numbers or numpy arrays that broadcast together.
+    Without an array among them (one profile) the trig comes from math, as
+    numpy's cost per call would outweigh the arithmetic, and the payoffs are
+    floats. alpha > beta is not required: swapping them exchanges the
+    players' roles."""
+    trig = np if np.ndarray in map(type, (gamma, theta1, phi1, theta2, phi2)) else math
     xi, eta, chi = bos_coefficients(alpha, beta, delta)
-    cg2 = np.cos(gamma / 2) ** 2
-    sg2 = np.sin(gamma / 2) ** 2
-    sing = np.sin(gamma)
+    cg2 = trig.cos(gamma / 2) ** 2
+    sg2 = trig.sin(gamma / 2) ** 2
+    sing = trig.sin(gamma)
     # Trig of each player's own angles only, so that on grids (one player's
     # angles along each axis) the transcendental calls are O(n), not O(n^2):
     # sin(phi1 + phi2) by the angle-sum identity, cos(2x) = 1 - 2 sin(x)^2.
-    sin_p1, cos_p1 = np.sin(phi1), np.cos(phi1)
-    sin_p2, cos_p2 = np.sin(phi2), np.cos(phi2)
-    sin_t1, sin_t2 = np.sin(theta1), np.sin(theta2)
-    cc = np.cos(theta1 / 2) ** 2 * np.cos(theta2 / 2) ** 2
-    ss = np.sin(theta1 / 2) ** 2 * np.sin(theta2 / 2) ** 2
+    sin_p1, cos_p1 = trig.sin(phi1), trig.cos(phi1)
+    sin_p2, cos_p2 = trig.sin(phi2), trig.cos(phi2)
+    sin_t1, sin_t2 = trig.sin(theta1), trig.sin(theta2)
+    # The strategy terms are squared as products, which is what an array's
+    # ** 2 computes (a float's is a pow), so one profile gets the bits of a
+    # one-element grid.
+    c1, c2 = trig.cos(theta1 / 2), trig.cos(theta2 / 2)
+    s1, s2 = trig.sin(theta1 / 2), trig.sin(theta2 / 2)
+    cc = c1 * c1 * (c2 * c2)
+    ss = s1 * s1 * (s2 * s2)
     sin_sum = sin_p1 * cos_p2 + cos_p1 * sin_p2
-    cos2p = 1 - 2 * sin_sum ** 2
+    cos2p = 1 - 2 * (sin_sum * sin_sum)
     # sin(theta1) sin(theta2) sin(phi1 + phi2)
     cross = (sin_t1 * sin_p1) * (sin_t2 * cos_p2) + (sin_t1 * cos_p1) * (sin_t2 * sin_p2)
     alice = (

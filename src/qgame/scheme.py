@@ -10,7 +10,9 @@ path: explicit state evolution and projection, no closed forms.
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,12 +40,12 @@ def _check_interval(name: str, value: float, lo: float, hi: float, label: str,
         value = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a finite number, got {value!r}") from None
+    # lo and hi are finite, so nan and inf fail this test too
+    if lo <= value < hi if open_upper else lo <= value <= hi:
+        return value + 0.0  # -0.0 as 0.0
     if not math.isfinite(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
-    inside = lo <= value < hi if open_upper else lo <= value <= hi
-    if not inside:
-        raise ValueError(f"{name} must be in {label}, got {value!r}")
-    return value + 0.0  # -0.0 as 0.0
+    raise ValueError(f"{name} must be in {label}, got {value!r}")
 
 
 def check_phi(phi: float, phi_range: str = "narrow") -> None:
@@ -92,11 +94,15 @@ class StrategyParams:
 
 def _as_cells(name, cells) -> tuple[tuple[float, float], tuple[float, float]]:
     try:
-        rows = tuple([tuple([float(v) for v in row]) for row in cells])
+        (a, b), (c, d) = cells
+    except TypeError as exc:  # cells, or one of its rows, is not iterable
+        raise ValueError(f"{name} must be a 2x2 array of numbers") from exc
+    except ValueError:  # a row count or row length other than 2
+        raise ValueError(f"{name} must be 2x2, got {cells!r}") from None
+    try:
+        rows = (float(a), float(b)), (float(c), float(d))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be a 2x2 array of numbers") from exc
-    if len(rows) != 2 or len(rows[0]) != 2 or len(rows[1]) != 2:
-        raise ValueError(f"{name} must be 2x2, got {cells!r}")
     for v in rows[0] + rows[1]:
         if not abs(v) <= MAX_PAYOFF:  # also false for nan
             raise ValueError(f"{name} entries must be finite and at most "
@@ -157,31 +163,48 @@ class PayoffPair:
             raise ValueError(f"payoffs must be finite, got {self.alice!r}, {self.bob!r}")
 
 
+def _initial_amplitudes(gamma: float) -> tuple[complex, complex]:
+    """The amplitudes of |OO> and |TT> in the initial state; |OT> and |TO>
+    have none."""
+    gamma = _check_interval("gamma", gamma, 0.0, HALF_PI, "[0, pi/2]")
+    return complex(math.cos(gamma / 2)), 1j * math.sin(gamma / 2)
+
+
 def initial_state(gamma: float) -> np.ndarray:
     """cos(gamma/2)|OO> + i sin(gamma/2)|TT>."""
-    _check_interval("gamma", gamma, 0.0, HALF_PI, "[0, pi/2]")
-    return np.array([math.cos(gamma / 2), 0.0, 0.0, 1j * math.sin(gamma / 2)],
-                    dtype=np.complex128)
+    oo, tt = _initial_amplitudes(gamma)
+    return np.array((oo, 0.0, 0.0, tt), dtype=np.complex128)
+
+
+def _strategy_entries(s: StrategyParams) -> tuple[complex, complex, complex, complex]:
+    """The entries of U(theta, phi), row-major: [[c e^{i phi}, s], [-s,
+    c e^{-i phi}]] with c, s the cosine and sine of theta/2."""
+    c, s_ = math.cos(s.theta / 2), math.sin(s.theta / 2)
+    cos_phi, sin_phi = math.cos(s.phi), math.sin(s.phi)
+    return (complex(c * cos_phi, c * sin_phi), complex(s_),
+            complex(-s_), complex(c * cos_phi, -c * sin_phi))
 
 
 def strategy_op(s: StrategyParams) -> np.ndarray:
-    """U(theta, phi) = cos(theta/2) R(phi) + sin(theta/2) C; always unitary.
-
-    Built entrywise: [[c e^{i phi}, s], [-s, c e^{-i phi}]] with c, s the
-    cosine and sine of theta/2."""
-    c, s_ = math.cos(s.theta / 2), math.sin(s.theta / 2)
-    cos_phi, sin_phi = math.cos(s.phi), math.sin(s.phi)
-    return np.array([[complex(c * cos_phi, c * sin_phi), s_],
-                     [-s_, complex(c * cos_phi, -c * sin_phi)]], dtype=np.complex128)
+    """U(theta, phi) = cos(theta/2) R(phi) + sin(theta/2) C; always unitary."""
+    return np.array(_strategy_entries(s), dtype=np.complex128).reshape(2, 2)
 
 
 def final_state(gamma: float, s1: StrategyParams, s2: StrategyParams) -> np.ndarray:
     """(U1 tensor U2) applied to the entangled initial state.
 
     With the amplitudes as a 2x2 matrix M[a, b] (a Alice's qubit, b Bob's),
-    the tensor product acts as U1 M U2^T."""
-    amps = initial_state(gamma).reshape(2, 2)
-    return (strategy_op(s1) @ amps @ strategy_op(s2).T).reshape(4)
+    the tensor product acts as U1 M U2^T. M is diagonal, so U1 M scales the
+    columns of U1. One profile's product is a few complex multiplications,
+    done in Python: two 2x2 numpy matmuls cost several times more in call
+    overhead."""
+    oo, tt = _initial_amplitudes(gamma)
+    a, b, c, d = _strategy_entries(s1)
+    e, f, g, h = _strategy_entries(s2)
+    t00, t01, t10, t11 = a * oo, b * tt, c * oo, d * tt  # U1 M
+    # (U1 M) U2^T: entry [i, j] pairs row i of U1 M with row j of U2
+    return np.array((t00 * e + t01 * f, t00 * g + t01 * h,
+                     t10 * e + t11 * f, t10 * g + t11 * h), dtype=np.complex128)
 
 
 def measurement_basis(delta: float) -> np.ndarray:
@@ -194,10 +217,11 @@ def measurement_basis(delta: float) -> np.ndarray:
     """
     _check_interval("delta", delta, 0.0, HALF_PI, "[0, pi/2]")
     c, s = math.cos(delta / 2), math.sin(delta / 2)
-    rows = np.array([[c, 0.0, 0.0, 1j * s],
-                     [0.0, c, -1j * s, 0.0],
-                     [0.0, -1j * s, c, 0.0],
-                     [1j * s, 0.0, 0.0, c]], dtype=np.complex128)
+    up, down = 1j * s, -1j * s
+    rows = np.array((c, 0.0, 0.0, up,
+                     0.0, c, down, 0.0,
+                     0.0, down, c, 0.0,
+                     up, 0.0, 0.0, c), dtype=np.complex128).reshape(4, 4)
     rows.flags.writeable = False
     return rows
 
@@ -206,7 +230,7 @@ def outcome_probabilities(state, basis: np.ndarray) -> tuple[float, float, float
     """|<psi_b|state>|^2 for each outcome ket psi_b, a row of basis, in order
     OO, OT, TO, TT."""
     state = np.asarray(state, dtype=np.complex128)
-    if state.shape != (4,) or not np.isfinite(state).all():
+    if state.shape != (4,) or not all(map(cmath.isfinite, state.tolist())):
         raise ValueError(f"state must be 4 finite amplitudes, got {state!r}")
     return tuple((np.abs(basis.conj() @ state) ** 2).tolist())  # type: ignore[return-value]
 
@@ -216,6 +240,6 @@ def payoffs_oracle(game: GameMatrix, scheme: SchemeParams, s1: StrategyParams,
     """Payoffs by full state simulation: evolve, project, weight by the matrix."""
     state = final_state(scheme.gamma, s1, s2)
     probs = outcome_probabilities(state, measurement_basis(scheme.delta))
-    alice = sum(w * p for w, p in zip(game.alice_by_outcome(), probs))
-    bob = sum(w * p for w, p in zip(game.bob_by_outcome(), probs))
+    alice = sum(map(operator.mul, game.alice_by_outcome(), probs))
+    bob = sum(map(operator.mul, game.bob_by_outcome(), probs))
     return PayoffPair(float(alice), float(bob))

@@ -36,6 +36,8 @@ UNITARITY_DRAWS = 1_000
 
 ORACLE_TOL = 1e-9
 IDENTITY_TOL = 1e-12
+# eps of the classical pure equilibria, certified and expected alike
+CLASSICAL_EPS = 1e-9
 
 # Largest payoff magnitude of a game to verify. ORACLE_TOL is absolute, and one
 # rounding of a payoff this size (about 1e6 * 2.2e-16 = 2e-10) stays below it;
@@ -122,6 +124,16 @@ def _classical_mixed(game: GameMatrix, p: float, q: float) -> tuple[float, float
     alice = sum(w * pr for w, pr in zip(game.alice_by_outcome(), probs))
     bob = sum(w * pr for w, pr in zip(game.bob_by_outcome(), probs))
     return float(alice), float(bob)
+
+
+def _classical_pure_equilibria(game: GameMatrix) -> list[tuple[int, int]]:
+    """Moves (i, j), O = 0 and T = 1, in lexicographic order, from which no
+    player gains more than CLASSICAL_EPS by switching alone: classical best
+    replies read off the cells, apart from the simulation path."""
+    a, b = game.alice, game.bob
+    return [(i, j) for i in (0, 1) for j in (0, 1)
+            if max(a[0][j], a[1][j]) - a[i][j] <= CLASSICAL_EPS
+            and max(b[i][0], b[i][1]) - b[i][j] <= CLASSICAL_EPS]
 
 
 def _check_general_vs_oracle(rng) -> CheckResult:
@@ -222,12 +234,13 @@ def _check_classical(rng, game: GameMatrix) -> list[CheckResult]:
     limit = CheckResult("classical_limit_mixed_strategies", worst, IDENTITY_TOL,
                         worst <= IDENTITY_TOL)
 
-    grid = StrategyGrid(theta_steps=2, phi_steps=1)
-    profiles, values = epsilon_nash(game, scheme, grid, eps=1e-9)
+    grid = StrategyGrid(theta_steps=2, phi_steps=1)  # theta 0 plays O, theta pi plays T
+    profiles, values = epsilon_nash(game, scheme, grid, eps=CLASSICAL_EPS)
     a, b = np.divmod(profiles, 2)
     grid_thetas = grid.angles()[0]
     thetas = list(zip(grid_thetas[a].tolist(), grid_thetas[b].tolist()))
-    expected = [(0.0, 0.0), (math.pi, math.pi)]
+    moves = (0.0, math.pi)
+    expected = [(moves[i], moves[j]) for i, j in _classical_pure_equilibria(game)]
     cert = float(values[:, 2].max()) if len(profiles) else math.inf
     ok = thetas == expected and cert <= IDENTITY_TOL
     eq = CheckResult("classical_pure_equilibria", cert, IDENTITY_TOL, ok,
@@ -293,17 +306,20 @@ def _check_reduction_slices(rng) -> list[CheckResult]:
 
 
 def _check_measurement_only(game: GameMatrix) -> list[CheckResult]:
-    """gamma=0, delta=pi/2 probe: phases still move payoffs."""
+    """gamma=0, delta=pi/2 probe: phases still move payoffs, by exactly
+    |alpha - beta| / 4 (case_d's interference term at the probe), which is
+    zero when alpha == beta."""
     scheme = SchemeParams(0.0, HALF_PI)
     with_phase = payoffs_oracle(game, scheme, StrategyParams(HALF_PI, HALF_PI),
                                 StrategyParams(HALF_PI, 0.0))
     classical = cf.payoff_case_b_ii(game, HALF_PI, HALF_PI)
     shift = min(abs(with_phase.alice - classical.alice),
                 abs(with_phase.bob - classical.bob))
-    probe = CheckResult(
-        "measurement_only_interference", shift, ORACLE_TOL, shift > ORACLE_TOL,
-        note="payoff shift at theta=pi/2, phi1+phi2=pi/2 vs phase-free classical play")
     alpha, beta, _ = game.bos
+    probe = CheckResult(
+        "measurement_only_interference", shift, ORACLE_TOL,
+        abs(shift - abs(alpha - beta) / 4) <= ORACLE_TOL,
+        note="payoff shift at theta=pi/2, phi1+phi2=pi/2 vs phase-free classical play")
     printed = 0.5 * (alpha - beta)
     info = CheckResult(
         "measurement_only_printed_coefficient", abs(printed - shift), None, True,

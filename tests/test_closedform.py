@@ -153,6 +153,39 @@ class TestPayoffGeneral:
                 assert abs(alice[i, j] - want.alice) <= 1e-13
                 assert abs(bob[i, j] - want.bob) <= 1e-13
 
+    @pytest.mark.parametrize("phi_hi", [HP, 2 * math.pi], ids=["narrow", "full"])
+    def test_one_profile_is_a_one_element_grid_bit_for_bit(self, phi_hi):
+        # one profile's trig comes from math, a grid's from numpy arrays, and
+        # both must give the same floats; the grid path passes the scheme's
+        # gamma and delta as floats
+        rng = np.random.default_rng(113)
+        cases = []
+        for _ in range(10_000):
+            game = draw_bos(rng)
+            g, d = (float(x) for x in rng.uniform(0, HP, size=2))
+            t1, t2 = (float(x) for x in rng.uniform(0, math.pi, size=2))
+            p1, p2 = (float(x) for x in rng.uniform(0, phi_hi, size=2))
+            cases.append((game, g, d, t1, p1, t2, p2))
+        ends = (0.0, HP, math.pi)
+        phis = ends if phi_hi > math.pi else ends[:2]
+        game = battle_of_sexes(3.1, 1.7, 0.4)
+        cases += [(game, g, d, t1, p1, t2, p2) for g in ends[:2] for d in ends[:2]
+                  for t1 in ends for p1 in phis for t2 in ends for p2 in phis]
+        one, floats, grids = [], [], []
+        for game, g, d, t1, p1, t2, p2 in cases:
+            pair = payoff_general(game, SchemeParams(g, d), StrategyParams(t1, p1),
+                                  StrategyParams(t2, p2))
+            one += [pair.alice, pair.bob]
+            got = _general(*game.bos, g, d, t1, p1, t2, p2)
+            assert all(type(x) is float for x in got)
+            floats += got
+            grid = _general(*game.bos, g, d, *(np.array([x]) for x in (t1, p1, t2, p2)))
+            grids += [x.item() for x in grid]
+        bits = [np.array(x).view(np.int64) for x in (one, floats, grids)]
+        assert len(bits[0]) == 2 * len(cases)
+        np.testing.assert_array_equal(bits[0], bits[2])
+        np.testing.assert_array_equal(bits[1], bits[2])
+
 
 class TestCaseAI:
     def test_classical_matched(self):

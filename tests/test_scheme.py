@@ -5,6 +5,7 @@ import pytest
 
 from qgame.scheme import (
     MAX_PAYOFF,
+    TWO_PI,
     GameMatrix,
     PayoffPair,
     SchemeParams,
@@ -88,6 +89,23 @@ class TestParams:
     def test_non_numeric_angle_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: SchemeParams(math.inf, 0.0), "gamma must be a finite number, got inf"),
+        (lambda: SchemeParams(0.0, math.nan), "delta must be a finite number, got nan"),
+        (lambda: SchemeParams(2.0, 0.0), r"gamma must be in \[0, pi/2\], got 2.0"),
+        (lambda: StrategyParams(-0.5, 0.0), r"theta must be in \[0, pi\], got -0.5"),
+        (lambda: StrategyParams(0.0, TWO_PI), r"phi must be in \[0, 2\*pi\), got 6.28"),
+        (lambda: StrategyParams(0.0, -math.inf), "phi must be a finite number, got -inf"),
+    ], ids=["inf-gamma", "nan-delta", "gamma-above", "theta-below", "phi-at-2pi", "-inf-phi"])
+    def test_out_of_range_angle_messages(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_negative_zero_angles_are_stored_as_zero(self):
+        scheme, s = SchemeParams(-0.0, -0.0), StrategyParams(-0.0, -0.0)
+        assert all(math.copysign(1.0, v) == 1.0
+                   for v in (scheme.gamma, scheme.delta, s.theta, s.phi))
 
     @pytest.mark.parametrize("phi_range", ["wide", "Narrow", ""])
     def test_check_phi_rejects_unknown_range(self, phi_range):
@@ -275,6 +293,16 @@ class TestMeasurementBasis:
         with pytest.raises(ValueError, match="delta"):
             measurement_basis(-0.2)
 
+    def test_equals_the_nested_list_construction_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        for delta in [0.0, HP, *rng.uniform(0, HP, size=500).tolist()]:
+            c, s = math.cos(delta / 2), math.sin(delta / 2)
+            want = np.array([[c, 0.0, 0.0, 1j * s],
+                             [0.0, c, -1j * s, 0.0],
+                             [0.0, -1j * s, c, 0.0],
+                             [1j * s, 0.0, 0.0, c]], dtype=np.complex128)
+            assert measurement_basis(delta).tobytes() == want.tobytes()
+
     def test_array_is_read_only(self):
         basis = measurement_basis(0.3)
         assert basis.shape == (4, 4) and basis.dtype == np.complex128
@@ -306,7 +334,20 @@ class TestOutcomeProbabilities:
         with pytest.raises(ValueError, match="finite"):
             outcome_probabilities(np.array([np.nan, 0, 0, 1]), measurement_basis(0.3))
 
-    @pytest.mark.parametrize("state", [np.ones(3), np.eye(2), np.ones(5)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan),
+                                     complex(1, -math.inf)],
+                             ids=["nan", "inf", "-inf", "nan-imag", "inf-imag"])
+    @pytest.mark.parametrize("where", [0, 3])
+    def test_rejects_nonfinite_amplitude(self, bad, where):
+        state = np.array([ISQ2, 0, 0, ISQ2], dtype=np.complex128)
+        state[where] = bad
+        with pytest.raises(ValueError, match="4 finite amplitudes"):
+            outcome_probabilities(state, measurement_basis(0.3))
+        with pytest.raises(ValueError, match="4 finite amplitudes"):
+            outcome_probabilities(state.tolist(), measurement_basis(0.3))
+
+    @pytest.mark.parametrize("state", [np.ones(3), np.eye(2), np.ones(5), np.ones((1, 4)),
+                                       np.ones((4, 1)), 1.0])
     def test_rejects_state_not_of_shape_4(self, state):
         with pytest.raises(ValueError, match="4 finite amplitudes"):
             outcome_probabilities(state, measurement_basis(0.3))

@@ -11,6 +11,7 @@ from qgame.scheme import (
     TWO_PI,
     GameMatrix,
     PayoffPair,
+    StrategyParams,
     battle_of_sexes,
     measurement_basis,
 )
@@ -184,3 +185,58 @@ def test_default_game_is_bos_210(monkeypatch, kwargs, seed):
     report = run_verification(**kwargs)
     assert report == run_verification(battle_of_sexes(2.0, 1.0, 0.0), seed=seed)
     assert report.game.bos == (2.0, 1.0, 0.0) and report.passed
+
+
+# BoS-form games outside the default ordering: alpha == beta (no
+# interference at the measurement-only probe), sigma largest (the classical
+# equilibria are (O, T) and (T, O)), and the constant game (all four)
+BOS_FORM_MATRICES = ["2,2,0,0,0,0,2,2", "1,2,3,3,3,3,2,1", "1,1,1,1,1,1,1,1"]
+
+
+@pytest.mark.parametrize("matrix", BOS_FORM_MATRICES)
+def test_verify_passes_every_bos_form_game(capsys, matrix):
+    assert cli.main(["verify", "--matrix", matrix]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "required: 17/17 passed" in lines and "result: PASS" in lines
+
+
+@pytest.mark.parametrize("matrix,want", [
+    ("2,1,0,0,0,0,1,2", [(0, 0), (1, 1)]),
+    (BOS_FORM_MATRICES[1], [(0, 1), (1, 0)]),
+    (BOS_FORM_MATRICES[2], [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    # Prisoner's Dilemma: only mutual defection (T, T)
+    ("3,3,0,5,5,0,1,1", [(1, 1)]),
+])
+def test_classical_pure_equilibria_from_the_cells(matrix, want):
+    v = [float(x) for x in matrix.split(",")]
+    game = GameMatrix(alice=((v[0], v[2]), (v[4], v[6])), bob=((v[1], v[3]), (v[5], v[7])))
+    assert verification._classical_pure_equilibria(game) == want
+
+
+def test_grid_path_with_the_wrong_pure_equilibria_fails(monkeypatch):
+    # sigma largest: the grid path must find (O, T) and (T, O); one that
+    # returned the default game's (O, O) and (T, T) must fail the check
+    game = GameMatrix(alice=((1, 3), (3, 2)), bob=((2, 3), (3, 1)))
+
+    def check():
+        _, eq = verification._check_classical(np.random.default_rng(0), game)
+        assert eq.name == "classical_pure_equilibria"
+        return eq
+
+    assert check().passed
+    monkeypatch.setattr(verification, "epsilon_nash",
+                        lambda *args, **kwargs: (np.array([0, 3]), np.zeros((2, 3))))
+    assert not check().passed
+
+
+def test_phase_blind_oracle_fails_the_measurement_only_probe(monkeypatch):
+    # the probe's shift is |alpha - beta| / 4 = 0.25 here; an oracle that
+    # ignored the phases would move nothing and must fail
+    game = battle_of_sexes(2.0, 1.0, 0.0)
+    probe, _ = verification._check_measurement_only(game)
+    assert probe.passed
+    oracle = verification.payoffs_oracle
+    monkeypatch.setattr(verification, "payoffs_oracle", lambda game, scheme, s1, s2: oracle(
+        game, scheme, StrategyParams(s1.theta, 0.0), StrategyParams(s2.theta, 0.0)))
+    probe, _ = verification._check_measurement_only(game)
+    assert probe.value == pytest.approx(0.0, abs=1e-12) and not probe.passed
