@@ -51,7 +51,6 @@ _CORNERS = (StrategyParams(0.0, 0.0), StrategyParams(0.0, math.pi / 2),
 # the six (p, p') index pairs with p <= p' of a symmetric 3x3 matrix
 _PAIR_P, _PAIR_Q = np.triu_indices(3)
 
-
 @dataclass(frozen=True)
 class StrategyGrid:
     """Evenly spaced (theta, phi) points, endpoints included.
@@ -190,13 +189,12 @@ def _keep(chunk: tuple[np.ndarray, ...], mask: np.ndarray) -> tuple[np.ndarray, 
     return chunk if mask.all() else tuple(part[mask] for part in chunk)
 
 
-def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid, eps: float,
-                 *, visit=None) -> tuple[np.ndarray, np.ndarray]:
+def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
+                 eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Every grid profile no player can improve by more than eps on-grid:
     the m profiles as flat indices a * n + b in increasing order (Alice's
     grid point a, Bob's b, n grid points), and their (m, 3) payoff_a,
-    payoff_b and eps_cert; empty arrays are a valid outcome. visit(rows,
-    alice, bob), if given, sees every block's payoff tables.
+    payoff_b and eps_cert; empty arrays are a valid outcome.
 
     The tables are built and certified in one pass over table_blocks, so
     memory is O(n * block + profiles). Bob's best replies are exact within a
@@ -220,8 +218,6 @@ def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid, eps
     count = pruned = 0
     for rows, probs, alice, bob in table_blocks(game, scheme, grid):
         del probs  # only the payoffs are certified; free the block now
-        if visit is not None:
-            visit(rows, alice, bob)
         np.maximum(best_a, alice.max(axis=0), out=best_a)
         gain_b = bob.max(axis=1)[:, np.newaxis] - bob
         ids = np.flatnonzero((best_a - alice <= eps) & (gain_b <= eps))
@@ -265,6 +261,21 @@ def sweep_schemes(gamma_values, delta_values) -> list[SchemeParams]:
     return [SchemeParams(g, d) for g, d in zip(gammas, deltas)]
 
 
+def _formula_dev(game: GameMatrix, scheme: SchemeParams) -> float:
+    """A bound on |simulation - closed form| at every strategy pair: a payoff is
+    f1 @ K @ f2 and |f|_1 = (|v0| + |v1| + |v2|)^2 <= 3, so 9 max|K_sim - K_cf|,
+    with K_cf = F^-1 G F^-T from the closed forms G on six strategies."""
+    thetas = np.array([0.0, 0.0, math.pi, math.pi / 2, math.pi / 2, math.pi / 2])
+    phis = np.array([0.0, math.pi / 2, 0.0, 0.0, math.pi / 2, math.pi / 4])
+    inverse = np.linalg.inv(_features(thetas, phis))  # independent features, cond 5.8
+    closed = _general(*game.bos, scheme.gamma, scheme.delta,
+                      thetas[:, np.newaxis], phis[:, np.newaxis], thetas, phis)
+    kernels, weights = _outcome_kernels(scheme), (game.alice_by_outcome(), game.bob_by_outcome())
+    gaps = [np.einsum("o,o...->...", w, kernels) - inverse @ g @ inverse.T
+            for w, g in zip(weights, closed)]
+    return 9 * float(np.abs(gaps).max())
+
+
 def sweep(game: GameMatrix, gamma_values, delta_values, grid: StrategyGrid,
           eps: float) -> list[dict]:
     """The summary row of each (gamma, delta) pair of sweep_schemes, in input
@@ -272,26 +283,14 @@ def sweep(game: GameMatrix, gamma_values, delta_values, grid: StrategyGrid,
 
     Each row records the equilibrium count, the payoffs of the most
     egalitarian equilibrium (largest min(alice, bob), then largest sum, then
-    first in grid order; None when none is certified), and the worst
-    |simulation - closed form| for games of battle-of-sexes form (else None).
-    Each pair is certified by epsilon_nash, and its closed forms are compared
-    on the same blocks of Alice's grid rows; the same limit on held profiles
-    applies.
+    first in grid order; None when none is certified), and, for games of
+    battle-of-sexes form (else None), _formula_dev. Each pair is certified
+    by epsilon_nash, whose limit on held profiles applies.
     """
     eps = check_eps(eps)
-    thetas, phis = grid.angles()
     rows = []
     for scheme in sweep_schemes(gamma_values, delta_values):
-        devs: list[float] = []
-
-        def formula_dev(block: slice, alice: np.ndarray, bob: np.ndarray) -> None:
-            al, bo = _general(*game.bos, scheme.gamma, scheme.delta,
-                              thetas[block, np.newaxis], phis[block, np.newaxis],
-                              thetas[np.newaxis, :], phis[np.newaxis, :])
-            devs.append(max(np.abs(al - alice).max(), np.abs(bo - bob).max()))
-
-        profiles, values = epsilon_nash(game, scheme, grid, eps,
-                                        visit=None if game.bos is None else formula_dev)
+        profiles, values = epsilon_nash(game, scheme, grid, eps)
         best = None, None
         if len(profiles):
             pa, pb = values[:, 0], values[:, 1]
@@ -299,7 +298,7 @@ def sweep(game: GameMatrix, gamma_values, delta_values, grid: StrategyGrid,
             # largest, and -index makes the earliest profile win a full tie
             top = np.lexsort((-np.arange(len(profiles)), pa + pb, np.minimum(pa, pb)))[-1]
             best = float(pa[top]), float(pb[top])
-        dev = float(max(devs)) if devs else None
+        dev = None if game.bos is None else _formula_dev(game, scheme)
         rows.append(dict(zip(SUMMARY_FIELDS,
                              (scheme.gamma, scheme.delta, len(profiles), *best, dev))))
     return rows

@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 import tracemalloc
@@ -7,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qgame import equilibrium
+from qgame import closedform, equilibrium
 from qgame.closedform import _general
 from qgame.equilibrium import (
     MAX_TABLE_BYTES,
@@ -23,6 +24,7 @@ from qgame.equilibrium import (
     table_blocks,
 )
 from qgame.scheme import (
+    PHI_RANGES,
     GameMatrix,
     SchemeParams,
     StrategyParams,
@@ -81,6 +83,34 @@ def certificates(alice, bob):
     best_reply_b = bob.max(axis=1)    # Bob's best against each Alice point
     return np.maximum(best_reply_a[np.newaxis, :] - alice,
                       best_reply_b[:, np.newaxis] - bob)
+
+
+# six strategies with linearly independent features: the three corners
+# (U = I, iZ and C), then (pi/2, 0), (pi/2, pi/2) and (pi/2, pi/4)
+SIX_STRATEGIES = ((0.0, 0.0), (0.0, HP), (math.pi, 0.0), (HP, 0.0), (HP, HP), (HP, math.pi / 4))
+
+
+def closed_form_kernels(game, scheme):
+    """Alice's and Bob's 6x6 kernels K with closed-form payoff f1 @ K @ f2:
+    F^-1 G F^-T, from the closed forms G on the 36 profiles of
+    SIX_STRATEGIES and their features F."""
+    thetas, phis = np.array(SIX_STRATEGIES).T
+    inverse = np.linalg.inv(_features(thetas, phis))
+    closed = _general(*game.bos, scheme.gamma, scheme.delta,
+                      thetas[:, np.newaxis], phis[:, np.newaxis], thetas, phis)
+    return [inverse @ g @ inverse.T for g in closed]
+
+
+def kernel_bound(game, scheme):
+    """9 max|K_sim - K_cf| over both players: the simulation's payoff kernels
+    (the outcome kernels weighed by the game's payoffs) against the closed
+    forms'. It bounds |simulation - closed form| at every strategy pair,
+    because a feature vector's 1-norm is (|v0| + |v1| + |v2|)^2 <= 3."""
+    kernels = _outcome_kernels(scheme)
+    simulated = [np.einsum("o,o...->...", w, kernels)
+                 for w in (game.alice_by_outcome(), game.bob_by_outcome())]
+    return 9 * max(float(np.abs(k_sim - k_cf).max())
+                   for k_sim, k_cf in zip(simulated, closed_form_kernels(game, scheme)))
 
 
 class TestStrategyGrid:
@@ -459,6 +489,75 @@ class TestSweep:
         assert calls == []
 
 
+def general_mutant(old, new):
+    """closedform._general with one fragment of its source replaced."""
+    source = inspect.getsource(closedform._general)
+    assert source.count(old) == 1
+    namespace = dict(vars(closedform))
+    exec(source.replace(old, new), namespace)
+    return namespace["_general"]
+
+
+class TestFormulaKernels:
+    """max_formula_dev is one comparison of 6x6 payoff kernels per scheme."""
+
+    GAMES = (bos210(), battle_of_sexes(3.0, 2.0, 0.5), battle_of_sexes(5.0, 3.0, 1.0))
+    SCHEMES = (CLASSICAL, QUANTUM, SchemeParams(0.7, 0.4), SchemeParams(HP, 0.0),
+               SchemeParams(0.0, 0.9))
+
+    @pytest.mark.parametrize("phi_range", sorted(PHI_RANGES))
+    def test_closed_forms_are_bilinear_in_the_features(self, phi_range):
+        # the premise: the six strategies' kernels give _general everywhere
+        rng = np.random.default_rng(27)
+        lo, hi = PHI_RANGES[phi_range]
+        th1, th2 = rng.uniform(0.0, math.pi, (2, 200))
+        ph1, ph2 = rng.uniform(lo, hi, (2, 200))
+        f1, f2 = _features(th1, ph1), _features(th2, ph2)
+        for game in self.GAMES:
+            for scheme in self.SCHEMES:
+                want = _general(*game.bos, scheme.gamma, scheme.delta, th1, ph1, th2, ph2)
+                for kernel, payoffs in zip(closed_form_kernels(game, scheme), want):
+                    got = np.einsum("ip,pq,iq->i", f1, kernel, f2)
+                    assert np.abs(got - payoffs).max() <= 1e-12
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("game", GAMES)
+    def test_bound_is_rounding_noise(self, game, scheme):
+        row, = sweep(game, [scheme.gamma], [scheme.delta], pure_grid(), eps=1e-9)
+        assert row["max_formula_dev"] == kernel_bound(game, scheme)
+        assert row["max_formula_dev"] <= 1e-12
+
+    @pytest.mark.parametrize("old,new", [
+        ("xi, eta, chi = bos_coefficients(alpha, beta, delta)\n",
+         "xi, eta, chi = bos_coefficients(alpha, beta, delta)\n    chi = -chi\n"),
+        ("cross = (", "cross = 0 * ("),
+    ], ids=["chi-sign-flipped", "cross-term-dropped"])
+    def test_catches_a_wrong_closed_form(self, monkeypatch, old, new):
+        monkeypatch.setattr(equilibrium, "_general", general_mutant(old, new))
+        rows = sweep(bos210(), [0.7, HP], [0.4, HP], pure_grid(), eps=1e-9)
+        assert all(row["max_formula_dev"] > 1e-9 for row in rows)
+
+    @pytest.mark.parametrize("game", [PRISONERS, PENNIES], ids=["prisoners", "pennies"])
+    def test_games_without_bos_form_report_none(self, monkeypatch, game):
+        monkeypatch.setattr(equilibrium, "_general", None)  # never called
+        row, = sweep(game, [0.7], [0.4], StrategyGrid(5, 3), eps=1e-9)
+        assert row["max_formula_dev"] is None
+
+    @pytest.mark.parametrize("grid", [StrategyGrid(3, 2), StrategyGrid(33, 17)],
+                             ids=["3x2", "33x17"])
+    def test_one_closed_form_call_per_scheme_whatever_the_grid(self, monkeypatch, grid):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _general(*args)
+
+        monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 1)  # one block per grid row
+        monkeypatch.setattr(equilibrium, "_general", counting)
+        sweep(bos210(), [0.7, 0.3], [0.4, 0.1], grid, eps=1e-9)
+        assert len(calls) == 2
+
+
 def reference_best(alice, bob, eps):
     """Summary pick profile by profile: largest min, then largest sum, then
     first in grid order, as (best_payoff_a, best_payoff_b)."""
@@ -549,7 +648,15 @@ class TestRowBlocks:
     def test_matches_tables_certified_whole(self, game, scheme, grid):
         alice, bob = whole_tables(game, scheme, grid)
         cert = certificates(alice, bob)
-        thetas, phis = grid.angles()
+        bound = None
+        if game.bos is not None:
+            thetas, phis = grid.angles()
+            al, bo = _general(*game.bos, scheme.gamma, scheme.delta,
+                              thetas[:, np.newaxis], phis[:, np.newaxis],
+                              thetas[np.newaxis, :], phis[np.newaxis, :])
+            bound = kernel_bound(game, scheme)
+            # the kernel bound covers every strategy pair, so the whole grid
+            assert max(np.abs(al - alice).max(), np.abs(bo - bob).max()) <= bound
         for eps in (0.0, 1e-12, 1e-9):
             a, b = np.nonzero(cert <= eps)
             values = np.stack([alice[a, b], bob[a, b], cert[a, b]], axis=1)
@@ -564,13 +671,7 @@ class TestRowBlocks:
             row, = sweep(game, [scheme.gamma], [scheme.delta], grid, eps)
             assert ((row["equilibria"], row["best_payoff_a"], row["best_payoff_b"])
                     == (len(a), *reference_best(alice, bob, eps)))
-            dev = None
-            if game.bos is not None:
-                al, bo = _general(*game.bos, scheme.gamma, scheme.delta,
-                                  thetas[:, np.newaxis], phis[:, np.newaxis],
-                                  thetas[np.newaxis, :], phis[np.newaxis, :])
-                dev = float(max(np.abs(al - alice).max(), np.abs(bo - bob).max()))
-            assert row["max_formula_dev"] == dev
+            assert row["max_formula_dev"] == bound
 
     @pytest.mark.parametrize("grid", [StrategyGrid(9, 5), StrategyGrid(17, 9, "full")],
                              ids=["9x5", "17x9-full"])

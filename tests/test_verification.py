@@ -177,6 +177,34 @@ def test_printed_coefficient_record_reads_the_simulated_shift(monkeypatch):
     assert "(0.5 vs 0.375 at the probe)" in info.note
 
 
+def test_printed_coefficient_record_is_unsigned_for_alpha_below_beta():
+    # alpha = 1 < beta = 2: the printed 0.5 * (alpha - beta) is -0.5, and
+    # its magnitude is compared with the shift |alpha - beta| / 4 = 0.25
+    game = GameMatrix(alice=((1, 3), (3, 2)), bob=((2, 3), (3, 1)))
+    probe, info = verification._check_measurement_only(game)
+    assert probe.value == pytest.approx(0.25, abs=1e-12)
+    assert info.value == pytest.approx(0.25, abs=1e-12)
+    assert "(0.5 vs 0.25 at the probe)" in info.note
+
+
+@pytest.mark.parametrize("matrix,note", [
+    # the probe separates the variants, so the note quotes its payoffs
+    ("1,2,3,3,3,3,2,1", "printed variant rejected by simulation; at theta=0, "
+                        "phi1+phi2=pi/2 it gives (0, 0) vs simulated (2, 1)"),
+    # the constant game pays 1 whatever is played, so only the draws reject it
+    ("1,1,1,1,1,1,1,1", "printed variant rejected by simulation on the random draws; "
+                        "the probe theta=0, phi1+phi2=pi/2 does not separate it for this game"),
+], ids=["separating-probe", "constant-game"])
+def test_du_printed_note_quotes_the_probe_only_when_it_separates(monkeypatch, matrix, note):
+    monkeypatch.setattr(verification, "CASE_DRAWS", 5)
+    v = [float(x) for x in matrix.split(",")]
+    game = GameMatrix(alice=((v[0], v[2]), (v[4], v[6])), bob=((v[1], v[3]), (v[5], v[7])))
+    _, printed = verification._check_du(np.random.default_rng(0), game)
+    assert printed.name == "du_printed_vs_oracle" and printed.note == note
+    # the draws' other games still reject the printed variant
+    assert printed.value > verification.ORACLE_TOL
+
+
 @pytest.mark.parametrize("kwargs,seed", [({}, 0), ({"seed": 3}, 3)],
                          ids=["no-arguments", "seed-only"])
 def test_default_game_is_bos_210(monkeypatch, kwargs, seed):
