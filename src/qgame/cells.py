@@ -2,7 +2,8 @@
 vector as its text in a fixed cell of bytes, with numpy, byte for byte as
 Python formats it. CsvCells writes "%.15g", ReprCells repr, with one cell
 layout and one body: they differ only in their digit finder and constants.
-The row writer places the separators between the cells.
+The row writer places the separators between the cells, and takes the
+grid's angle texts from padded.
 
 cli imports this module only when a command writes rows. Where no bytecode
 cache is written (PYTHONDONTWRITEBYTECODE), every run compiles what it
@@ -13,6 +14,13 @@ never use them, such as verify and sweep --summary, by 0.3 to 0.5 MiB.
 from __future__ import annotations
 
 import numpy as np
+
+
+def padded(texts: list[str]) -> np.ndarray:
+    """ASCII texts as the rows of a NUL-padded uint8 array."""
+    width = max(map(len, texts))
+    data = "".join(text.ljust(width, "\0") for text in texts).encode("ascii")
+    return np.frombuffer(data, np.uint8).reshape(len(texts), width)
 
 
 def _two_product(a: np.ndarray, b: np.ndarray, hi: np.ndarray) -> np.ndarray:

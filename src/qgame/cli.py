@@ -4,6 +4,10 @@ Angles are radians, given as decimal literals or the tokens pi, pi/2, pi/4
 (exact at the interesting reduction points). Options may also come from a
 flat key = value config file; command-line flags win. Exit codes: 0 success,
 1 invalid input, 2 verification failure.
+
+Each command imports what it runs: payoff needs only scheme and closedform,
+which are plain Python, so it starts without loading numpy; verify imports
+verification, and the grid commands equilibrium (and cells to write rows).
 """
 
 from __future__ import annotations
@@ -16,18 +20,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
 
-import numpy as np
-
 from .closedform import payoff_general
-from .equilibrium import (
-    SUMMARY_FIELDS,
-    StrategyGrid,
-    check_eps,
-    epsilon_nash,
-    sweep,
-    sweep_schemes,
-    table_blocks,
-)
 from .scheme import (
     GameMatrix,
     SchemeParams,
@@ -39,7 +32,6 @@ from .scheme import (
     outcome_probabilities,
     payoffs_oracle,
 )
-from .verification import run_verification
 
 ANGLE_TOKENS = {"pi": math.pi, "pi/2": math.pi / 2, "pi/4": math.pi / 4}
 
@@ -132,7 +124,7 @@ def _game(args: argparse.Namespace) -> GameMatrix:
 def _fmt_csv(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
     return f"{float(value):.15g}"
 
@@ -141,13 +133,6 @@ def _csv_table(fields, rows) -> str:
     lines = [",".join(fields)]
     lines.extend(",".join(_fmt_csv(row[f]) for f in fields) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def _padded(texts: list[str]) -> np.ndarray:
-    """ASCII texts as the rows of a NUL-padded uint8 array."""
-    width = max(map(len, texts))
-    data = "".join(text.ljust(width, "\0") for text in texts).encode("ascii")
-    return np.frombuffer(data, np.uint8).reshape(len(texts), width)
 
 
 def _emit_chunks(chunks: Iterable[str], out: str | None) -> None:
@@ -176,7 +161,9 @@ def _table_chunks(fields: tuple[str, ...], fmt: str, grid: StrategyGrid, pad: in
     are the cells of cells.CsvCells or cells.ReprCells. So the pieces are
     bounded on any grid.
     """
-    from .cells import CsvCells, ReprCells  # loaded by the commands that write rows
+    import numpy as np
+
+    from .cells import CsvCells, ReprCells, padded  # loaded by the commands that write rows
 
     thetas, phis = grid.theta_values().tolist(), grid.phi_values().tolist()
     steps, n = len(phis), len(thetas) * len(phis)
@@ -204,7 +191,7 @@ def _table_chunks(fields: tuple[str, ...], fmt: str, grid: StrategyGrid, pad: in
         labels = [("" if i == first else ",\n") + f'{indent}  "{f}": '
                   for i, f in enumerate(fields) if i >= first]
         lead, empty, close = "[\n", "[]\n", f"\n{indent[2:]}]\n"
-    angles = [_padded([angle(v) for v in values]) for values in (thetas, phis)]
+    angles = [padded([angle(v) for v in values]) for values in (thetas, phis)]
     # a row after its head: the labels, NULs where the texts go and the end
     widths = [angles[0].shape[1], angles[1].shape[1]] * 2 + [cells.width] * (len(labels) - 4)
     body, offsets = "", []
@@ -281,6 +268,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"seed must be a nonnegative integer, got {args.seed!r}") from None
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    from .verification import run_verification
+
     report = run_verification(game, seed=seed)
     _emit_chunks([report.render()], args.out)
     return 0 if report.passed else 2
@@ -291,6 +280,8 @@ def _sweep_blocks(game: GameMatrix, schemes: list[SchemeParams], grid: StrategyG
     table_blocks: its profiles as a range and its tables' raveled views as
     the columns, so no copy of a block and no index array is made. A block is
     dropped before the next is built, so one is alive."""
+    from .equilibrium import table_blocks
+
     n = grid.theta_steps * grid.phi_steps
     for scheme in schemes:
         for rows, probs, alice, bob in table_blocks(game, scheme, grid):
@@ -300,6 +291,8 @@ def _sweep_blocks(game: GameMatrix, schemes: list[SchemeParams], grid: StrategyG
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .equilibrium import SUMMARY_FIELDS, StrategyGrid, check_eps, sweep, sweep_schemes
+
     game = _game(args)
     gammas = parse_angle_list(args.gamma)
     deltas = parse_angle_list(args.delta)
@@ -321,6 +314,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_equilibria(args: argparse.Namespace) -> int:
+    from .equilibrium import StrategyGrid, check_eps, epsilon_nash
+
     game = _game(args)
     scheme = SchemeParams(parse_angle(args.gamma), parse_angle(args.delta))
     grid = StrategyGrid(*parse_grid(args.grid), args.phi_range)

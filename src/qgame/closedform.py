@@ -17,8 +17,7 @@ simulation; see payoff_du_maximal.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 from .scheme import (
     HALF_PI,
@@ -59,7 +58,8 @@ def _general(alpha, beta, sigma, gamma, delta, theta1, phi1, theta2, phi2):
     numpy's cost per call would outweigh the arithmetic, and the payoffs are
     floats. alpha > beta is not required: swapping them exchanges the
     players' roles."""
-    trig = np if np.ndarray in map(type, (gamma, theta1, phi1, theta2, phi2)) else math
+    np = sys.modules.get("numpy")  # not imported: an array argument means it is loaded
+    trig = np if np and np.ndarray in map(type, (gamma, theta1, phi1, theta2, phi2)) else math
     xi, eta, chi = bos_coefficients(alpha, beta, delta)
     cg2 = trig.cos(gamma / 2) ** 2
     sg2 = trig.sin(gamma / 2) ** 2

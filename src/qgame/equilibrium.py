@@ -125,7 +125,7 @@ def _outcome_kernels(scheme: SchemeParams) -> np.ndarray:
     measurement basis), so the closed forms stay an independent check.
     |A_o|^2 is then a quadratic form in v1 v1^T and v2 v2^T.
     """
-    bras = measurement_basis(scheme.delta).conj()
+    bras = np.array(measurement_basis(scheme.delta)).conj()
     states = np.stack([final_state(scheme.gamma, p, q)
                        for p in _CORNERS for q in _CORNERS])
     amps = (bras @ states.T).reshape(4, 3, 3)

@@ -6,6 +6,11 @@ sin(theta/2) C, and the joint state is measured in a basis whose four
 directions are entangled by a second angle delta. Payoffs are outcome
 probabilities weighted by the game matrix. This module is the ground-truth
 path: explicit state evolution and projection, no closed forms.
+
+One profile is a handful of complex products, so the oracle (final_state,
+measurement_basis, outcome_probabilities, payoffs_oracle) is plain Python
+on tuples of complex and does not load numpy; initial_state and strategy_op,
+which return arrays, import it when called.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass, field
-
-import numpy as np
 
 HALF_PI = math.pi / 2
 TWO_PI = 2.0 * math.pi
@@ -172,6 +175,8 @@ def _initial_amplitudes(gamma: float) -> tuple[complex, complex]:
 
 def initial_state(gamma: float) -> np.ndarray:
     """cos(gamma/2)|OO> + i sin(gamma/2)|TT>."""
+    import numpy as np
+
     oo, tt = _initial_amplitudes(gamma)
     return np.array((oo, 0.0, 0.0, tt), dtype=np.complex128)
 
@@ -187,11 +192,15 @@ def _strategy_entries(s: StrategyParams) -> tuple[complex, complex, complex, com
 
 def strategy_op(s: StrategyParams) -> np.ndarray:
     """U(theta, phi) = cos(theta/2) R(phi) + sin(theta/2) C; always unitary."""
+    import numpy as np
+
     return np.array(_strategy_entries(s), dtype=np.complex128).reshape(2, 2)
 
 
-def final_state(gamma: float, s1: StrategyParams, s2: StrategyParams) -> np.ndarray:
-    """(U1 tensor U2) applied to the entangled initial state.
+def final_state(gamma: float, s1: StrategyParams,
+                s2: StrategyParams) -> tuple[complex, complex, complex, complex]:
+    """(U1 tensor U2) applied to the entangled initial state: its amplitudes
+    in order OO, OT, TO, TT.
 
     With the amplitudes as a 2x2 matrix M[a, b] (a Alice's qubit, b Bob's),
     the tensor product acts as U1 M U2^T. M is diagonal, so U1 M scales the
@@ -203,36 +212,45 @@ def final_state(gamma: float, s1: StrategyParams, s2: StrategyParams) -> np.ndar
     e, f, g, h = _strategy_entries(s2)
     t00, t01, t10, t11 = a * oo, b * tt, c * oo, d * tt  # U1 M
     # (U1 M) U2^T: entry [i, j] pairs row i of U1 M with row j of U2
-    return np.array((t00 * e + t01 * f, t00 * g + t01 * h,
-                     t10 * e + t11 * f, t10 * g + t11 * h), dtype=np.complex128)
+    return (t00 * e + t01 * f, t00 * g + t01 * h,
+            t10 * e + t11 * f, t10 * g + t11 * h)
 
 
-def measurement_basis(delta: float) -> np.ndarray:
+def measurement_basis(delta: float) -> tuple[tuple[complex, ...], ...]:
     """Outcome basis entangled by delta; delta=0 is the computational basis.
 
-    The four outcome kets are the rows of a read-only complex 4x4 array, in
-    order OO, OT, TO, TT. They are orthonormal and complete for every delta
-    (cos^2 + sin^2 = 1); verify's measurement_orthonormal_complete check and
-    the tests confirm it, so it is not re-checked here.
+    The four outcome kets are the rows, each an immutable 4-tuple of complex,
+    in order OO, OT, TO, TT; np.array(rows) is the complex 4x4 matrix. They
+    are orthonormal and complete for every delta (cos^2 + sin^2 = 1);
+    verify's measurement_orthonormal_complete check and the tests confirm
+    it, so it is not re-checked here.
     """
     _check_interval("delta", delta, 0.0, HALF_PI, "[0, pi/2]")
-    c, s = math.cos(delta / 2), math.sin(delta / 2)
-    up, down = 1j * s, -1j * s
-    rows = np.array((c, 0.0, 0.0, up,
-                     0.0, c, down, 0.0,
-                     0.0, down, c, 0.0,
-                     up, 0.0, 0.0, c), dtype=np.complex128).reshape(4, 4)
-    rows.flags.writeable = False
-    return rows
+    c, s = complex(math.cos(delta / 2)), math.sin(delta / 2)
+    up, down, zero = 1j * s, -1j * s, 0j
+    return ((c, zero, zero, up),
+            (zero, c, down, zero),
+            (zero, down, c, zero),
+            (up, zero, zero, c))
 
 
-def outcome_probabilities(state, basis: np.ndarray) -> tuple[float, float, float, float]:
+def outcome_probabilities(state, basis) -> tuple[float, float, float, float]:
     """|<psi_b|state>|^2 for each outcome ket psi_b, a row of basis, in order
-    OO, OT, TO, TT."""
-    state = np.asarray(state, dtype=np.complex128)
-    if state.shape != (4,) or not all(map(cmath.isfinite, state.tolist())):
+    OO, OT, TO, TT. state is 4 amplitudes and basis 4 rows of 4, as tuples,
+    lists or numpy arrays."""
+    values = state.tolist() if hasattr(state, "tolist") else state
+    try:
+        amps = tuple(map(complex, values))
+    except (TypeError, ValueError):  # not a flat sequence of numbers
+        amps = ()
+    if len(amps) != 4 or isinstance(values, str) or not all(map(cmath.isfinite, amps)):
         raise ValueError(f"state must be 4 finite amplitudes, got {state!r}")
-    return tuple((np.abs(basis.conj() @ state) ** 2).tolist())  # type: ignore[return-value]
+    # |<psi_b|state>| = |sum_k b_k conj(state_k)|: the state is conjugated
+    # once, not the 16 basis entries
+    a, b, c, d = (amp.conjugate() for amp in amps)
+    rows = basis.tolist() if hasattr(basis, "tolist") else basis
+    return tuple(abs(w * a + x * b + y * c + z * d) ** 2  # type: ignore[return-value]
+                 for w, x, y, z in rows)
 
 
 def payoffs_oracle(game: GameMatrix, scheme: SchemeParams, s1: StrategyParams,

@@ -256,7 +256,7 @@ def _check_measurement(rng) -> list[CheckResult]:
     worst = 0.0
     for _ in range(BASIS_DRAWS):
         delta = _uniform(rng, HALF_PI)
-        states = measurement_basis(delta)
+        states = np.array(measurement_basis(delta))
         gram = np.array([[np.vdot(x, y) for y in states] for x in states])
         worst = max(worst, float(np.max(np.abs(gram - np.eye(4)))))
         complete = sum(np.outer(s, s.conj()) for s in states)
@@ -325,10 +325,14 @@ def _check_measurement_only(game: GameMatrix) -> list[CheckResult]:
         abs(shift - abs(alpha - beta) / 4) <= ORACLE_TOL,
         note="payoff shift at theta=pi/2, phi1+phi2=pi/2 vs phase-free classical play")
     printed = abs(0.5 * (alpha - beta))  # compared with the unsigned shift
-    info = CheckResult(
-        "measurement_only_printed_coefficient", abs(printed - shift), None, True,
-        note=f"published interference coefficient is twice the simulated one "
-             f"({printed:g} vs {shift:g} at the probe)")
+    simulated = round(shift / ORACLE_TOL) * ORACLE_TOL  # quoted at the probe's resolution
+    if printed == simulated == 0:
+        note = "published and simulated interference coefficients are both 0 (alpha = beta)"
+    else:
+        note = (f"published interference coefficient is twice the simulated one "
+                f"({printed:g} vs {simulated:g} at the probe)")
+    info = CheckResult("measurement_only_printed_coefficient", abs(printed - shift), None,
+                       True, note=note)
     return [probe, info]
 
 

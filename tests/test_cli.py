@@ -11,11 +11,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qgame import cli, equilibrium
+from qgame import cli, equilibrium, verification
 from qgame.cells import CsvCells, ReprCells
 from qgame.cli import (
     EQUILIBRIA_FIELDS,
-    SUMMARY_FIELDS,
     SWEEP_FIELDS,
     _csv_table,
     main,
@@ -24,6 +23,7 @@ from qgame.cli import (
 )
 from qgame.equilibrium import (
     PROFILE_BYTES,
+    SUMMARY_FIELDS,
     StrategyGrid,
     epsilon_nash,
     sweep_schemes,
@@ -383,7 +383,7 @@ class TestConfigMatchesFlags:
     @pytest.fixture(autouse=True)
     def _fast_verify(self, monkeypatch):
         # the option handling is under test, not the suite
-        monkeypatch.setattr(cli, "run_verification", fake_verification)
+        monkeypatch.setattr(verification, "run_verification", fake_verification)
 
     @staticmethod
     def base(command, key):
@@ -1126,7 +1126,8 @@ LOADED_SCRIPT = """
 import json, sys
 from qgame.cli import main
 code = main(sys.argv[2:])
-loaded = [name for name in ("numpy.random", "qgame.cells") if name in sys.modules]
+loaded = [name for name in ("numpy", "numpy.random", "qgame.cells", "qgame.equilibrium",
+                           "qgame.verification") if name in sys.modules]
 with open(sys.argv[1], "w", encoding="utf-8") as fh:
     json.dump({"code": code, "loaded": loaded}, fh)
 """
@@ -1152,16 +1153,29 @@ def test_negative_zero_prints_as_zero(capsys, argv):
     assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
+GRID_MODULES = ["numpy", "qgame.equilibrium"]
+ROW_MODULES = ["numpy", "qgame.cells", "qgame.equilibrium"]
+MATRIX_SCHEME = ["--matrix", "3,3,0,5,5,0,1,1", "--gamma", "0.7", "--delta", "0.4"]
+
+
 class TestLazyImports:
-    # numpy.random costs about 5 MiB of peak RSS, cells.py its own 0.3-0.5 MiB;
-    # a command that draws nothing or writes no rows must not load them
+    # numpy costs about half the start-up time of a one-profile payoff,
+    # numpy.random about 5 MiB of peak RSS, cells.py its own 0.3-0.5 MiB; a
+    # command that draws nothing or writes no rows must not load them, and
+    # payoff, which simulates one profile in plain Python, loads none of them
     @pytest.mark.parametrize("argv,want", [
         (["payoff", *BOS_SCHEME, "--s1", "1,0.5", "--s2", "0.3,0.2"], []),
-        (["sweep", *BOS_SCHEME, "--grid", "5,3", "--summary"], []),
-        (["equilibria", *BOS_SCHEME, "--grid", "5,3"], ["qgame.cells"]),
-        (["sweep", *BOS_SCHEME, "--grid", "5,3"], ["qgame.cells"]),
-        (["sweep", *BOS_SCHEME, "--grid", "5,3", "--format", "csv"], ["qgame.cells"]),
-    ], ids=["payoff", "sweep-summary", "equilibria", "sweep-json", "sweep-csv"])
+        (["payoff", *BOS_SCHEME, "--s1", "1,0.5", "--s2", "0.3,0.2", "--format", "csv"], []),
+        (["payoff", *MATRIX_SCHEME, "--s1", "1,0.5", "--s2", "0.3,0.2"], []),
+        (["payoff", *MATRIX_SCHEME, "--s1", "1,0.5", "--s2", "0.3,0.2", "--format", "csv"], []),
+        (["sweep", *BOS_SCHEME, "--grid", "5,3", "--summary"], GRID_MODULES),
+        (["equilibria", *BOS_SCHEME, "--grid", "5,3"], ROW_MODULES),
+        (["sweep", *BOS_SCHEME, "--grid", "5,3"], ROW_MODULES),
+        (["sweep", *BOS_SCHEME, "--grid", "5,3", "--format", "csv"], ROW_MODULES),
+        (["verify", "--seed", "0"], ["numpy", "numpy.random", "qgame.equilibrium",
+                                     "qgame.verification"]),
+    ], ids=["payoff-bos-json", "payoff-bos-csv", "payoff-matrix-json", "payoff-matrix-csv",
+            "sweep-summary", "equilibria", "sweep-json", "sweep-csv", "verify"])
     def test_commands_load_only_what_they_use(self, tmp_path, argv, want):
         result = tmp_path / "loaded.json"
         subprocess.run([sys.executable, "-c", LOADED_SCRIPT, str(result), *argv,

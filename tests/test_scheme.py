@@ -285,7 +285,7 @@ class TestMeasurementBasis:
     def test_completeness_over_random_delta(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
-            states = measurement_basis(float(rng.uniform(0, HP)))
+            states = np.array(measurement_basis(float(rng.uniform(0, HP))))
             total = sum(np.outer(s, s.conj()) for s in states)
             np.testing.assert_allclose(total, np.eye(4), atol=1e-9)
 
@@ -301,13 +301,17 @@ class TestMeasurementBasis:
                              [0.0, c, -1j * s, 0.0],
                              [0.0, -1j * s, c, 0.0],
                              [1j * s, 0.0, 0.0, c]], dtype=np.complex128)
-            assert measurement_basis(delta).tobytes() == want.tobytes()
+            assert np.array(measurement_basis(delta)).tobytes() == want.tobytes()
 
-    def test_array_is_read_only(self):
+    def test_rows_are_immutable_tuples_of_complex(self):
         basis = measurement_basis(0.3)
-        assert basis.shape == (4, 4) and basis.dtype == np.complex128
-        with pytest.raises(ValueError, match="read-only"):
-            basis[0, 0] = 0
+        assert type(basis) is tuple and len(basis) == 4
+        assert all(type(row) is tuple and len(row) == 4 for row in basis)
+        assert all(type(amp) is complex for row in basis for amp in row)
+        with pytest.raises(TypeError):
+            basis[0] = basis[1]
+        with pytest.raises(TypeError):
+            basis[0][0] = 0
 
 
 class TestOutcomeProbabilities:

@@ -119,7 +119,7 @@ def test_verify_makes_the_traced_call_counts(verify_seed0):
 def test_non_orthonormal_basis_fails_verify(monkeypatch, capsys, fault):
     # measurement_basis does not check its rows; verify's own check must
     # catch a basis that is not orthonormal, and the command must exit 2
-    rows = measurement_basis(0.3)
+    rows = np.array(measurement_basis(0.3))
     if fault == "not-normalized":
         bad = 2 * rows
     else:
@@ -185,6 +185,16 @@ def test_printed_coefficient_record_is_unsigned_for_alpha_below_beta():
     assert probe.value == pytest.approx(0.25, abs=1e-12)
     assert info.value == pytest.approx(0.25, abs=1e-12)
     assert "(0.5 vs 0.25 at the probe)" in info.note
+
+
+def test_printed_coefficient_record_quotes_no_rounding_noise_for_alpha_equal_beta():
+    # alpha = beta: both coefficients are 0, and the simulated shift is the
+    # rounding noise of a zero (2.2e-16), below the probe's resolution
+    game = GameMatrix(alice=((2, 0), (0, 2)), bob=((2, 0), (0, 2)))
+    probe, info = verification._check_measurement_only(game)
+    assert probe.passed and probe.value <= verification.ORACLE_TOL
+    assert info.note == ("published and simulated interference coefficients "
+                         "are both 0 (alpha = beta)")
 
 
 @pytest.mark.parametrize("matrix,note", [
