@@ -17,10 +17,10 @@ import numpy as np
 
 from .closedform import _general
 from .scheme import (
-    PHI_RANGES,
     GameMatrix,
     SchemeParams,
     StrategyParams,
+    _phi_interval,
     final_state,
     measurement_basis,
 )
@@ -76,10 +76,7 @@ class StrategyGrid:
             if isinstance(steps, bool) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {steps!r}")
             object.__setattr__(self, name, value)
-        if self.phi_range not in PHI_RANGES:
-            raise ValueError(
-                f"phi_range must be one of {sorted(PHI_RANGES)}, got {self.phi_range!r}"
-            )
+        _phi_interval(self.phi_range)
         n = self.theta_steps * self.phi_steps
         if POINT_BYTES * n > MAX_TABLE_BYTES:
             raise ValueError(
@@ -91,7 +88,7 @@ class StrategyGrid:
         return np.linspace(0.0, math.pi, self.theta_steps)
 
     def phi_values(self) -> np.ndarray:
-        lo, hi = PHI_RANGES[self.phi_range]
+        lo, hi = _phi_interval(self.phi_range)
         # the full range is periodic, so its upper endpoint is excluded
         return np.linspace(lo, hi, self.phi_steps, endpoint=self.phi_range != "full")
 

@@ -2,7 +2,8 @@
 
 perfbench/tracer.py lists "linalg" in LAYERS and imports qgame.linalg, so
 the traced benchmark runs fail without this file. It holds no code: the
-state arithmetic is plain numpy in scheme.py. ROADMAP.md item 1 (the
+state arithmetic is plain Python complex arithmetic in scheme.py (the grid
+tables in equilibrium.py use numpy). ROADMAP.md item 1 (the
 stage-level benchmark contract) drops linalg from LAYERS and deletes this
 module.
 """

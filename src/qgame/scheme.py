@@ -7,10 +7,8 @@ directions are entangled by a second angle delta. Payoffs are outcome
 probabilities weighted by the game matrix. This module is the ground-truth
 path: explicit state evolution and projection, no closed forms.
 
-One profile is a handful of complex products, so the oracle (final_state,
-measurement_basis, outcome_probabilities, payoffs_oracle) is plain Python
-on tuples of complex and does not load numpy; initial_state and strategy_op,
-which return arrays, import it when called.
+One profile is a handful of complex products, so the state, the operators,
+the basis and the probabilities are plain Python tuples of complex.
 """
 
 from __future__ import annotations
@@ -51,11 +49,16 @@ def _check_interval(name: str, value: float, lo: float, hi: float, label: str,
     raise ValueError(f"{name} must be in {label}, got {value!r}")
 
 
-def check_phi(phi: float, phi_range: str = "narrow") -> None:
-    """Validate a phase angle against a configured range name."""
+def _phi_interval(phi_range: str) -> tuple[float, float]:
+    """The (lo, hi) of a configured phase-range name."""
     if phi_range not in PHI_RANGES:
         raise ValueError(f"phi_range must be one of {sorted(PHI_RANGES)}, got {phi_range!r}")
-    lo, hi = PHI_RANGES[phi_range]
+    return PHI_RANGES[phi_range]
+
+
+def check_phi(phi: float, phi_range: str = "narrow") -> None:
+    """Validate a phase angle against a configured range name."""
+    lo, hi = _phi_interval(phi_range)
     label = "[0, pi/2]" if phi_range == "narrow" else "[0, 2*pi)"
     _check_interval("phi", phi, lo, hi, label, open_upper=phi_range == "full")
 
@@ -166,35 +169,23 @@ class PayoffPair:
             raise ValueError(f"payoffs must be finite, got {self.alice!r}, {self.bob!r}")
 
 
-def _initial_amplitudes(gamma: float) -> tuple[complex, complex]:
-    """The amplitudes of |OO> and |TT> in the initial state; |OT> and |TO>
-    have none."""
+def initial_state(gamma: float) -> tuple[complex, complex, complex, complex]:
+    """cos(gamma/2)|OO> + i sin(gamma/2)|TT>: its amplitudes in order OO, OT,
+    TO, TT."""
     gamma = _check_interval("gamma", gamma, 0.0, HALF_PI, "[0, pi/2]")
-    return complex(math.cos(gamma / 2)), 1j * math.sin(gamma / 2)
+    return complex(math.cos(gamma / 2)), 0j, 0j, 1j * math.sin(gamma / 2)
 
 
-def initial_state(gamma: float) -> np.ndarray:
-    """cos(gamma/2)|OO> + i sin(gamma/2)|TT>."""
-    import numpy as np
+def strategy_op(s: StrategyParams) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """U(theta, phi) = cos(theta/2) R(phi) + sin(theta/2) C; always unitary.
 
-    oo, tt = _initial_amplitudes(gamma)
-    return np.array((oo, 0.0, 0.0, tt), dtype=np.complex128)
-
-
-def _strategy_entries(s: StrategyParams) -> tuple[complex, complex, complex, complex]:
-    """The entries of U(theta, phi), row-major: [[c e^{i phi}, s], [-s,
-    c e^{-i phi}]] with c, s the cosine and sine of theta/2."""
+    Its two rows are [c e^{i phi}, s] and [-s, c e^{-i phi}], with c, s the
+    cosine and sine of theta/2; np.array(strategy_op(s)) is the 2x2 matrix.
+    """
     c, s_ = math.cos(s.theta / 2), math.sin(s.theta / 2)
     cos_phi, sin_phi = math.cos(s.phi), math.sin(s.phi)
-    return (complex(c * cos_phi, c * sin_phi), complex(s_),
-            complex(-s_), complex(c * cos_phi, -c * sin_phi))
-
-
-def strategy_op(s: StrategyParams) -> np.ndarray:
-    """U(theta, phi) = cos(theta/2) R(phi) + sin(theta/2) C; always unitary."""
-    import numpy as np
-
-    return np.array(_strategy_entries(s), dtype=np.complex128).reshape(2, 2)
+    return ((complex(c * cos_phi, c * sin_phi), complex(s_)),
+            (complex(-s_), complex(c * cos_phi, -c * sin_phi)))
 
 
 def final_state(gamma: float, s1: StrategyParams,
@@ -207,9 +198,9 @@ def final_state(gamma: float, s1: StrategyParams,
     columns of U1. One profile's product is a few complex multiplications,
     done in Python: two 2x2 numpy matmuls cost several times more in call
     overhead."""
-    oo, tt = _initial_amplitudes(gamma)
-    a, b, c, d = _strategy_entries(s1)
-    e, f, g, h = _strategy_entries(s2)
+    oo, _, _, tt = initial_state(gamma)
+    (a, b), (c, d) = strategy_op(s1)
+    (e, f), (g, h) = strategy_op(s2)
     t00, t01, t10, t11 = a * oo, b * tt, c * oo, d * tt  # U1 M
     # (U1 M) U2^T: entry [i, j] pairs row i of U1 M with row j of U2
     return (t00 * e + t01 * f, t00 * g + t01 * h,
@@ -249,8 +240,13 @@ def outcome_probabilities(state, basis) -> tuple[float, float, float, float]:
     # once, not the 16 basis entries
     a, b, c, d = (amp.conjugate() for amp in amps)
     rows = basis.tolist() if hasattr(basis, "tolist") else basis
-    return tuple(abs(w * a + x * b + y * c + z * d) ** 2  # type: ignore[return-value]
-                 for w, x, y, z in rows)
+    try:
+        if len(rows) == 4:
+            return tuple(abs(w * a + x * b + y * c + z * d) ** 2  # type: ignore[return-value]
+                         for w, x, y, z in rows)
+    except (TypeError, ValueError):  # a row that is not 4 numbers
+        pass
+    raise ValueError(f"basis must be 4 rows of 4 numbers, got {basis!r}")
 
 
 def payoffs_oracle(game: GameMatrix, scheme: SchemeParams, s1: StrategyParams,

@@ -257,9 +257,9 @@ def _check_measurement(rng) -> list[CheckResult]:
     for _ in range(BASIS_DRAWS):
         delta = _uniform(rng, HALF_PI)
         states = np.array(measurement_basis(delta))
-        gram = np.array([[np.vdot(x, y) for y in states] for x in states])
+        gram = states.conj() @ states.T  # [i, j] = <b_i|b_j>
         worst = max(worst, float(np.max(np.abs(gram - np.eye(4)))))
-        complete = sum(np.outer(s, s.conj()) for s in states)
+        complete = states.T @ states.conj()  # sum_i |b_i><b_i|
         worst = max(worst, float(np.max(np.abs(complete - np.eye(4)))))
     structure = CheckResult("measurement_orthonormal_complete", worst, ORACLE_TOL,
                             worst <= ORACLE_TOL)
@@ -279,7 +279,7 @@ def _check_measurement(rng) -> list[CheckResult]:
 def _check_unitarity(rng) -> CheckResult:
     worst = 0.0
     for _ in range(UNITARITY_DRAWS):
-        u = strategy_op(_draw_strategy(rng, full_phi=True))
+        u = np.array(strategy_op(_draw_strategy(rng, full_phi=True)))
         worst = max(worst, float(np.max(np.abs(u @ u.conj().T - np.eye(2)))))
     return CheckResult("strategy_unitarity", worst, IDENTITY_TOL, worst <= IDENTITY_TOL)
 

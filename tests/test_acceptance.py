@@ -166,7 +166,7 @@ def test_strategy_unitarity():
     for _ in range(1_000):
         s = StrategyParams(float(rng.uniform(0, math.pi)),
                            float(rng.uniform(0, 2 * math.pi)))
-        u = strategy_op(s)
+        u = np.array(strategy_op(s))
         worst = max(worst, float(np.max(np.abs(u @ u.conj().T - np.eye(2)))))
     report("strategy unitarity (1000 draws)", worst <= IDENTITY_TOL,
            f"max |U U* - I| = {worst:.3e}")

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -238,7 +240,7 @@ class TestOperators:
         for _ in range(1000):
             s = StrategyParams(float(rng.uniform(0, math.pi)),
                                float(rng.uniform(0, 2 * math.pi)))
-            u = strategy_op(s)
+            u = np.array(strategy_op(s))
             assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
 
 
@@ -356,6 +358,16 @@ class TestOutcomeProbabilities:
         with pytest.raises(ValueError, match="4 finite amplitudes"):
             outcome_probabilities(state, measurement_basis(0.3))
 
+    @pytest.mark.parametrize("basis", [
+        measurement_basis(0.3)[:3],
+        ((1, 0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        "abcd",
+        ((None,) * 4, (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ], ids=["3-rows", "5-entry-row", "str", "row-of-none"])
+    def test_rejects_basis_not_4_rows_of_4(self, basis):
+        with pytest.raises(ValueError, match="basis must be 4 rows of 4 numbers"):
+            outcome_probabilities(KET_OO, basis)
+
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(23)
         for _ in range(300):
@@ -454,3 +466,29 @@ class TestAgainstDefinitions:
             probs = outcome_probabilities(state, basis)
             want = [abs(np.vdot(b, state)) ** 2 for b in basis]
             assert np.abs(np.subtract(probs, want)).max() <= self.TOL
+
+
+# calls every public function of qgame.scheme once, in a fresh interpreter,
+# and prints whether numpy was loaded
+NO_NUMPY_SCRIPT = """
+import sys
+from qgame.scheme import (GameMatrix, SchemeParams, StrategyParams, battle_of_sexes,
+                          check_phi, final_state, initial_state, measurement_basis,
+                          outcome_probabilities, payoffs_oracle, strategy_op)
+check_phi(0.5)
+s = StrategyParams(1.0, 0.5)
+initial_state(0.7)
+strategy_op(s)
+outcome_probabilities(final_state(0.7, s, s), measurement_basis(0.4))
+GameMatrix(alice=((3, 0), (5, 1)), bob=((3, 5), (0, 1)))
+payoffs_oracle(battle_of_sexes(2, 1, 0), SchemeParams(0.7, 0.4), s, s)
+print("numpy" in sys.modules)
+"""
+
+
+def test_scheme_functions_do_not_load_numpy():
+    # one profile is a few dozen complex products; numpy would cost more to
+    # import than the whole simulation
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT],
+                          check=True, capture_output=True, text=True)
+    assert proc.stdout == "False\n"
