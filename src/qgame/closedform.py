@@ -125,6 +125,8 @@ def payoff_case_a_i(game: GameMatrix, gamma: float, theta1: float,
     cos^2(theta_i / 2) on the gamma-entangled state.
     """
     _check_interval("gamma", gamma, 0.0, HALF_PI, "[0, pi/2]")
+    _check_interval("theta1", theta1, 0.0, math.pi, "[0, pi]")
+    _check_interval("theta2", theta2, 0.0, math.pi, "[0, pi]")
     alpha, beta, sigma = _require_bos(game)
     alice, bob = _marinatto_weber(alpha, beta, sigma, gamma, theta1, theta2)
     return PayoffPair(alice, bob)
@@ -134,6 +136,8 @@ def payoff_case_a_ii(game: GameMatrix, gamma: float, theta1: float,
                      theta2: float) -> PayoffPair:
     """delta = 0, phi1 + phi2 = pi/2: adds the entanglement interference term."""
     _check_interval("gamma", gamma, 0.0, HALF_PI, "[0, pi/2]")
+    _check_interval("theta1", theta1, 0.0, math.pi, "[0, pi]")
+    _check_interval("theta2", theta2, 0.0, math.pi, "[0, pi]")
     alpha, beta, sigma = _require_bos(game)
     alice, bob = _marinatto_weber(alpha, beta, sigma, gamma, theta1, theta2)
     shared = ((alpha + beta - 2 * sigma) / 4 * math.sin(gamma)
@@ -191,6 +195,8 @@ def payoff_du_maximal(game: GameMatrix, s1: StrategyParams, s2: StrategyParams,
 
 def payoff_case_b_ii(game: GameMatrix, s1_theta: float, s2_theta: float) -> PayoffPair:
     """delta = gamma = pi/2, phi1 = phi2 = 0: classical mixed strategies."""
+    _check_interval("s1_theta", s1_theta, 0.0, math.pi, "[0, pi]")
+    _check_interval("s2_theta", s2_theta, 0.0, math.pi, "[0, pi]")
     alpha, beta, sigma = _require_bos(game)
     p = math.cos(s1_theta / 2) ** 2
     q = math.cos(s2_theta / 2) ** 2
@@ -204,6 +210,8 @@ def payoff_case_c(game: GameMatrix, gamma: float, delta: float, s1_theta: float,
     """phi1 = phi2 = 0 with independent gamma, delta: effective angle gamma - delta."""
     _check_interval("gamma", gamma, 0.0, HALF_PI, "[0, pi/2]")
     _check_interval("delta", delta, 0.0, HALF_PI, "[0, pi/2]")
+    _check_interval("s1_theta", s1_theta, 0.0, math.pi, "[0, pi]")
+    _check_interval("s2_theta", s2_theta, 0.0, math.pi, "[0, pi]")
     alpha, beta, sigma = _require_bos(game)
     alice, bob = _marinatto_weber(alpha, beta, sigma, gamma - delta, s1_theta, s2_theta)
     return PayoffPair(alice, bob)

@@ -232,7 +232,7 @@ def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
                     f"a {grid.theta_steps}x{grid.phi_steps} grid holds over "
                     f"{MAX_TABLE_BYTES // PROFILE_BYTES} candidate profiles, the limit of "
                     f"{MAX_TABLE_BYTES} bytes at {PROFILE_BYTES} bytes per profile")
-    del ids, alice, bob, gain_b  # the last block's tables and candidates
+        del ids, alice, bob, gain_b  # free the block's tables before the next is built
     for profiles, values in held:
         np.maximum(best_a[profiles % n] - values[:, 0], values[:, 2], out=values[:, 2])
     held = [_keep(chunk, chunk[1][:, 2] <= eps) for chunk in held]
@@ -291,9 +291,10 @@ def sweep(game: GameMatrix, gamma_values, delta_values, grid: StrategyGrid,
         best = None, None
         if len(profiles):
             pa, pb = values[:, 0], values[:, 1]
-            # lexsort's last key is the primary one; the final entry is the
-            # largest, and -index makes the earliest profile win a full tie
-            top = np.lexsort((-np.arange(len(profiles)), pa + pb, np.minimum(pa, pb)))[-1]
+            # the largest sum among the largest minima; argmax takes the first of a tie
+            low = np.minimum(pa, pb)
+            tied = np.flatnonzero(low == low.max())
+            top = tied[np.argmax(pa[tied] + pb[tied])]
             best = float(pa[top]), float(pb[top])
         dev = None if game.bos is None else _formula_dev(game, scheme)
         rows.append(dict(zip(SUMMARY_FIELDS,

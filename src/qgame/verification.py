@@ -136,6 +136,11 @@ def _classical_pure_equilibria(game: GameMatrix) -> list[tuple[int, int]]:
             and max(b[i][0], b[i][1]) - b[i][j] <= CLASSICAL_EPS]
 
 
+def _within(name: str, value: float, tol: float, note: str = "") -> CheckResult:
+    """A required record that passes when value is at most tol."""
+    return CheckResult(name, value, tol, value <= tol, note)
+
+
 def _check_general_vs_oracle(rng) -> CheckResult:
     worst = 0.0
     for _ in range(EQUIVALENCE_DRAWS):
@@ -144,59 +149,55 @@ def _check_general_vs_oracle(rng) -> CheckResult:
         s1, s2 = _draw_strategy(rng), _draw_strategy(rng)
         worst = max(worst, _pair_dev(cf.payoff_general(game, scheme, s1, s2),
                                      payoffs_oracle(game, scheme, s1, s2)))
-    return CheckResult("general_vs_oracle", worst, ORACLE_TOL, worst <= ORACLE_TOL)
+    return _within("general_vs_oracle", worst, ORACLE_TOL)
+
+
+# each special case against payoff_general at its substitution, in report
+# order, then the gamma - delta shift of the phase-free general form
+_CASE_CHECKS = ("case_a_i_vs_general", "case_a_ii_vs_general", "case_b_i_vs_general",
+                "case_b_ii_vs_general", "case_c_vs_general", "case_d_vs_general",
+                "case_c_shift_vs_case_a_i")
 
 
 def _check_case_identities(rng) -> list[CheckResult]:
-    devs = {"case_a_i_vs_general": 0.0, "case_a_ii_vs_general": 0.0,
-            "case_b_i_vs_general": 0.0, "case_b_ii_vs_general": 0.0,
-            "case_c_vs_general": 0.0, "case_d_vs_general": 0.0,
-            "case_c_shift_vs_case_a_i": 0.0}
+    worst = [0.0] * len(_CASE_CHECKS)
     for _ in range(CASE_DRAWS):
         game = _draw_bos(rng)
         gamma = _uniform(rng, HALF_PI)
         delta = _uniform(rng, HALF_PI)
         th1, th2 = _uniform(rng, math.pi), _uniform(rng, math.pi)
-        phi1 = _uniform(rng, HALF_PI)
-        split = _uniform(rng, HALF_PI)  # phi pair with split + rest = pi/2
-        rest = HALF_PI - split
+        phased = StrategyParams(th1, _uniform(rng, HALF_PI))
+        split = _uniform(rng, HALF_PI)  # phi pair (split, pi/2 - split)
         s1, s2 = _draw_strategy(rng), _draw_strategy(rng)
         zero1, zero2 = StrategyParams(th1, 0.0), StrategyParams(th2, 0.0)
-
-        devs["case_a_i_vs_general"] = max(devs["case_a_i_vs_general"], _pair_dev(
-            cf.payoff_case_a_i(game, gamma, th1, th2),
-            cf.payoff_general(game, SchemeParams(gamma, 0.0), zero1, zero2)))
-        devs["case_a_ii_vs_general"] = max(devs["case_a_ii_vs_general"], _pair_dev(
-            cf.payoff_case_a_ii(game, gamma, th1, th2),
-            cf.payoff_general(game, SchemeParams(gamma, 0.0),
-                              StrategyParams(th1, split), StrategyParams(th2, rest))))
-        devs["case_b_i_vs_general"] = max(devs["case_b_i_vs_general"], _pair_dev(
-            cf.payoff_case_b_i(game, gamma, s1, s2),
-            cf.payoff_general(game, SchemeParams(gamma, gamma), s1, s2)))
-        devs["case_b_ii_vs_general"] = max(devs["case_b_ii_vs_general"], _pair_dev(
-            cf.payoff_case_b_ii(game, th1, th2),
-            cf.payoff_general(game, SchemeParams(HALF_PI, HALF_PI), zero1, zero2)))
-        devs["case_c_vs_general"] = max(devs["case_c_vs_general"], _pair_dev(
-            cf.payoff_case_c(game, gamma, delta, th1, th2),
-            cf.payoff_general(game, SchemeParams(gamma, delta), zero1, zero2)))
-        devs["case_d_vs_general"] = max(devs["case_d_vs_general"], _pair_dev(
-            cf.payoff_case_d(game, delta, StrategyParams(th1, phi1), s2),
-            cf.payoff_general(game, SchemeParams(0.0, delta),
-                              StrategyParams(th1, phi1), s2)))
+        pairs = (
+            (cf.payoff_case_a_i(game, gamma, th1, th2),
+             cf.payoff_general(game, SchemeParams(gamma, 0.0), zero1, zero2)),
+            (cf.payoff_case_a_ii(game, gamma, th1, th2),
+             cf.payoff_general(game, SchemeParams(gamma, 0.0), StrategyParams(th1, split),
+                               StrategyParams(th2, HALF_PI - split))),
+            (cf.payoff_case_b_i(game, gamma, s1, s2),
+             cf.payoff_general(game, SchemeParams(gamma, gamma), s1, s2)),
+            (cf.payoff_case_b_ii(game, th1, th2),
+             cf.payoff_general(game, SchemeParams(HALF_PI, HALF_PI), zero1, zero2)),
+            (cf.payoff_case_c(game, gamma, delta, th1, th2),
+             cf.payoff_general(game, SchemeParams(gamma, delta), zero1, zero2)),
+            (cf.payoff_case_d(game, delta, phased, s2),
+             cf.payoff_general(game, SchemeParams(0.0, delta), phased, s2)),
+        )
+        devs = [_pair_dev(*pair) for pair in pairs]
         # with phases zero, the general form depends on gamma - delta alone
         glo, ghi = min(gamma, delta), max(gamma, delta)
-        shifted = cf._general(*game.bos, ghi, glo, th1, 0.0, th2, 0.0)
-        unshifted = cf._general(*game.bos, ghi - glo, 0.0, th1, 0.0, th2, 0.0)
-        devs["case_c_shift_vs_case_a_i"] = max(devs["case_c_shift_vs_case_a_i"], *(
-            float(abs(x - y)) for x, y in zip(shifted, unshifted)))
-    return [CheckResult(name, dev, IDENTITY_TOL, dev <= IDENTITY_TOL)
-            for name, dev in devs.items()]
+        sa, sb = cf._general(*game.bos, ghi, glo, th1, 0.0, th2, 0.0)
+        ua, ub = cf._general(*game.bos, ghi - glo, 0.0, th1, 0.0, th2, 0.0)
+        devs.append(max(abs(sa - ua), abs(sb - ub)))
+        worst = list(map(max, worst, devs))
+    return [_within(name, dev, IDENTITY_TOL) for name, dev in zip(_CASE_CHECKS, worst)]
 
 
 def _check_du(rng, game: GameMatrix) -> list[CheckResult]:
     scheme = SchemeParams(HALF_PI, HALF_PI)
-    corrected = 0.0
-    printed = 0.0
+    corrected = printed = 0.0
     for _ in range(CASE_DRAWS):
         g = _draw_bos(rng)
         s1, s2 = _draw_strategy(rng), _draw_strategy(rng)
@@ -209,18 +210,16 @@ def _check_du(rng, game: GameMatrix) -> list[CheckResult]:
     pr = cf.payoff_du_maximal(game, probe1, probe2, "printed")
     co = cf.payoff_du_maximal(game, probe1, probe2, "corrected")
     corrected = max(corrected, _pair_dev(co, oracle))
-    printed = max(printed, _pair_dev(pr, oracle))
-    if _pair_dev(pr, oracle) <= ORACLE_TOL:
+    probe = _pair_dev(pr, oracle)
+    if probe <= ORACLE_TOL:
         note = ("printed variant rejected by simulation on the random draws; the probe "
                 "theta=0, phi1+phi2=pi/2 does not separate it for this game")
     else:
         note = (f"printed variant rejected by simulation; at theta=0, phi1+phi2=pi/2 it "
                 f"gives ({pr.alice:g}, {pr.bob:g}) vs simulated ({oracle.alice:g}, {oracle.bob:g})")
-    return [
-        CheckResult("du_corrected_vs_oracle", corrected, ORACLE_TOL, corrected <= ORACLE_TOL,
-                    note="simulation supports the corrected variant"),
-        CheckResult("du_printed_vs_oracle", printed, None, True, note=note),
-    ]
+    return [_within("du_corrected_vs_oracle", corrected, ORACLE_TOL,
+                    "simulation supports the corrected variant"),
+            CheckResult("du_printed_vs_oracle", max(printed, probe), None, True, note=note)]
 
 
 def _check_classical(rng, game: GameMatrix) -> list[CheckResult]:
@@ -235,8 +234,7 @@ def _check_classical(rng, game: GameMatrix) -> list[CheckResult]:
         form = cf.payoff_general(g, scheme, s1, s2)
         worst = max(worst, abs(got.alice - ca), abs(got.bob - cb),
                     abs(form.alice - ca), abs(form.bob - cb))
-    limit = CheckResult("classical_limit_mixed_strategies", worst, IDENTITY_TOL,
-                        worst <= IDENTITY_TOL)
+    limit = _within("classical_limit_mixed_strategies", worst, IDENTITY_TOL)
 
     grid = StrategyGrid(theta_steps=2, phi_steps=1)  # theta 0 plays O, theta pi plays T
     profiles, values = epsilon_nash(game, scheme, grid, eps=CLASSICAL_EPS)
@@ -258,11 +256,10 @@ def _check_measurement(rng) -> list[CheckResult]:
         delta = _uniform(rng, HALF_PI)
         states = np.array(measurement_basis(delta))
         gram = states.conj() @ states.T  # [i, j] = <b_i|b_j>
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(4)))))
         complete = states.T @ states.conj()  # sum_i |b_i><b_i|
-        worst = max(worst, float(np.max(np.abs(complete - np.eye(4)))))
-    structure = CheckResult("measurement_orthonormal_complete", worst, ORACLE_TOL,
-                            worst <= ORACLE_TOL)
+        worst = max(worst, float(np.max(np.abs(gram - np.eye(4)))),
+                    float(np.max(np.abs(complete - np.eye(4)))))
+    structure = _within("measurement_orthonormal_complete", worst, ORACLE_TOL)
 
     worst_sum = 0.0
     for _ in range(CASE_DRAWS):
@@ -271,9 +268,7 @@ def _check_measurement(rng) -> list[CheckResult]:
         basis = measurement_basis(_uniform(rng, HALF_PI))
         probs = outcome_probabilities(state, basis)
         worst_sum = max(worst_sum, abs(sum(probs) - 1.0))
-    sums = CheckResult("outcome_probability_sum", worst_sum, ORACLE_TOL,
-                       worst_sum <= ORACLE_TOL)
-    return [structure, sums]
+    return [structure, _within("outcome_probability_sum", worst_sum, ORACLE_TOL)]
 
 
 def _check_unitarity(rng) -> CheckResult:
@@ -281,19 +276,17 @@ def _check_unitarity(rng) -> CheckResult:
     for _ in range(UNITARITY_DRAWS):
         u = np.array(strategy_op(_draw_strategy(rng, full_phi=True)))
         worst = max(worst, float(np.max(np.abs(u @ u.conj().T - np.eye(2)))))
-    return CheckResult("strategy_unitarity", worst, IDENTITY_TOL, worst <= IDENTITY_TOL)
+    return _within("strategy_unitarity", worst, IDENTITY_TOL)
 
 
 def _check_reduction_slices(rng) -> list[CheckResult]:
-    eisert = 0.0
-    mw = 0.0
+    eisert = mw = 0.0
     for _ in range(CASE_DRAWS):
         game = _draw_bos(rng)
         gamma = _uniform(rng, HALF_PI)
         th1, th2 = _uniform(rng, math.pi), _uniform(rng, math.pi)
         split = _uniform(rng, HALF_PI)
-        s1 = StrategyParams(th1, split)
-        s2 = StrategyParams(th2, HALF_PI - split)
+        s1, s2 = StrategyParams(th1, split), StrategyParams(th2, HALF_PI - split)
         eisert = max(eisert, _pair_dev(
             cf.payoff_case_b_i(game, gamma, s1, s2),
             payoffs_oracle(game, SchemeParams(gamma, gamma), s1, s2)))
@@ -301,12 +294,9 @@ def _check_reduction_slices(rng) -> list[CheckResult]:
             cf.payoff_case_a_i(game, gamma, th1, th2),
             payoffs_oracle(game, SchemeParams(gamma, 0.0),
                            StrategyParams(th1, 0.0), StrategyParams(th2, 0.0))))
-    return [
-        CheckResult("eisert_slice_matched_angles", eisert, ORACLE_TOL, eisert <= ORACLE_TOL,
-                    note="delta=gamma with phi1+phi2=pi/2"),
-        CheckResult("marinatto_weber_slice", mw, ORACLE_TOL, mw <= ORACLE_TOL,
-                    note="delta=0 with phi1=phi2=0"),
-    ]
+    return [_within("eisert_slice_matched_angles", eisert, ORACLE_TOL,
+                    "delta=gamma with phi1+phi2=pi/2"),
+            _within("marinatto_weber_slice", mw, ORACLE_TOL, "delta=0 with phi1=phi2=0")]
 
 
 def _check_measurement_only(game: GameMatrix) -> list[CheckResult]:
@@ -345,14 +335,9 @@ def run_verification(game: GameMatrix | None = None, seed: int = 0) -> Verificat
     if max(abs(v) for v in game.bos) > VERIFY_MAX_PAYOFF:
         raise ValueError(f"verification needs payoffs at most {VERIFY_MAX_PAYOFF:g} "
                          f"in magnitude, got bos {game.bos}")
-    rng = np.random.default_rng(seed)
-    checks: list[CheckResult] = []
-    checks.append(_check_general_vs_oracle(rng))
-    checks.extend(_check_case_identities(rng))
-    checks.extend(_check_du(rng, game))
-    checks.extend(_check_classical(rng, game))
-    checks.extend(_check_measurement(rng))
-    checks.append(_check_unitarity(rng))
-    checks.extend(_check_reduction_slices(rng))
-    checks.extend(_check_measurement_only(game))
-    return VerificationReport(seed=seed, game=game, checks=tuple(checks))
+    rng = np.random.default_rng(seed)  # the checks draw from it in this order
+    checks = (_check_general_vs_oracle(rng), *_check_case_identities(rng),
+              *_check_du(rng, game), *_check_classical(rng, game), *_check_measurement(rng),
+              _check_unitarity(rng), *_check_reduction_slices(rng),
+              *_check_measurement_only(game))
+    return VerificationReport(seed=seed, game=game, checks=checks)

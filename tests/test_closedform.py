@@ -397,6 +397,29 @@ class TestCaseD:
             assert dev(got, want) <= 1e-12
 
 
+
+# each special case with a theta pair, and its theta parameters' names
+THETA_CASES = {
+    "case_a_i": (lambda t1, t2: payoff_case_a_i(bos210(), 0.3, t1, t2), ("theta1", "theta2")),
+    "case_a_ii": (lambda t1, t2: payoff_case_a_ii(bos210(), 0.3, t1, t2), ("theta1", "theta2")),
+    "case_b_ii": (lambda t1, t2: payoff_case_b_ii(bos210(), t1, t2), ("s1_theta", "s2_theta")),
+    "case_c": (lambda t1, t2: payoff_case_c(bos210(), 0.3, 0.1, t1, t2),
+               ("s1_theta", "s2_theta")),
+}
+
+
+@pytest.mark.parametrize("theta", [-0.1, math.pi + 0.1, math.nan, math.inf])
+@pytest.mark.parametrize("case", THETA_CASES)
+def test_special_cases_reject_theta_outside_0_pi(case, theta):
+    # theta lies in [0, pi], as StrategyParams requires; each bad theta is
+    # named by its own parameter, before any payoff is computed
+    payoff, (first, second) = THETA_CASES[case]
+    for args, name in (((theta, 0.5), first), ((0.5, theta), second)):
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be (in \[0, pi\]|a finite number), got "):
+            payoff(*args)
+    payoff(0.0, math.pi)  # the endpoints are accepted
+
 class TestBosFormFromCells:
     """Games typed as plain cells of the BoS form get the closed forms, with
     alpha, beta and sigma in any order, ties and the constant game included."""

@@ -806,3 +806,26 @@ class TestRowBlockMemory:
         epsilon_nash(bos210(), SchemeParams(0.7, 0.4), grid, eps=1e-9)
         sweep(bos210(), [0.7], [0.4], grid, eps=1e-9)
         assert len(freed) == 8
+
+    def test_each_block_of_payoffs_is_freed_before_the_next(self, monkeypatch):
+        # the certificates hold copies of the candidates only, so a block's
+        # payoff tables may not live on while the next block is built
+        payoffs = []
+        table_block = equilibrium._table_block
+
+        def keeping(*args):
+            block = table_block(*args)
+            payoffs.extend(weakref.ref(table) for table in block[2:])
+            return block
+
+        def tracking(*args):
+            assert all(ref() is None for ref in payoffs)
+            return probability_tables(*args)
+
+        monkeypatch.setattr(equilibrium, "_table_block", keeping)
+        monkeypatch.setattr(equilibrium, "probability_tables", tracking)
+        monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 4 * 32 * 15)
+        grid = StrategyGrid(5, 3)  # blocks of 4, 4, 4 and 3 rows
+        epsilon_nash(bos210(), SchemeParams(0.7, 0.4), grid, eps=1e-9)
+        sweep(bos210(), [0.7], [0.4], grid, eps=1e-9)
+        assert len(payoffs) == 2 * 8
