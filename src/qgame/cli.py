@@ -7,7 +7,8 @@ flat key = value config file; command-line flags win. Exit codes: 0 success,
 
 Each command imports what it runs: payoff needs only scheme and closedform,
 which are plain Python, so it starts without loading numpy; verify imports
-verification, and the grid commands equilibrium (and cells to write rows).
+verification, and the grid commands equilibrium (and cells, the row writer,
+to write rows).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import math
 import signal
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from itertools import chain
 
 from .closedform import payoff_general
@@ -39,8 +40,6 @@ SWEEP_FIELDS = ("gamma", "delta", "theta1", "phi1", "theta2", "phi2",
                 "payoff_a", "payoff_b", "p_oo", "p_ot", "p_to", "p_tt")
 EQUILIBRIA_FIELDS = ("theta1", "phi1", "theta2", "phi2", "payoff_a",
                      "payoff_b", "eps_cert")
-
-CSV_ROWS = 1024  # rows per piece _table_chunks writes, in both formats, on any grid
 
 
 def parse_angle(text: str) -> float:
@@ -144,95 +143,6 @@ def _emit_chunks(chunks: Iterable[str], out: str | None) -> None:
             fh.writelines(chunks)
 
 
-def _table_chunks(fields: tuple[str, ...], fmt: str, grid: StrategyGrid, pad: int,
-                  chunks: Iterable[tuple]) -> Iterator[str]:
-    """Per-profile rows in pieces: the bytes of _csv_table(fields, rows) for csv,
-    of json.dumps(rows, indent=2) + "\n" nested pad - 2 spaces deep for json.
-
-    A chunk is (prefix values, profiles, columns). profiles is a sliceable
-    sequence of flat profile indices a * n + b in output order (Alice's grid
-    point a, Bob's b, n grid points), and columns holds one 1-D array per
-    value field, in the same order. Each slice of at most CSV_ROWS profiles
-    becomes one piece, built as bytes in both formats: a row is its head
-    (the separator from the row before, and the prefix), then a fixed label
-    and a text for each field from theta1 on. The four angles' texts are
-    gathered by np.take from the NUL-padded text of the grid's theta and phi
-    values, built once per table and none per grid point; the values' texts
-    are the cells of cells.CsvCells or cells.ReprCells. So the pieces are
-    bounded on any grid.
-    """
-    import numpy as np
-
-    from .cells import CsvCells, ReprCells, padded  # loaded by the commands that write rows
-
-    thetas, phis = grid.theta_values().tolist(), grid.phi_values().tolist()
-    steps, n = len(phis), len(thetas) * len(phis)
-    first = fields.index("theta1")  # the prefix fields come before it
-    if fmt == "csv":
-        cells, angle = CsvCells(), _fmt_csv
-
-        def head(prefix):
-            return "".join(_fmt_csv(v) + "," for v in prefix)
-
-        labels = ["" if i == first else "," for i in range(first, len(fields))]
-        sep, end = "", "\n"
-        header = ",".join(fields) + "\n"  # goes out with the first rows, or alone
-        lead, empty, close = header, header, ""
-    else:
-        # every value is finite because GameMatrix bounds the payoffs by MAX_PAYOFF
-        cells, angle = ReprCells(), json.dumps
-        indent, sep = " " * pad, ",\n"
-        end = "\n" + indent + "}"
-
-        def head(prefix):
-            return sep + indent + "{\n" + "".join(
-                f'{indent}  "{f}": {json.dumps(v)},\n' for f, v in zip(fields, prefix))
-
-        labels = [("" if i == first else ",\n") + f'{indent}  "{f}": '
-                  for i, f in enumerate(fields) if i >= first]
-        lead, empty, close = "[\n", "[]\n", f"\n{indent[2:]}]\n"
-    angles = [padded([angle(v) for v in values]) for values in (thetas, phis)]
-    # a row after its head: the labels, NULs where the texts go and the end
-    widths = [angles[0].shape[1], angles[1].shape[1]] * 2 + [cells.width] * (len(labels) - 4)
-    body, offsets = "", []
-    for label, width in zip(labels, widths):
-        body += label
-        offsets.append(len(body))
-        body += "\0" * width
-    body += end
-
-    def render(row, shift, profiles, values):
-        """The rows of the profiles: each is row, a head of shift bytes and
-        then body, with the texts written into its NUL slots."""
-        a, b = np.divmod(profiles, n)
-        points = [*np.divmod(a, steps), *np.divmod(b, steps)]  # theta and phi indices
-        texts = [np.take(angles[i % 2], index, axis=0) for i, index in enumerate(points)]
-        texts.extend(cells(values).reshape(-1, len(profiles), cells.width))
-        # the rows go into a bytearray, which translate reads with no tobytes copy
-        line = bytearray(len(profiles) * len(row))
-        view = np.frombuffer(line, np.uint8).reshape(len(profiles), len(row))
-        view[:] = row
-        for at, text in zip(offsets, texts):
-            view[:, shift + at:shift + at + text.shape[1]] = text
-        view[0, :len(sep)] = 0  # the piece's lead goes before its first row
-        del texts, view
-        piece = line.translate(None, b"\0")
-        del line  # each copy is freed as soon as the next is made
-        return piece.decode("ascii")
-
-    wrote = False
-    for prefix, profiles, columns in chunks:
-        start = head(prefix)
-        row = np.frombuffer((start + body).encode("ascii"), np.uint8)
-        for lo in range(0, len(profiles), CSV_ROWS):
-            values = np.concatenate([column[lo:lo + CSV_ROWS] for column in columns])
-            ids = np.asarray(profiles[lo:lo + CSV_ROWS], np.intp)
-            yield lead + render(row, len(start), ids, values)
-            lead, wrote = sep, True
-        del profiles, columns  # the chunk's block goes before the next is built
-    yield close if wrote else empty
-
-
 def cmd_payoff(args: argparse.Namespace) -> int:
     game = _game(args)
     scheme = SchemeParams(parse_angle(args.gamma), parse_angle(args.delta))
@@ -307,6 +217,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _emit_chunks([json.dumps(rows, indent=2) + "\n"], args.out)
         return 0
 
+    from .cells import _table_chunks
+
     # everything that can reject the input runs before the first byte
     chunks = _sweep_blocks(game, sweep_schemes(gammas, deltas), grid)
     _emit_chunks(_table_chunks(SWEEP_FIELDS, args.format, grid, 2, chunks), args.out)
@@ -331,6 +243,8 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
             "phi_range": grid.phi_range, "count": len(profiles), "profiles": [],
         }
         head, tail = (json.dumps(payload, indent=2) + "\n").rsplit("[]\n", 1)
+    from .cells import _table_chunks  # not before epsilon_nash: it raised its peak RSS
+
     table = _table_chunks(EQUILIBRIA_FIELDS, args.format, grid, 4, chunks)
     _emit_chunks(chain([head], table, [tail]), args.out)
     return 0

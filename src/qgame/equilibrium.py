@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -51,8 +51,19 @@ _CORNERS = (StrategyParams(0.0, 0.0), StrategyParams(0.0, math.pi / 2),
 # the six (p, p') index pairs with p <= p' of a symmetric 3x3 matrix
 _PAIR_P, _PAIR_Q = np.triu_indices(3)
 
-@dataclass(frozen=True)
-class StrategyGrid:
+
+def _steps(name: str, steps) -> int:
+    """steps as an int, checked to be a positive integer (a bool is not)."""
+    try:
+        value = operator.index(steps)
+    except TypeError:
+        value = 0
+    if isinstance(steps, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {steps!r}")
+    return value
+
+
+class StrategyGrid(namedtuple("StrategyGrid", "theta_steps phi_steps phi_range")):
     """Evenly spaced (theta, phi) points, endpoints included.
 
     theta runs over [0, pi]. phi runs over the configured range: "narrow" is
@@ -61,28 +72,19 @@ class StrategyGrid:
     gives the classical pure-strategy grids.
     """
 
-    theta_steps: int
-    phi_steps: int
-    phi_range: str = "narrow"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        # store the checked ints, as SchemeParams stores its checked floats
-        for name in ("theta_steps", "phi_steps"):
-            steps = getattr(self, name)
-            try:
-                value = operator.index(steps)
-            except TypeError:
-                value = 0
-            if isinstance(steps, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {steps!r}")
-            object.__setattr__(self, name, value)
-        _phi_interval(self.phi_range)
-        n = self.theta_steps * self.phi_steps
+    def __new__(cls, theta_steps: int, phi_steps: int, phi_range: str = "narrow"):
+        theta_steps = _steps("theta_steps", theta_steps)
+        phi_steps = _steps("phi_steps", phi_steps)
+        _phi_interval(phi_range)
+        n = theta_steps * phi_steps
         if POINT_BYTES * n > MAX_TABLE_BYTES:
             raise ValueError(
-                f"a {self.theta_steps}x{self.phi_steps} grid has {n} points, over the limit "
+                f"a {theta_steps}x{phi_steps} grid has {n} points, over the limit "
                 f"of {MAX_TABLE_BYTES // POINT_BYTES} points ({MAX_TABLE_BYTES} bytes at "
                 f"{POINT_BYTES} bytes per point)")
+        return super().__new__(cls, theta_steps, phi_steps, phi_range)
 
     def theta_values(self) -> np.ndarray:
         return np.linspace(0.0, math.pi, self.theta_steps)

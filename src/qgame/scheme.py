@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 HALF_PI = math.pi / 2
 TWO_PI = 2.0 * math.pi
@@ -63,23 +63,17 @@ def check_phi(phi: float, phi_range: str = "narrow") -> None:
     _check_interval("phi", phi, lo, hi, label, open_upper=phi_range == "full")
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class SchemeParams(namedtuple("SchemeParams", "gamma delta")):
     """Referee knobs: gamma entangles the initial state, delta the measurement."""
 
-    gamma: float
-    delta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        # store the checked floats, as GameMatrix stores its checked cells
-        gamma = _check_interval("gamma", self.gamma, 0.0, HALF_PI, "[0, pi/2]")
-        delta = _check_interval("delta", self.delta, 0.0, HALF_PI, "[0, pi/2]")
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "delta", delta)
+    def __new__(cls, gamma: float, delta: float):
+        return super().__new__(cls, _check_interval("gamma", gamma, 0.0, HALF_PI, "[0, pi/2]"),
+                               _check_interval("delta", delta, 0.0, HALF_PI, "[0, pi/2]"))
 
 
-@dataclass(frozen=True)
-class StrategyParams:
+class StrategyParams(namedtuple("StrategyParams", "theta phi")):
     """One player's move: mixing angle theta, phase angle phi.
 
     theta interpolates between staying (theta=0) and flipping (theta=pi);
@@ -88,14 +82,12 @@ class StrategyParams:
     the narrower default via check_phi.
     """
 
-    theta: float
-    phi: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        theta = _check_interval("theta", self.theta, 0.0, math.pi, "[0, pi]")
-        phi = _check_interval("phi", self.phi, 0.0, TWO_PI, "[0, 2*pi)", open_upper=True)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
+    def __new__(cls, theta: float, phi: float):
+        return super().__new__(
+            cls, _check_interval("theta", theta, 0.0, math.pi, "[0, pi]"),
+            _check_interval("phi", phi, 0.0, TWO_PI, "[0, 2*pi)", open_upper=True))
 
 
 def _as_cells(name, cells) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -105,8 +97,8 @@ def _as_cells(name, cells) -> tuple[tuple[float, float], tuple[float, float]]:
         raise ValueError(f"{name} must be a 2x2 array of numbers") from exc
     except ValueError:  # a row count or row length other than 2
         raise ValueError(f"{name} must be 2x2, got {cells!r}") from None
-    try:
-        rows = (float(a), float(b)), (float(c), float(d))
+    try:  # + 0.0 stores -0.0 as 0.0
+        rows = (float(a) + 0.0, float(b) + 0.0), (float(c) + 0.0, float(d) + 0.0)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be a 2x2 array of numbers") from exc
     for v in rows[0] + rows[1]:
@@ -116,8 +108,7 @@ def _as_cells(name, cells) -> tuple[tuple[float, float], tuple[float, float]]:
     return rows
 
 
-@dataclass(frozen=True)
-class GameMatrix:
+class GameMatrix(namedtuple("GameMatrix", "alice bob bos")):
     """2x2 bimatrix: alice[i][j], bob[i][j] with i Alice's move, O=0 and T=1.
 
     bos is (alpha, beta, sigma) when alice = ((alpha, sigma), (sigma, beta))
@@ -125,25 +116,27 @@ class GameMatrix:
     derived from the cells, once, and the closed forms need it.
     """
 
-    alice: tuple[tuple[float, float], tuple[float, float]]
-    bob: tuple[tuple[float, float], tuple[float, float]]
-    bos: tuple[float, float, float] | None = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        alice = _as_cells("alice payoffs", self.alice)
-        bob = _as_cells("bob payoffs", self.bob)
+    def __new__(cls, alice, bob):
+        alice = _as_cells("alice payoffs", alice)
+        bob = _as_cells("bob payoffs", bob)
         (alpha, sigma), (_, beta) = alice
         form = alice[1][0] == sigma and bob == ((beta, sigma), (sigma, alpha))
-        object.__setattr__(self, "alice", alice)
-        object.__setattr__(self, "bob", bob)
-        object.__setattr__(self, "bos", (alpha, beta, sigma) if form else None)
+        return super().__new__(cls, alice, bob, (alpha, beta, sigma) if form else None)
+
+    def __getnewargs__(self):
+        # copy and pickle call __new__ with these; bos is derived, not passed
+        return self.alice, self.bob
 
     def alice_by_outcome(self) -> tuple[float, float, float, float]:
         """Alice's payoffs in basis order OO, OT, TO, TT."""
-        return (self.alice[0][0], self.alice[0][1], self.alice[1][0], self.alice[1][1])
+        (oo, ot), (to, tt) = self.alice
+        return oo, ot, to, tt
 
     def bob_by_outcome(self) -> tuple[float, float, float, float]:
-        return (self.bob[0][0], self.bob[0][1], self.bob[1][0], self.bob[1][1])
+        (oo, ot), (to, tt) = self.bob
+        return oo, ot, to, tt
 
 
 def battle_of_sexes(alpha: float, beta: float, sigma: float) -> GameMatrix:
@@ -159,14 +152,13 @@ def battle_of_sexes(alpha: float, beta: float, sigma: float) -> GameMatrix:
                       bob=((beta, sigma), (sigma, alpha)))
 
 
-@dataclass(frozen=True)
-class PayoffPair:
-    alice: float
-    bob: float
+class PayoffPair(namedtuple("PayoffPair", "alice bob")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alice) and math.isfinite(self.bob)):
-            raise ValueError(f"payoffs must be finite, got {self.alice!r}, {self.bob!r}")
+    def __new__(cls, alice: float, bob: float):
+        if not (math.isfinite(alice) and math.isfinite(bob)):
+            raise ValueError(f"payoffs must be finite, got {alice!r}, {bob!r}")
+        return super().__new__(cls, alice, bob)
 
 
 def initial_state(gamma: float) -> tuple[complex, complex, complex, complex]:
@@ -182,8 +174,9 @@ def strategy_op(s: StrategyParams) -> tuple[tuple[complex, complex], tuple[compl
     Its two rows are [c e^{i phi}, s] and [-s, c e^{-i phi}], with c, s the
     cosine and sine of theta/2; np.array(strategy_op(s)) is the 2x2 matrix.
     """
-    c, s_ = math.cos(s.theta / 2), math.sin(s.theta / 2)
-    cos_phi, sin_phi = math.cos(s.phi), math.sin(s.phi)
+    theta, phi = s  # unpacking is cheaper than two field reads each
+    c, s_ = math.cos(theta / 2), math.sin(theta / 2)
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     return ((complex(c * cos_phi, c * sin_phi), complex(s_)),
             (complex(-s_), complex(c * cos_phi, -c * sin_phi)))
 

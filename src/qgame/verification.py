@@ -10,7 +10,7 @@ seeded generator, so a report is byte-for-byte reproducible from its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -45,24 +45,20 @@ CLASSICAL_EPS = 1e-9
 VERIFY_MAX_PAYOFF = 1e6
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    value: float
-    tol: float | None  # None marks an informational record
-    passed: bool
-    note: str = ""
+class CheckResult(namedtuple("CheckResult", "name value tol passed note", defaults=("",))):
+    """One record of a report; a tol of None marks an informational record."""
+
+    __slots__ = ()
 
     @property
     def required(self) -> bool:
         return self.tol is not None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    seed: int
-    game: GameMatrix
-    checks: tuple[CheckResult, ...]
+class VerificationReport(namedtuple("VerificationReport", "seed game checks")):
+    """A run's seed, its game and its records, a tuple of CheckResult."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -637,7 +637,7 @@ class TestSweep:
         argv = ["--bos", "2,1,0", "--gamma", "0.7,pi/2", "--delta", "0.4,0.3",
                 "--grid", "5,3"]
         monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 4 * 32 * 15)
-        monkeypatch.setattr(cli, "CSV_ROWS", 7)
+        monkeypatch.setattr("qgame.cells.CSV_ROWS", 7)
         code, out, err = run_cli(capsys, "sweep", *argv, "--format", fmt)
         assert code == 0, err
         rows = reference_sweep_rows(argv)
@@ -655,7 +655,7 @@ class TestSweep:
     def test_pieces_hold_at_most_csv_rows(self, monkeypatch, fmt, argv, rows):
         pieces = []
         monkeypatch.setattr(cli, "_emit_chunks", lambda chunks, out: pieces.extend(chunks))
-        monkeypatch.setattr(cli, "CSV_ROWS", 7)
+        monkeypatch.setattr("qgame.cells.CSV_ROWS", 7)
         assert main([*argv, "--grid", "9,5", "--format", fmt]) == 0
         if fmt == "csv":
             header = ",".join(SWEEP_FIELDS if argv[0] == "sweep" else EQUILIBRIA_FIELDS)
@@ -1126,8 +1126,8 @@ LOADED_SCRIPT = """
 import json, sys
 from qgame.cli import main
 code = main(sys.argv[2:])
-loaded = [name for name in ("numpy", "numpy.random", "qgame.cells", "qgame.equilibrium",
-                           "qgame.verification") if name in sys.modules]
+loaded = [name for name in ("dataclasses", "numpy", "numpy.random", "qgame.cells",
+                           "qgame.equilibrium", "qgame.verification") if name in sys.modules]
 with open(sys.argv[1], "w", encoding="utf-8") as fh:
     json.dump({"code": code, "loaded": loaded}, fh)
 """
@@ -1151,6 +1151,14 @@ def test_negative_zero_prints_as_zero(capsys, argv):
     outputs = [run_cli(capsys, *[arg.replace("@", zero) for arg in argv])
                for zero in ("-0", "0")]
     assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
+def test_negative_zero_cell_is_zero(capsys):
+    # a "-0" payoff is the cell 0: verify's report names the game as for "0"
+    outputs = [run_cli(capsys, "verify", "--bos", f"2,1,{zero}") for zero in ("-0", "0")]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    game = GameMatrix(alice=((2, -0.0), (-0.0, 1)), bob=((1, -0.0), (-0.0, 2)))
+    assert not any(math.copysign(1.0, v) < 0 for row in game.alice + game.bob for v in row)
 
 
 GRID_MODULES = ["numpy", "qgame.equilibrium"]

@@ -1,7 +1,14 @@
+import copy
+import pickle
 from pathlib import Path
+
+import pytest
 
 import qgame
 from qgame import PayoffPair
+from qgame.equilibrium import StrategyGrid
+from qgame.scheme import GameMatrix, SchemeParams, StrategyParams
+from qgame.verification import CheckResult, VerificationReport
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,3 +36,42 @@ def test_readme_quick_tour_runs_as_documented():
     assert f"a = {a} and b = {b}" in block
     assert values.tolist() == [[2.0, 1.0, 0.0], [1.0, 2.0, 0.0]]
     assert "# values = [[2. 1. 0.]\n#           [1. 2. 0.]]" in block
+
+
+GAME = dict(alice=((2, 0), (0, 1)), bob=((1, 0), (0, 2)))
+GAME_TEXT = ("GameMatrix(alice=((2.0, 0.0), (0.0, 1.0)), bob=((1.0, 0.0), (0.0, 2.0)), "
+             "bos=(2.0, 1.0, 0.0))")
+CHECK = dict(name="x", value=0.0, tol=1e-9, passed=True)
+CHECK_TEXT = "CheckResult(name='x', value=0.0, tol=1e-09, passed=True, note='')"
+# each record type, the keyword arguments of one value and that value's repr
+RECORDS = [
+    (SchemeParams, dict(gamma=0.1, delta=0.2), "SchemeParams(gamma=0.1, delta=0.2)"),
+    (StrategyParams, dict(theta=1, phi=0.5), "StrategyParams(theta=1.0, phi=0.5)"),
+    (GameMatrix, GAME, GAME_TEXT),
+    (PayoffPair, dict(alice=1.5, bob=-2.0), "PayoffPair(alice=1.5, bob=-2.0)"),
+    (StrategyGrid, dict(theta_steps=5, phi_steps=3),
+     "StrategyGrid(theta_steps=5, phi_steps=3, phi_range='narrow')"),
+    (CheckResult, CHECK, CHECK_TEXT),
+    (VerificationReport, dict(seed=0, game=GameMatrix(**GAME), checks=(CheckResult(**CHECK),)),
+     f"VerificationReport(seed=0, game={GAME_TEXT}, checks=({CHECK_TEXT},))"),
+]
+
+
+@pytest.mark.parametrize("cls,kwargs,text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_immutable_values(cls, kwargs, text):
+    value = cls(**kwargs)
+    assert repr(value) == text
+    twin = cls(*kwargs.values())
+    assert value == twin and hash(value) == hash(twin)
+    for name in kwargs:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        value.extra = 0
+    for copied in copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)):
+        assert type(copied) is cls and copied == value and repr(copied) == text
+
+
+def test_game_bos_is_derived_not_passed():
+    with pytest.raises(TypeError):
+        GameMatrix(**GAME, bos=None)
