@@ -292,7 +292,10 @@ def _table_chunks(fields: tuple[str, ...], fmt: str, grid: StrategyGrid, pad: in
         row = np.frombuffer((start + body).encode("ascii"), np.uint8)
         for lo in range(0, len(profiles), CSV_ROWS):
             values = np.concatenate([column[lo:lo + CSV_ROWS] for column in columns])
-            ids = np.asarray(profiles[lo:lo + CSV_ROWS], np.intp)
+            ids = profiles[lo:lo + CSV_ROWS]
+            # np.asarray of a range converts one Python int at a time
+            ids = (np.arange(ids.start, ids.stop, ids.step, np.intp) if isinstance(ids, range)
+                   else np.asarray(ids, np.intp))
             yield lead + render(row, len(start), ids, values)
             lead, wrote = sep, True
         del profiles, columns  # the chunk's block goes before the next is built

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .scheme import (
     SchemeParams,
     StrategyParams,
     _phi_interval,
+    _record,
     final_state,
     measurement_basis,
 )
@@ -63,7 +63,7 @@ def _steps(name: str, steps) -> int:
     return value
 
 
-class StrategyGrid(namedtuple("StrategyGrid", "theta_steps phi_steps phi_range")):
+class StrategyGrid(_record("StrategyGrid", "theta_steps phi_steps phi_range")):
     """Evenly spaced (theta, phi) points, endpoints included.
 
     theta runs over [0, pi]. phi runs over the configured range: "narrow" is

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from collections import namedtuple
 
 HALF_PI = math.pi / 2
@@ -63,7 +62,16 @@ def check_phi(phi: float, phi_range: str = "narrow") -> None:
     _check_interval("phi", phi, lo, hi, label, open_upper=phi_range == "full")
 
 
-class SchemeParams(namedtuple("SchemeParams", "gamma delta")):
+def _record(typename: str, field_names: str, **kwargs) -> type:
+    """The namedtuple base of a record that validates in __new__. Its _make,
+    and so _replace, which goes through _make, calls the record's own
+    constructor: namedtuple's would build the tuple without the checks."""
+    base = namedtuple(typename, field_names, **kwargs)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class SchemeParams(_record("SchemeParams", "gamma delta")):
     """Referee knobs: gamma entangles the initial state, delta the measurement."""
 
     __slots__ = ()
@@ -73,7 +81,7 @@ class SchemeParams(namedtuple("SchemeParams", "gamma delta")):
                                _check_interval("delta", delta, 0.0, HALF_PI, "[0, pi/2]"))
 
 
-class StrategyParams(namedtuple("StrategyParams", "theta phi")):
+class StrategyParams(_record("StrategyParams", "theta phi")):
     """One player's move: mixing angle theta, phase angle phi.
 
     theta interpolates between staying (theta=0) and flipping (theta=pi);
@@ -108,7 +116,7 @@ def _as_cells(name, cells) -> tuple[tuple[float, float], tuple[float, float]]:
     return rows
 
 
-class GameMatrix(namedtuple("GameMatrix", "alice bob bos")):
+class GameMatrix(_record("GameMatrix", "alice bob bos")):
     """2x2 bimatrix: alice[i][j], bob[i][j] with i Alice's move, O=0 and T=1.
 
     bos is (alpha, beta, sigma) when alice = ((alpha, sigma), (sigma, beta))
@@ -128,6 +136,16 @@ class GameMatrix(namedtuple("GameMatrix", "alice bob bos")):
     def __getnewargs__(self):
         # copy and pickle call __new__ with these; bos is derived, not passed
         return self.alice, self.bob
+
+    @classmethod
+    def _make(cls, iterable):
+        """The game of the cells alice and bob; bos, derived from them, must
+        equal the given one (so _replace of a cell cannot keep a stale bos)."""
+        alice, bob, bos = iterable
+        game = cls(alice, bob)
+        if bos != game.bos:
+            raise ValueError(f"bos must be {game.bos!r}, derived from the cells, got {bos!r}")
+        return game
 
     def alice_by_outcome(self) -> tuple[float, float, float, float]:
         """Alice's payoffs in basis order OO, OT, TO, TT."""
@@ -152,7 +170,7 @@ def battle_of_sexes(alpha: float, beta: float, sigma: float) -> GameMatrix:
                       bob=((beta, sigma), (sigma, alpha)))
 
 
-class PayoffPair(namedtuple("PayoffPair", "alice bob")):
+class PayoffPair(_record("PayoffPair", "alice bob")):
     __slots__ = ()
 
     def __new__(cls, alice: float, bob: float):
@@ -218,6 +236,20 @@ def measurement_basis(delta: float) -> tuple[tuple[complex, ...], ...]:
             (up, zero, zero, c))
 
 
+def _projections(state, rows) -> tuple[float, float, float, float]:
+    """|<psi_b|state>|^2 for each outcome ket psi_b of rows, from the state's
+    4 amplitudes, with no checks. |<psi_b|state>| = |sum_k b_k conj(state_k)|:
+    the state is conjugated once, not the 16 basis entries. rows other than
+    4 rows of 4 numbers raise TypeError or ValueError."""
+    a, b, c, d = state
+    a, b, c, d = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    (w0, x0, y0, z0), (w1, x1, y1, z1), (w2, x2, y2, z2), (w3, x3, y3, z3) = rows
+    return (abs(w0 * a + x0 * b + y0 * c + z0 * d) ** 2,
+            abs(w1 * a + x1 * b + y1 * c + z1 * d) ** 2,
+            abs(w2 * a + x2 * b + y2 * c + z2 * d) ** 2,
+            abs(w3 * a + x3 * b + y3 * c + z3 * d) ** 2)
+
+
 def outcome_probabilities(state, basis) -> tuple[float, float, float, float]:
     """|<psi_b|state>|^2 for each outcome ket psi_b, a row of basis, in order
     OO, OT, TO, TT. state is 4 amplitudes and basis 4 rows of 4, as tuples,
@@ -229,24 +261,23 @@ def outcome_probabilities(state, basis) -> tuple[float, float, float, float]:
         amps = ()
     if len(amps) != 4 or isinstance(values, str) or not all(map(cmath.isfinite, amps)):
         raise ValueError(f"state must be 4 finite amplitudes, got {state!r}")
-    # |<psi_b|state>| = |sum_k b_k conj(state_k)|: the state is conjugated
-    # once, not the 16 basis entries
-    a, b, c, d = (amp.conjugate() for amp in amps)
-    rows = basis.tolist() if hasattr(basis, "tolist") else basis
     try:
-        if len(rows) == 4:
-            return tuple(abs(w * a + x * b + y * c + z * d) ** 2  # type: ignore[return-value]
-                         for w, x, y, z in rows)
-    except (TypeError, ValueError):  # a row that is not 4 numbers
-        pass
-    raise ValueError(f"basis must be 4 rows of 4 numbers, got {basis!r}")
+        return _projections(amps, basis.tolist() if hasattr(basis, "tolist") else basis)
+    except (TypeError, ValueError):  # not 4 rows of 4 numbers
+        raise ValueError(f"basis must be 4 rows of 4 numbers, got {basis!r}") from None
 
 
 def payoffs_oracle(game: GameMatrix, scheme: SchemeParams, s1: StrategyParams,
                    s2: StrategyParams) -> PayoffPair:
-    """Payoffs by full state simulation: evolve, project, weight by the matrix."""
-    state = final_state(scheme.gamma, s1, s2)
-    probs = outcome_probabilities(state, measurement_basis(scheme.delta))
-    alice = sum(map(operator.mul, game.alice_by_outcome(), probs))
-    bob = sum(map(operator.mul, game.bob_by_outcome(), probs))
-    return PayoffPair(float(alice), float(bob))
+    """Payoffs by full state simulation: evolve, project, weight by the matrix.
+
+    final_state's amplitudes and measurement_basis's rows are well formed,
+    so they go to the projection without outcome_probabilities' checks."""
+    gamma, delta = scheme
+    oo, ot, to, tt = _projections(final_state(gamma, s1, s2), measurement_basis(delta))
+    (a_oo, a_ot), (a_to, a_tt) = game.alice
+    (b_oo, b_ot), (b_to, b_tt) = game.bob
+    # sum, not +: from Python 3.12 sum adds floats with compensation, and the
+    # payoffs keep the bits they have had on each version
+    return PayoffPair(sum((a_oo * oo, a_ot * ot, a_to * to, a_tt * tt)),
+                      sum((b_oo * oo, b_ot * ot, b_to * to, b_tt * tt)))

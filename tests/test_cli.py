@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qgame import cli, equilibrium, verification
-from qgame.cells import CsvCells, ReprCells
+from qgame.cells import CsvCells, ReprCells, _table_chunks
 from qgame.cli import (
     EQUILIBRIA_FIELDS,
     SWEEP_FIELDS,
@@ -645,6 +645,20 @@ class TestSweep:
             assert out == _csv_table(SWEEP_FIELDS, rows)
         else:
             assert out == json.dumps(rows, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_range_profiles_write_as_their_index_array(self, monkeypatch, fmt):
+        # a range's pieces take their ids from np.arange, an array's from
+        # np.asarray: the bytes are the same, in pieces of at most 7 rows
+        monkeypatch.setattr("qgame.cells.CSV_ROWS", 7)
+        profiles = range(100, 220, 3)  # 40 of the 225 profiles of 5x3
+        columns = [np.linspace(0.0, 1.0, len(profiles)) + k for k in range(6)]
+
+        def pieces(profiles):
+            chunk = ((0.7, 0.4), profiles, columns)
+            return list(_table_chunks(SWEEP_FIELDS, fmt, StrategyGrid(5, 3), 2, [chunk]))
+
+        assert pieces(profiles) == pieces(np.array(profiles)) and len(pieces(profiles)) == 7
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("argv,rows", [

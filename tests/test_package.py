@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from pathlib import Path
 
@@ -75,3 +76,42 @@ def test_records_are_immutable_values(cls, kwargs, text):
 def test_game_bos_is_derived_not_passed():
     with pytest.raises(TypeError):
         GameMatrix(**GAME, bos=None)
+
+
+@pytest.mark.parametrize("cls,kwargs,text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_make_and_replace_build_through_the_constructor(monkeypatch, cls, kwargs, text):
+    value = cls(**kwargs)
+    for made in cls._make(value), cls._make(list(value)), value._replace():
+        assert type(made) is cls and made == value and repr(made) == text
+    # _replace goes through _make, and _make through the constructor
+    built = []
+    monkeypatch.setattr(cls, "__new__", lambda cls_, *args: built.append(args) or value)
+    assert cls._make(value) is value and value._replace() is value
+    fields = (value.alice, value.bob) if cls is GameMatrix else tuple(value)  # bos is derived
+    assert built == [fields, fields]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SchemeParams(0, 0)._replace(gamma=9),
+    lambda: StrategyParams._make((math.nan, -1)),
+    lambda: StrategyParams(0, 0)._replace(theta=100.0),
+    lambda: PayoffPair(1.0, 2.0)._replace(bob=math.inf),
+    lambda: StrategyGrid(5, 3)._replace(phi_range="wide"),
+    lambda: GameMatrix._make((((1, 2), (3,)), ((1, 2), (3, 4)), None)),
+], ids=["scheme-gamma", "strategy-make", "strategy-theta", "payoff-inf", "grid-phi-range",
+        "game-cells"])
+def test_make_and_replace_check_the_fields(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_game_replace_cannot_keep_a_stale_bos():
+    game = GameMatrix(**GAME)  # bos (2.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match=r"bos must be None, derived from the cells, "
+                                         r"got \(2.0, 1.0, 0.0\)"):
+        game._replace(alice=((5, 0), (0, 1)))
+    with pytest.raises(ValueError, match=r"bos must be \(2.0, 1.0, 0.0\)"):
+        game._make((game.alice, game.bob, (2.0, 1.0, 1.0)))
+    plain = game._replace(alice=((5, 0), (0, 1)), bos=None)
+    assert plain == GameMatrix(alice=((5, 0), (0, 1)), bob=GAME["bob"]) and plain.bos is None
+    assert game._replace(bob=((1, 0), (0, 2))) == game

@@ -439,6 +439,38 @@ class TestPayoffsOracle:
         with pytest.raises(ValueError, match="finite"):
             PayoffPair(math.nan, 1.0)
 
+    @staticmethod
+    def weighted(game, scheme, s1, s2):
+        """The payoffs from the checked outcome_probabilities, each player's
+        cells weighted in order OO, OT, TO, TT and summed left to right."""
+        probs = outcome_probabilities(final_state(scheme.gamma, s1, s2),
+                                      measurement_basis(scheme.delta))
+        return (sum(w * p for w, p in zip(game.alice_by_outcome(), probs)),
+                sum(w * p for w, p in zip(game.bob_by_outcome(), probs)))
+
+    @pytest.mark.parametrize("phi_hi", [HP, 2 * math.pi], ids=["narrow", "full"])
+    def test_equals_the_weighted_outcome_probabilities_bit_for_bit(self, phi_hi):
+        rng = np.random.default_rng(41)
+        for _ in range(2000):
+            cells = rng.uniform(-5, 5, size=8).tolist()
+            game = GameMatrix(alice=(cells[0:2], cells[2:4]), bob=(cells[4:6], cells[6:8]))
+            scheme = SchemeParams(*rng.uniform(0, HP, size=2).tolist())
+            s1, s2 = (StrategyParams(float(rng.uniform(0, math.pi)),
+                                     float(rng.uniform(0, phi_hi))) for _ in range(2))
+            assert payoffs_oracle(game, scheme, s1, s2) == self.weighted(game, scheme, s1, s2)
+
+    @pytest.mark.parametrize("gamma,delta", [(0, 0), (0, HP), (HP, 0), (HP, HP)])
+    def test_equals_the_weighted_outcome_probabilities_at_the_corners(self, gamma, delta):
+        scheme = SchemeParams(gamma, delta)
+        rng = np.random.default_rng(43)
+        for game in (bos210(), battle_of_sexes(5.0, 3.0, -1.0),
+                     GameMatrix(alice=((3, 0), (5, 1)), bob=((3, 5), (0, 1)))):
+            for theta1, phi1, theta2, phi2 in [(0, 0, 0, 0), (math.pi, HP, 0, 0),
+                                               (HP, HP, HP, 0), *rng.uniform(0, HP, (50, 4))]:
+                s1, s2 = StrategyParams(theta1, phi1), StrategyParams(theta2, phi2)
+                assert (payoffs_oracle(game, scheme, s1, s2)
+                        == self.weighted(game, scheme, s1, s2))
+
 
 class TestAgainstDefinitions:
     """The oracle's building blocks against the formulas they implement:

@@ -137,12 +137,128 @@ def test_non_orthonormal_basis_fails_verify(monkeypatch, capsys, fault):
 @pytest.mark.parametrize("hi", [HALF_PI, math.pi, TWO_PI, 5.0])
 def test_uniform_is_generator_uniform_bit_for_bit(hi):
     ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+    draws = verification._Uniforms(ours, 4 * 1000)  # 4 doubles a round, in chunks
     for _ in range(1000):
-        assert verification._uniform(ours, hi) == float(theirs.uniform(0.0, hi))
-        # _draw_bos scales a block of three the same way
-        assert ([hi * u for u in ours.random(3).tolist()]
-                == theirs.uniform(0.0, hi, size=3).tolist())
+        assert verification._uniform(draws, hi) == float(theirs.uniform(0.0, hi))
+        # _draw_bos scales three scalar draws the same way
+        assert [hi * draws.random() for _ in range(3)] == theirs.uniform(0.0, hi, size=3).tolist()
     assert ours.random() == theirs.random()  # same stream position
+
+
+CHUNK = verification.UNIFORM_CHUNK
+
+
+@pytest.mark.parametrize("count", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK - 100])
+def test_chunked_draws_are_the_scalar_draws(count):
+    # the first count doubles come in chunks, the rest one call each; either
+    # way they are random()'s doubles, and rng is left where they end
+    ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+    draws = verification._Uniforms(ours, count)
+    for taken in range(count + 5):
+        assert draws.random() == theirs.random()
+        if taken + 1 >= count:  # never drawn ahead of what was taken
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TiedFirstGame:
+    """A Generator whose first three doubles are 0.2, 0.2 and 0.6, so that
+    the first game drawn (5 u for each) ties and _draw_bos draws again. Every
+    double, replaced or not, takes one step of the wrapped stream, in scalar
+    and chunked calls alike."""
+
+    TIE = [0.2, 0.2, 0.6]
+
+    def __init__(self, seed: int):
+        self.rng, self.taken = np.random.default_rng(seed), 0
+
+    def random(self, size=None):
+        values = self.rng.random(1 if size is None else size)
+        head = self.TIE[self.taken:self.taken + len(values)]
+        values[:len(head)] = head
+        self.taken += len(values)
+        return float(values[0]) if size is None else values
+
+
+def test_a_tied_game_draws_again_from_the_same_stream():
+    tied = TiedFirstGame(5)
+    verification._draw_bos(tied)
+    assert tied.taken == 6  # the tied game and the one drawn again
+    scalar, chunked = TiedFirstGame(5), TiedFirstGame(5)
+    game = battle_of_sexes(2.0, 1.0, 0.0)
+    want = verification._check_du(scalar, game)
+    # the count is that of the draws without a tie; the redraw's 3 doubles
+    # are scalar calls past it
+    got = verification._check_du(verification._Uniforms(chunked, 7 * verification.CASE_DRAWS),
+                                 game)
+    assert got == want and chunked.taken == scalar.taken == 7 * verification.CASE_DRAWS + 3
+    assert chunked.rng.bit_generator.state == scalar.rng.bit_generator.state
+
+
+def test_a_chunked_check_leaves_the_stream_to_normal_draws():
+    scalar, ours = np.random.default_rng(8), np.random.default_rng(8)
+    want = verification._check_reduction_slices(scalar)
+    got = verification._check_reduction_slices(
+        verification._Uniforms(ours, 7 * verification.CASE_DRAWS))
+    assert got == want
+    assert ours.normal(size=4).tolist() == scalar.normal(size=4).tolist()
+
+
+def test_each_chunked_count_is_what_its_check_takes(monkeypatch):
+    # a count too high would draw ahead of the check, one too low would
+    # leave the rest to scalar calls; no draw of seed 0 ties
+    made = []
+
+    class Counting(verification._Uniforms):
+        __slots__ = ("count", "taken")
+
+        def __init__(self, rng, count):
+            super().__init__(rng, count)
+            self.count, self.taken, draw = count, 0, self.random
+
+            def random():
+                self.taken += 1
+                return draw()
+
+            self.random = random
+            made.append(self)
+
+    monkeypatch.setattr(verification, "_Uniforms", Counting)
+    run_verification(seed=0)
+    assert [u.count for u in made] == [90_000, 13_000, 7_000, 5_000, 2_000, 7_000]
+    assert [u.taken for u in made] == [u.count for u in made]
+
+
+def matrix_game(matrix: str) -> GameMatrix:
+    """The game of a --matrix argument: the cells row by row, Alice's then
+    Bob's payoff in each."""
+    v = [float(x) for x in matrix.split(",")]
+    return GameMatrix(alice=((v[0], v[2]), (v[4], v[6])), bob=((v[1], v[3]), (v[5], v[7])))
+
+
+def scalar_checks(game: GameMatrix, seed: int) -> tuple:
+    """The records of the _check_* functions run in run_verification's
+    order on a plain Generator: one generator call per double."""
+    rng = np.random.default_rng(seed)
+    return (verification._check_general_vs_oracle(rng),
+            *verification._check_case_identities(rng), *verification._check_du(rng, game),
+            *verification._check_classical(rng, game), *verification._check_measurement(rng),
+            verification._check_unitarity(rng), *verification._check_reduction_slices(rng),
+            *verification._check_measurement_only(game))
+
+
+# BoS-form games outside the default ordering: alpha == beta (no
+# interference at the measurement-only probe), sigma largest (the classical
+# equilibria are (O, T) and (T, O)), and the constant game (all four)
+BOS_FORM_MATRICES = ["2,2,0,0,0,0,2,2", "1,2,3,3,3,3,2,1", "1,1,1,1,1,1,1,1"]
+REFERENCE_GAMES = {"bos-2,1,0": battle_of_sexes(2.0, 1.0, 0.0),
+                   "bos-5,3,1": battle_of_sexes(5.0, 3.0, 1.0),
+                   **{f"matrix-{m}": matrix_game(m) for m in BOS_FORM_MATRICES}}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("game", REFERENCE_GAMES.values(), ids=REFERENCE_GAMES.keys())
+def test_chunked_run_equals_the_scalar_reference(game, seed):
+    assert run_verification(game, seed).checks == scalar_checks(game, seed)
 
 
 @pytest.mark.parametrize("bump", [0.0, 1e-6])
@@ -207,8 +323,7 @@ def test_printed_coefficient_record_quotes_no_rounding_noise_for_alpha_equal_bet
 ], ids=["separating-probe", "constant-game"])
 def test_du_printed_note_quotes_the_probe_only_when_it_separates(monkeypatch, matrix, note):
     monkeypatch.setattr(verification, "CASE_DRAWS", 5)
-    v = [float(x) for x in matrix.split(",")]
-    game = GameMatrix(alice=((v[0], v[2]), (v[4], v[6])), bob=((v[1], v[3]), (v[5], v[7])))
+    game = matrix_game(matrix)
     _, printed = verification._check_du(np.random.default_rng(0), game)
     assert printed.name == "du_printed_vs_oracle" and printed.note == note
     # the draws' other games still reject the printed variant
@@ -223,12 +338,6 @@ def test_default_game_is_bos_210(monkeypatch, kwargs, seed):
     report = run_verification(**kwargs)
     assert report == run_verification(battle_of_sexes(2.0, 1.0, 0.0), seed=seed)
     assert report.game.bos == (2.0, 1.0, 0.0) and report.passed
-
-
-# BoS-form games outside the default ordering: alpha == beta (no
-# interference at the measurement-only probe), sigma largest (the classical
-# equilibria are (O, T) and (T, O)), and the constant game (all four)
-BOS_FORM_MATRICES = ["2,2,0,0,0,0,2,2", "1,2,3,3,3,3,2,1", "1,1,1,1,1,1,1,1"]
 
 
 @pytest.mark.parametrize("matrix", BOS_FORM_MATRICES)
@@ -246,8 +355,7 @@ def test_verify_passes_every_bos_form_game(capsys, matrix):
     ("3,3,0,5,5,0,1,1", [(1, 1)]),
 ])
 def test_classical_pure_equilibria_from_the_cells(matrix, want):
-    v = [float(x) for x in matrix.split(",")]
-    game = GameMatrix(alice=((v[0], v[2]), (v[4], v[6])), bob=((v[1], v[3]), (v[5], v[7])))
+    game = matrix_game(matrix)
     assert verification._classical_pure_equilibria(game) == want
 
 
