@@ -177,10 +177,14 @@ def _table_block(features, kernels, weights, rows: slice) -> tuple:
 
 
 def check_eps(eps: float) -> float:
-    """An equilibrium tolerance, checked to be finite and nonnegative."""
-    if not (math.isfinite(eps) and eps >= 0):
+    """An equilibrium tolerance as a float, checked to be finite and nonnegative."""
+    try:
+        value = float(eps)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan  # rejected below, with the message of any other bad eps
+    if not 0 <= value < math.inf:  # also false for nan
         raise ValueError(f"eps must be nonnegative and finite, got {eps!r}")
-    return eps + 0.0  # -0.0 as 0.0
+    return value + 0.0  # -0.0 as 0.0
 
 
 def _keep(chunk: tuple[np.ndarray, ...], mask: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -246,8 +250,7 @@ def sweep_schemes(gamma_values, delta_values) -> list[SchemeParams]:
     elementwise (a singleton broadcasts). Every input check of the pairs
     raises ValueError here, before any table is built; the grid checks its
     own size."""
-    gammas = [float(g) for g in gamma_values]
-    deltas = [float(d) for d in delta_values]
+    gammas, deltas = list(gamma_values), list(delta_values)
     if len(gammas) == 1 and len(deltas) > 1:
         gammas = gammas * len(deltas)
     if len(deltas) == 1 and len(gammas) > 1:

@@ -40,6 +40,8 @@ def _check_interval(name: str, value: float, lo: float, hi: float, label: str,
         value = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a finite number, got {value!r}") from None
+    except OverflowError:  # an int beyond every float, so outside [lo, hi]
+        raise ValueError(f"{name} must be in {label}, got {value!r}") from None
     # lo and hi are finite, so nan and inf fail this test too
     if lo <= value < hi if open_upper else lo <= value <= hi:
         return value + 0.0  # -0.0 as 0.0
@@ -109,6 +111,9 @@ def _as_cells(name, cells) -> tuple[tuple[float, float], tuple[float, float]]:
         rows = (float(a) + 0.0, float(b) + 0.0), (float(c) + 0.0, float(d) + 0.0)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be a 2x2 array of numbers") from exc
+    except OverflowError:  # an int beyond every float, so beyond MAX_PAYOFF
+        raise ValueError(f"{name} entries must be finite and at most "
+                         f"{MAX_PAYOFF:g} in magnitude, got {cells!r}") from None
     for v in rows[0] + rows[1]:
         if not abs(v) <= MAX_PAYOFF:  # also false for nan
             raise ValueError(f"{name} entries must be finite and at most "

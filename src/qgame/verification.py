@@ -5,14 +5,15 @@ maximal-entanglement, shifted-angle, measurement-only), the classical limits,
 the measurement-structure and unitarity properties, and the adjudication of
 the printed maximal-entanglement shortcut. All randomness comes from one
 seeded generator, so a report is byte-for-byte reproducible from its seed.
-The checks that draw only uniforms take them through a _Uniforms, in
-chunked rng.random(k) calls that never draw ahead of the check: the same
-doubles in the same order as one call per double, so the same report.
+A check that draws only uniforms takes them from _uniforms, in chunked
+rng.random(k) calls that never draw ahead of the check: the same doubles in
+the same order as one call per double, so the same report.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -94,59 +95,41 @@ class VerificationReport(_record("VerificationReport", "seed game checks")):
         return "\n".join(lines) + "\n"
 
 
-UNIFORM_CHUNK = 1024  # most doubles in one rng.random(k) call of _Uniforms
+UNIFORM_CHUNK = 1024  # most doubles in one rng.random(k) call of _uniforms
 
 
-def _doubles(rng: np.random.Generator, count: int):
-    """rng.random()'s doubles, the first count of them from rng.random(k)
-    calls of at most UNIFORM_CHUNK, then one call each."""
-    while count > 0:
-        k = min(count, UNIFORM_CHUNK)
-        count -= k
-        yield from rng.random(k).tolist()
-    while True:  # only the redraws after a _draw_bos tie get here
-        yield rng.random()
-
-
-class _Uniforms:
-    """A check's draw source: random() returns the doubles that rng.random()
-    would, in the same order, the first count of them drawn in chunks.
+def _uniforms(rng: np.random.Generator, count: int):
+    """A check's random(): the doubles rng.random() returns, in the same
+    order, the first count of them from rng.random(k) calls of at most
+    UNIFORM_CHUNK, then one call each. hi * random() is the float that
+    rng.uniform(0, hi) returns from the same stream position.
 
     A scalar call spends most of its time on argument handling: 0.85 us
     against 0.14 us for a double of a chunk (timeit, Python 3.11 and numpy
     2.4 on a shared 2-CPU x86_64 host). count is the number of doubles the
-    check takes when no _draw_bos draw ties, so the chunks never draw
-    ahead: the check leaves rng where its scalar calls would, and the next
-    check and rng.normal see the same stream. A tie's redraws are scalar
-    calls.
+    check takes when no _draw_bos draw ties (3 for a game, 2 for a strategy
+    and 1 for each other angle), so the chunks never draw ahead: the check
+    leaves rng where its scalar calls would, and the next check and
+    rng.normal see the same stream. A tie's redraws are scalar calls.
     """
-
-    __slots__ = ("random",)
-
-    def __init__(self, rng: np.random.Generator, count: int):
-        self.random = _doubles(rng, count).__next__
-
-
-def _uniform(rng, hi: float) -> float:
-    """The float rng.uniform(0, hi) returns, from the same stream position:
-    uniform computes 0 + hi * u from the u that random() returns, but spends
-    microseconds on argument handling per scalar call. rng is a Generator
-    or a _Uniforms: the draws use only random()'s scalar form."""
-    return hi * rng.random()
+    chunks = (rng.random(min(k, UNIFORM_CHUNK)).tolist()
+              for k in range(count, 0, -UNIFORM_CHUNK))
+    # past the count, one rng.random() call per double (None never comes)
+    return chain(chain.from_iterable(chunks), iter(rng.random, None)).__next__
 
 
-def _draw_bos(rng) -> GameMatrix:
-    """A battle of sexes from three doubles u, its payoffs the sorted 5 u;
-    three more are drawn while two of them tie."""
+def _draw_bos(random) -> GameMatrix:
+    """A battle of sexes from three doubles u of random(), its payoffs the
+    sorted 5 u; three more are drawn while two of them tie."""
     while True:
-        low, mid, high = sorted((5.0 * rng.random(), 5.0 * rng.random(), 5.0 * rng.random()))
+        low, mid, high = sorted((5.0 * random(), 5.0 * random(), 5.0 * random()))
         if low < mid < high:
             return battle_of_sexes(high, mid, low)
 
 
-def _draw_strategy(rng, full_phi: bool = False) -> StrategyParams:
+def _draw_strategy(random, full_phi: bool = False) -> StrategyParams:
     hi = TWO_PI if full_phi else HALF_PI
-    return StrategyParams(_uniform(rng, math.pi), _uniform(rng, hi))
+    return StrategyParams(math.pi * random(), hi * random())
 
 
 def _pair_dev(x, y) -> float:
@@ -177,11 +160,12 @@ def _within(name: str, value: float, tol: float, note: str = "") -> CheckResult:
 
 
 def _check_general_vs_oracle(rng) -> CheckResult:
+    random = _uniforms(rng, 9 * EQUIVALENCE_DRAWS)
     worst = 0.0
     for _ in range(EQUIVALENCE_DRAWS):
-        game = _draw_bos(rng)
-        scheme = SchemeParams(_uniform(rng, HALF_PI), _uniform(rng, HALF_PI))
-        s1, s2 = _draw_strategy(rng), _draw_strategy(rng)
+        game = _draw_bos(random)
+        scheme = SchemeParams(HALF_PI * random(), HALF_PI * random())
+        s1, s2 = _draw_strategy(random), _draw_strategy(random)
         worst = max(worst, _pair_dev(cf.payoff_general(game, scheme, s1, s2),
                                      payoffs_oracle(game, scheme, s1, s2)))
     return _within("general_vs_oracle", worst, ORACLE_TOL)
@@ -195,15 +179,16 @@ _CASE_CHECKS = ("case_a_i_vs_general", "case_a_ii_vs_general", "case_b_i_vs_gene
 
 
 def _check_case_identities(rng) -> list[CheckResult]:
+    random = _uniforms(rng, 13 * CASE_DRAWS)
     worst = [0.0] * len(_CASE_CHECKS)
     for _ in range(CASE_DRAWS):
-        game = _draw_bos(rng)
-        gamma = _uniform(rng, HALF_PI)
-        delta = _uniform(rng, HALF_PI)
-        th1, th2 = _uniform(rng, math.pi), _uniform(rng, math.pi)
-        phased = StrategyParams(th1, _uniform(rng, HALF_PI))
-        split = _uniform(rng, HALF_PI)  # phi pair (split, pi/2 - split)
-        s1, s2 = _draw_strategy(rng), _draw_strategy(rng)
+        game = _draw_bos(random)
+        gamma = HALF_PI * random()
+        delta = HALF_PI * random()
+        th1, th2 = math.pi * random(), math.pi * random()
+        phased = StrategyParams(th1, HALF_PI * random())
+        split = HALF_PI * random()  # phi pair (split, pi/2 - split)
+        s1, s2 = _draw_strategy(random), _draw_strategy(random)
         zero1, zero2 = StrategyParams(th1, 0.0), StrategyParams(th2, 0.0)
         unmeasured = SchemeParams(gamma, 0.0)
         pairs = (
@@ -232,11 +217,12 @@ def _check_case_identities(rng) -> list[CheckResult]:
 
 
 def _check_du(rng, game: GameMatrix) -> list[CheckResult]:
+    random = _uniforms(rng, 7 * CASE_DRAWS)
     scheme = SchemeParams(HALF_PI, HALF_PI)
     corrected = printed = 0.0
     for _ in range(CASE_DRAWS):
-        g = _draw_bos(rng)
-        s1, s2 = _draw_strategy(rng), _draw_strategy(rng)
+        g = _draw_bos(random)
+        s1, s2 = _draw_strategy(random), _draw_strategy(random)
         oracle = payoffs_oracle(g, scheme, s1, s2)
         corrected = max(corrected, _pair_dev(cf.payoff_du_maximal(g, s1, s2, "corrected"), oracle))
         printed = max(printed, _pair_dev(cf.payoff_du_maximal(g, s1, s2, "printed"), oracle))
@@ -259,11 +245,12 @@ def _check_du(rng, game: GameMatrix) -> list[CheckResult]:
 
 
 def _check_classical(rng, game: GameMatrix) -> list[CheckResult]:
+    random = _uniforms(rng, 5 * CASE_DRAWS)
     scheme = SchemeParams(0.0, 0.0)
     worst = 0.0
     for _ in range(CASE_DRAWS):
-        g = _draw_bos(rng)
-        th1, th2 = _uniform(rng, math.pi), _uniform(rng, math.pi)
+        g = _draw_bos(random)
+        th1, th2 = math.pi * random(), math.pi * random()
         s1, s2 = StrategyParams(th1, 0.0), StrategyParams(th2, 0.0)
         ca, cb = _classical_mixed(g, math.cos(th1 / 2) ** 2, math.cos(th2 / 2) ** 2)
         got = payoffs_oracle(g, scheme, s1, s2)
@@ -289,7 +276,7 @@ def _check_classical(rng, game: GameMatrix) -> list[CheckResult]:
 def _check_measurement(rng) -> list[CheckResult]:
     worst = 0.0
     for _ in range(BASIS_DRAWS):
-        delta = _uniform(rng, HALF_PI)
+        delta = HALF_PI * rng.random()
         states = np.array(measurement_basis(delta))
         gram = states.conj() @ states.T  # [i, j] = <b_i|b_j>
         complete = states.T @ states.conj()  # sum_i |b_i><b_i|
@@ -301,27 +288,29 @@ def _check_measurement(rng) -> list[CheckResult]:
     for _ in range(CASE_DRAWS):
         raw = rng.normal(size=4) + 1j * rng.normal(size=4)
         state = raw / np.linalg.norm(raw)
-        basis = measurement_basis(_uniform(rng, HALF_PI))
+        basis = measurement_basis(HALF_PI * rng.random())
         probs = outcome_probabilities(state, basis)
         worst_sum = max(worst_sum, abs(sum(probs) - 1.0))
     return [structure, _within("outcome_probability_sum", worst_sum, ORACLE_TOL)]
 
 
 def _check_unitarity(rng) -> CheckResult:
+    random = _uniforms(rng, 2 * UNITARITY_DRAWS)
     worst = 0.0
     for _ in range(UNITARITY_DRAWS):
-        u = np.array(strategy_op(_draw_strategy(rng, full_phi=True)))
+        u = np.array(strategy_op(_draw_strategy(random, full_phi=True)))
         worst = max(worst, float(np.max(np.abs(u @ u.conj().T - np.eye(2)))))
     return _within("strategy_unitarity", worst, IDENTITY_TOL)
 
 
 def _check_reduction_slices(rng) -> list[CheckResult]:
+    random = _uniforms(rng, 7 * CASE_DRAWS)
     eisert = mw = 0.0
     for _ in range(CASE_DRAWS):
-        game = _draw_bos(rng)
-        gamma = _uniform(rng, HALF_PI)
-        th1, th2 = _uniform(rng, math.pi), _uniform(rng, math.pi)
-        split = _uniform(rng, HALF_PI)
+        game = _draw_bos(random)
+        gamma = HALF_PI * random()
+        th1, th2 = math.pi * random(), math.pi * random()
+        split = HALF_PI * random()
         s1, s2 = StrategyParams(th1, split), StrategyParams(th2, HALF_PI - split)
         eisert = max(eisert, _pair_dev(
             cf.payoff_case_b_i(game, gamma, s1, s2),
@@ -372,15 +361,8 @@ def run_verification(game: GameMatrix | None = None, seed: int = 0) -> Verificat
         raise ValueError(f"verification needs payoffs at most {VERIFY_MAX_PAYOFF:g} "
                          f"in magnitude, got bos {game.bos}")
     rng = np.random.default_rng(seed)  # the checks draw from it in this order
-    # a check that draws only uniforms takes them through a _Uniforms of the
-    # count it takes: in each draw, 3 for a game, 2 for a strategy and 1 for
-    # each other angle
-    checks = (_check_general_vs_oracle(_Uniforms(rng, 9 * EQUIVALENCE_DRAWS)),
-              *_check_case_identities(_Uniforms(rng, 13 * CASE_DRAWS)),
-              *_check_du(_Uniforms(rng, 7 * CASE_DRAWS), game),
-              *_check_classical(_Uniforms(rng, 5 * CASE_DRAWS), game),
-              *_check_measurement(rng),
-              _check_unitarity(_Uniforms(rng, 2 * UNITARITY_DRAWS)),
-              *_check_reduction_slices(_Uniforms(rng, 7 * CASE_DRAWS)),
+    checks = (_check_general_vs_oracle(rng), *_check_case_identities(rng),
+              *_check_du(rng, game), *_check_classical(rng, game), *_check_measurement(rng),
+              _check_unitarity(rng), *_check_reduction_slices(rng),
               *_check_measurement_only(game))
     return VerificationReport(seed=seed, game=game, checks=checks)

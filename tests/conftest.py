@@ -9,7 +9,7 @@ from qgame.cli import main
 
 # Functions whose calls a `qgame verify` run makes in a number fixed by its
 # draw counts, whatever the seed.
-COUNTED = ("payoffs_oracle", "measurement_basis", "payoff_general")
+COUNTED = ("payoffs_oracle", "measurement_basis", "payoff_general", "_general")
 
 
 @pytest.fixture(scope="session")

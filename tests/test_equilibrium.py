@@ -17,6 +17,7 @@ from qgame.equilibrium import (
     StrategyGrid,
     _features,
     _outcome_kernels,
+    check_eps,
     epsilon_nash,
     probability_tables,
     sweep,
@@ -487,6 +488,26 @@ class TestSweep:
         with pytest.raises(ValueError, match=message):
             sweep(bos210(), gammas, deltas, grid, eps=1e-9)
         assert calls == []
+
+    @pytest.mark.parametrize("gammas,deltas,message", [
+        ([None], [0.1], "gamma must be a finite number, got None"),
+        (["a"], [0.1], "gamma must be a finite number, got 'a'"),
+        ([0.1, 0.2], [0.1, object], "delta must be a finite number, got <class 'object'>"),
+    ], ids=["none-gamma", "text-gamma", "class-delta"])
+    def test_non_numeric_pair_named_by_its_angle(self, gammas, deltas, message):
+        with pytest.raises(ValueError, match=message):
+            sweep_schemes(gammas, deltas)
+
+    @pytest.mark.parametrize("eps", ["x", None, 10**400, -10**400],
+                             ids=["text", "none", "int-beyond-floats", "negative-int-beyond"])
+    def test_eps_that_is_no_finite_float_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must be nonnegative and finite"):
+            check_eps(eps)
+
+    def test_eps_is_returned_as_a_float(self):
+        assert [check_eps(v) for v in (0, np.float64(1e-9), "0.5", -0.0)] == [0.0, 1e-9, 0.5, 0.0]
+        assert all(type(check_eps(v)) is float for v in (0, np.float64(1e-9)))
+        assert math.copysign(1.0, check_eps(-0.0)) == 1.0
 
 
 def general_mutant(old, new):

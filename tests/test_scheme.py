@@ -104,6 +104,18 @@ class TestParams:
         with pytest.raises(ValueError, match=message):
             make()
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: SchemeParams(10**400, 0), r"gamma must be in \[0, pi/2\], got 1000"),
+        (lambda: StrategyParams(0, -10**400), r"phi must be in \[0, 2\*pi\), got -1000"),
+        (lambda: check_phi(10**400), r"phi must be in \[0, pi/2\], got 1000"),
+        (lambda: battle_of_sexes(10**400, 1, 0),
+         r"alice payoffs entries must be finite and at most 1e\+300 in magnitude"),
+    ], ids=["scheme", "strategy", "check-phi", "battle-of-sexes"])
+    def test_int_beyond_every_float_rejected(self, make, message):
+        # float() raises OverflowError for these, not the documented ValueError
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_negative_zero_angles_are_stored_as_zero(self):
         scheme, s = SchemeParams(-0.0, -0.0), StrategyParams(-0.0, -0.0)
         assert all(math.copysign(1.0, v) == 1.0

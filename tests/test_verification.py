@@ -111,6 +111,10 @@ def test_verify_makes_the_traced_call_counts(verify_seed0):
     # skipped oracle calls or built fewer bases would fail here too
     _, code, _, calls = verify_seed0
     assert code == 0
+    calls = dict(calls)
+    # 17,000 through payoff_general (10,000 + 6 * 1,000 + 1,000) and 2 for
+    # each of the 1,000 draws of the gamma - delta shift check
+    assert calls.pop("_general") == 19_000
     pinned = _benchmark_tracer().VERIFY_EXACT_CALLS  # "scheme.payoffs_oracle.calls": 14002
     assert calls == {key.split(".")[1]: count for key, count in pinned.items()}
 
@@ -136,12 +140,13 @@ def test_non_orthonormal_basis_fails_verify(monkeypatch, capsys, fault):
 
 @pytest.mark.parametrize("hi", [HALF_PI, math.pi, TWO_PI, 5.0])
 def test_uniform_is_generator_uniform_bit_for_bit(hi):
+    # the checks draw an angle in [0, hi) as hi * random()
     ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
-    draws = verification._Uniforms(ours, 4 * 1000)  # 4 doubles a round, in chunks
+    random = verification._uniforms(ours, 4 * 1000)  # 4 doubles a round, in chunks
     for _ in range(1000):
-        assert verification._uniform(draws, hi) == float(theirs.uniform(0.0, hi))
-        # _draw_bos scales three scalar draws the same way
-        assert [hi * draws.random() for _ in range(3)] == theirs.uniform(0.0, hi, size=3).tolist()
+        assert hi * random() == float(theirs.uniform(0.0, hi))
+        # _draw_bos scales three draws the same way
+        assert [hi * random() for _ in range(3)] == theirs.uniform(0.0, hi, size=3).tolist()
     assert ours.random() == theirs.random()  # same stream position
 
 
@@ -153,9 +158,9 @@ def test_chunked_draws_are_the_scalar_draws(count):
     # the first count doubles come in chunks, the rest one call each; either
     # way they are random()'s doubles, and rng is left where they end
     ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
-    draws = verification._Uniforms(ours, count)
+    random = verification._uniforms(ours, count)
     for taken in range(count + 5):
-        assert draws.random() == theirs.random()
+        assert random() == theirs.random()
         if taken + 1 >= count:  # never drawn ahead of what was taken
             assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -179,53 +184,56 @@ class TiedFirstGame:
         return float(values[0]) if size is None else values
 
 
+def scalar(func, *args):
+    """func(*args) with verification's uniforms drawn one generator call per
+    double: the reference that the chunked draws must equal."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "_uniforms", lambda rng, count: rng.random)
+        return func(*args)
+
+
 def test_a_tied_game_draws_again_from_the_same_stream():
     tied = TiedFirstGame(5)
-    verification._draw_bos(tied)
+    verification._draw_bos(tied.random)
     assert tied.taken == 6  # the tied game and the one drawn again
-    scalar, chunked = TiedFirstGame(5), TiedFirstGame(5)
+    one_by_one, chunked = TiedFirstGame(5), TiedFirstGame(5)
     game = battle_of_sexes(2.0, 1.0, 0.0)
-    want = verification._check_du(scalar, game)
+    want = scalar(verification._check_du, one_by_one, game)
     # the count is that of the draws without a tie; the redraw's 3 doubles
     # are scalar calls past it
-    got = verification._check_du(verification._Uniforms(chunked, 7 * verification.CASE_DRAWS),
-                                 game)
-    assert got == want and chunked.taken == scalar.taken == 7 * verification.CASE_DRAWS + 3
-    assert chunked.rng.bit_generator.state == scalar.rng.bit_generator.state
+    got = verification._check_du(chunked, game)
+    assert got == want and chunked.taken == one_by_one.taken == 7 * verification.CASE_DRAWS + 3
+    assert chunked.rng.bit_generator.state == one_by_one.rng.bit_generator.state
 
 
 def test_a_chunked_check_leaves_the_stream_to_normal_draws():
-    scalar, ours = np.random.default_rng(8), np.random.default_rng(8)
-    want = verification._check_reduction_slices(scalar)
-    got = verification._check_reduction_slices(
-        verification._Uniforms(ours, 7 * verification.CASE_DRAWS))
-    assert got == want
-    assert ours.normal(size=4).tolist() == scalar.normal(size=4).tolist()
+    one_by_one, ours = np.random.default_rng(8), np.random.default_rng(8)
+    want = scalar(verification._check_reduction_slices, one_by_one)
+    assert verification._check_reduction_slices(ours) == want
+    assert ours.normal(size=4).tolist() == one_by_one.normal(size=4).tolist()
 
 
 def test_each_chunked_count_is_what_its_check_takes(monkeypatch):
     # a count too high would draw ahead of the check, one too low would
     # leave the rest to scalar calls; no draw of seed 0 ties
-    made = []
+    counts, taken = [], []
+    uniforms = verification._uniforms
 
-    class Counting(verification._Uniforms):
-        __slots__ = ("count", "taken")
+    def counting(rng, count):
+        random, index = uniforms(rng, count), len(counts)
+        counts.append(count)
+        taken.append(0)
 
-        def __init__(self, rng, count):
-            super().__init__(rng, count)
-            self.count, self.taken, draw = count, 0, self.random
+        def counted():
+            taken[index] += 1
+            return random()
 
-            def random():
-                self.taken += 1
-                return draw()
+        return counted
 
-            self.random = random
-            made.append(self)
-
-    monkeypatch.setattr(verification, "_Uniforms", Counting)
+    monkeypatch.setattr(verification, "_uniforms", counting)
     run_verification(seed=0)
-    assert [u.count for u in made] == [90_000, 13_000, 7_000, 5_000, 2_000, 7_000]
-    assert [u.taken for u in made] == [u.count for u in made]
+    assert counts == [90_000, 13_000, 7_000, 5_000, 2_000, 7_000]
+    assert taken == counts
 
 
 def matrix_game(matrix: str) -> GameMatrix:
@@ -233,17 +241,6 @@ def matrix_game(matrix: str) -> GameMatrix:
     Bob's payoff in each."""
     v = [float(x) for x in matrix.split(",")]
     return GameMatrix(alice=((v[0], v[2]), (v[4], v[6])), bob=((v[1], v[3]), (v[5], v[7])))
-
-
-def scalar_checks(game: GameMatrix, seed: int) -> tuple:
-    """The records of the _check_* functions run in run_verification's
-    order on a plain Generator: one generator call per double."""
-    rng = np.random.default_rng(seed)
-    return (verification._check_general_vs_oracle(rng),
-            *verification._check_case_identities(rng), *verification._check_du(rng, game),
-            *verification._check_classical(rng, game), *verification._check_measurement(rng),
-            verification._check_unitarity(rng), *verification._check_reduction_slices(rng),
-            *verification._check_measurement_only(game))
 
 
 # BoS-form games outside the default ordering: alpha == beta (no
@@ -258,7 +255,7 @@ REFERENCE_GAMES = {"bos-2,1,0": battle_of_sexes(2.0, 1.0, 0.0),
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("game", REFERENCE_GAMES.values(), ids=REFERENCE_GAMES.keys())
 def test_chunked_run_equals_the_scalar_reference(game, seed):
-    assert run_verification(game, seed).checks == scalar_checks(game, seed)
+    assert run_verification(game, seed) == scalar(run_verification, game, seed)
 
 
 @pytest.mark.parametrize("bump", [0.0, 1e-6])
