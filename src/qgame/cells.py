@@ -219,20 +219,20 @@ def _table_chunks(fields: tuple[str, ...], fmt: str, grid: StrategyGrid, pad: in
     """Per-profile rows in pieces: the bytes of cli._csv_table(fields, rows) for csv,
     of json.dumps(rows, indent=2) + "\n" nested pad - 2 spaces deep for json.
 
-    A chunk is (prefix values, profiles, columns). profiles is a sliceable
-    sequence of flat profile indices a * n + b in output order (Alice's grid
-    point a, Bob's b, n grid points), and columns holds one 1-D array per
-    value field, in the same order. Each slice of at most CSV_ROWS profiles
-    becomes one piece, built as bytes in both formats: a row is its head
-    (the separator from the row before, and the prefix), then a fixed label
-    and a text for each field from theta1 on. The four angles' texts are
-    gathered by np.take from the NUL-padded text of the grid's theta and phi
-    values, built once per table and none per grid point; the values' texts
-    are the cells of CsvCells or ReprCells. So the pieces are
-    bounded on any grid.
+    A chunk is (prefix values, profiles, columns): cli._sweep_blocks makes
+    one of each block (profiles, probs, alice, bob) of table_blocks, with the
+    block's range of profiles, and equilibria one of epsilon_nash's array.
+    profiles holds flat profile indices in output order, which grid.indices
+    decodes, and columns one 1-D array per value field, in the same order.
+    Each slice of at most CSV_ROWS profiles becomes one piece, built as bytes
+    in both formats: a row is its head (the separator from the row before,
+    and the prefix), then a fixed label and a text for each field from
+    theta1 on. The four angles' texts are gathered by np.take from the
+    NUL-padded text of the grid's theta and phi values, built once per table
+    and none per grid point; the values' texts are the cells of CsvCells or
+    ReprCells. So the pieces are bounded on any grid.
     """
     thetas, phis = grid.theta_values().tolist(), grid.phi_values().tolist()
-    steps, n = len(phis), len(thetas) * len(phis)
     first = fields.index("theta1")  # the prefix fields come before it
     if fmt == "csv":
         cells, angle = CsvCells(), "%.15g".__mod__  # cli._fmt_csv's text of a float
@@ -270,9 +270,8 @@ def _table_chunks(fields: tuple[str, ...], fmt: str, grid: StrategyGrid, pad: in
     def render(row, shift, profiles, values):
         """The rows of the profiles: each is row, a head of shift bytes and
         then body, with the texts written into its NUL slots."""
-        a, b = np.divmod(profiles, n)
-        points = [*np.divmod(a, steps), *np.divmod(b, steps)]  # theta and phi indices
-        texts = [np.take(angles[i % 2], index, axis=0) for i, index in enumerate(points)]
+        texts = [np.take(angles[i % 2], index, axis=0)  # theta, phi, theta, phi
+                 for i, index in enumerate(grid.indices(profiles))]
         texts.extend(cells(values).reshape(-1, len(profiles), cells.width))
         # the rows go into a bytearray, which translate reads with no tobytes copy
         line = bytearray(len(profiles) * len(row))

@@ -187,15 +187,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _sweep_blocks(game: GameMatrix, schemes: list[SchemeParams], grid: StrategyGrid):
     """Every scheme's rows as _table_chunks chunks, one per block of
-    table_blocks: its profiles as a range and its tables' raveled views as
-    the columns, so no copy of a block and no index array is made. A block is
+    table_blocks: its range of profiles and its tables' raveled views as the
+    columns, so no copy of a block and no index array is made. A block is
     dropped before the next is built, so one is alive."""
     from .equilibrium import table_blocks
 
-    n = grid.theta_steps * grid.phi_steps
     for scheme in schemes:
-        for rows, probs, alice, bob in table_blocks(game, scheme, grid):
-            yield ((scheme.gamma, scheme.delta), range(rows.start * n, rows.stop * n),
+        for profiles, probs, alice, bob in table_blocks(game, scheme, grid):
+            yield ((scheme.gamma, scheme.delta), profiles,
                    [alice.ravel(), bob.ravel(), *probs.reshape(4, -1)])  # SWEEP_FIELDS order
             del probs, alice, bob
 

@@ -21,6 +21,7 @@ from .scheme import (
     StrategyParams,
     _phi_interval,
     _record,
+    _shown,
     final_state,
     measurement_basis,
 )
@@ -59,7 +60,7 @@ def _steps(name: str, steps) -> int:
     except TypeError:
         value = 0
     if isinstance(steps, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {steps!r}")
+        raise ValueError(f"{name} must be a positive integer, got {_shown(steps)}")
     return value
 
 
@@ -81,9 +82,9 @@ class StrategyGrid(_record("StrategyGrid", "theta_steps phi_steps phi_range")):
         n = theta_steps * phi_steps
         if POINT_BYTES * n > MAX_TABLE_BYTES:
             raise ValueError(
-                f"a {theta_steps}x{phi_steps} grid has {n} points, over the limit "
-                f"of {MAX_TABLE_BYTES // POINT_BYTES} points ({MAX_TABLE_BYTES} bytes at "
-                f"{POINT_BYTES} bytes per point)")
+                f"a {_shown(theta_steps)}x{_shown(phi_steps)} grid has {_shown(n)} points, over "
+                f"the limit of {MAX_TABLE_BYTES // POINT_BYTES} points ({MAX_TABLE_BYTES} "
+                f"bytes at {POINT_BYTES} bytes per point)")
         return super().__new__(cls, theta_steps, phi_steps, phi_range)
 
     def theta_values(self) -> np.ndarray:
@@ -103,6 +104,13 @@ class StrategyGrid(_record("StrategyGrid", "theta_steps phi_steps phi_range")):
         """All grid strategies in angles() order (lexicographic by grid index)."""
         thetas, phis = self.angles()
         return [StrategyParams(t, p) for t, p in zip(thetas.tolist(), phis.tolist())]
+
+    def indices(self, profiles) -> tuple[np.ndarray, ...]:
+        """Alice's theta and phi indices, then Bob's, of flat profile indices
+        a * n + b (Alice's grid point a, Bob's b, in points() order, n grid
+        points), as epsilon_nash and table_blocks give them."""
+        a, b = np.divmod(profiles, self.theta_steps * self.phi_steps)
+        return (*np.divmod(a, self.phi_steps), *np.divmod(b, self.phi_steps))
 
 
 def _features(thetas, phis) -> np.ndarray:
@@ -154,15 +162,17 @@ def probability_tables(features: np.ndarray, kernels: np.ndarray,
 
 def table_blocks(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid):
     """The grid's tables in blocks of Alice's rows, in grid order: one
-    (rows, probs, alice, bob) per block of about BLOCK_BYTES of probabilities
-    (read at call time), at least one row each, where probs is the block's
-    probability_tables and alice, bob are its payoff tables. The features,
-    the outcome kernels (nine state evolutions and one measurement basis) and
-    the payoff weights are built once, in this call. Memory is O(n * block)
-    however large the grid is. No reference to a block is kept once it is
-    handed over, so a consumer that drops every reference to a block (probs,
-    alice, bob and views of them) before asking for the next one holds one
-    block at a time."""
+    (profiles, probs, alice, bob) per block of about BLOCK_BYTES of
+    probabilities (read at call time), at least one row each. profiles is
+    the range of the block's flat profile indices a * n + b, which
+    StrategyGrid.indices decodes, in the order of the tables' raveled
+    entries; probs is the block's probability_tables and alice, bob are its
+    payoff tables. The features, the outcome kernels (nine state evolutions
+    and one measurement basis) and the payoff weights are built once, in
+    this call. Memory is O(n * block) however large the grid is. No
+    reference to a block is kept once it is handed over, so a consumer that
+    drops every reference to a block (probs, alice, bob and views of them)
+    before asking for the next one holds one block at a time."""
     n = grid.theta_steps * grid.phi_steps
     step = max(1, BLOCK_BYTES // (32 * n))
     features, kernels = _features(*grid.angles()), _outcome_kernels(scheme)
@@ -173,7 +183,9 @@ def table_blocks(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid):
 
 def _table_block(features, kernels, weights, rows: slice) -> tuple:
     probs = probability_tables(features, kernels, rows)
-    return (rows, probs, *(np.einsum("o,o...->...", w, probs) for w in weights))
+    n = len(features)
+    return (range(rows.start * n, rows.stop * n), probs,
+            *(np.einsum("o,o...->...", w, probs) for w in weights))
 
 
 def check_eps(eps: float) -> float:
@@ -183,7 +195,7 @@ def check_eps(eps: float) -> float:
     except (TypeError, ValueError, OverflowError):
         value = math.nan  # rejected below, with the message of any other bad eps
     if not 0 <= value < math.inf:  # also false for nan
-        raise ValueError(f"eps must be nonnegative and finite, got {eps!r}")
+        raise ValueError(f"eps must be nonnegative and finite, got {_shown(eps)}")
     return value + 0.0  # -0.0 as 0.0
 
 
@@ -196,8 +208,9 @@ def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
                  eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Every grid profile no player can improve by more than eps on-grid:
     the m profiles as flat indices a * n + b in increasing order (Alice's
-    grid point a, Bob's b, n grid points), and their (m, 3) payoff_a,
-    payoff_b and eps_cert; empty arrays are a valid outcome.
+    grid point a, Bob's b, n grid points; grid.indices decodes them), and
+    their (m, 3) payoff_a, payoff_b and eps_cert; empty arrays are a valid
+    outcome.
 
     The tables are built and certified in one pass over table_blocks, so
     memory is O(n * block + profiles). Bob's best replies are exact within a
@@ -219,13 +232,13 @@ def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
     # and Bob's gain from deviating, which is final when the chunk is made
     held: list[tuple[np.ndarray, np.ndarray]] = []
     count = pruned = 0
-    for rows, probs, alice, bob in table_blocks(game, scheme, grid):
+    for profiles, probs, alice, bob in table_blocks(game, scheme, grid):
         del probs  # only the payoffs are certified; free the block now
         np.maximum(best_a, alice.max(axis=0), out=best_a)
         gain_b = bob.max(axis=1)[:, np.newaxis] - bob
         ids = np.flatnonzero((best_a - alice <= eps) & (gain_b <= eps))
         # only held refers to a chunk, so a merge frees all and the heap shrinks
-        held.append((ids + rows.start * n,
+        held.append((ids + profiles.start,
                      np.stack([table.ravel()[ids] for table in (alice, bob, gain_b)], axis=1)))
         count += len(ids)
         # pruning into one chunk each time the count doubles keeps it linear

@@ -33,15 +33,31 @@ PHI_RANGES = {
 MAX_PAYOFF = 1e300
 
 
+def _shown(value) -> str:
+    """repr(value) for a rejection message, or where repr raises, a bounded
+    text in angle brackets. Python turns no int of over
+    sys.get_int_max_str_digits() digits into text, so such an int is shown
+    by its digit count, and a container of one by its type and the error."""
+    try:
+        return repr(value)
+    except ValueError as exc:
+        if not isinstance(value, int):
+            return f"<{type(value).__name__} whose repr fails: {exc}>"
+        size = abs(value)
+        digits = int((size.bit_length() - 1) * math.log10(2)) + 1  # those of 2^(bits - 1)
+        digits += size >= 10 ** digits  # at most one more, as size < 2^bits
+        return f"<{'negative ' if value < 0 else ''}int of {digits} digits>"
+
+
 def _check_interval(name: str, value: float, lo: float, hi: float, label: str,
                     open_upper: bool = False) -> float:
     """value as a float, checked to lie in [lo, hi], or [lo, hi) if open_upper."""
     try:
         value = float(value)
     except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a finite number, got {value!r}") from None
+        raise ValueError(f"{name} must be a finite number, got {_shown(value)}") from None
     except OverflowError:  # an int beyond every float, so outside [lo, hi]
-        raise ValueError(f"{name} must be in {label}, got {value!r}") from None
+        raise ValueError(f"{name} must be in {label}, got {_shown(value)}") from None
     # lo and hi are finite, so nan and inf fail this test too
     if lo <= value < hi if open_upper else lo <= value <= hi:
         return value + 0.0  # -0.0 as 0.0
@@ -106,14 +122,14 @@ def _as_cells(name, cells) -> tuple[tuple[float, float], tuple[float, float]]:
     except TypeError as exc:  # cells, or one of its rows, is not iterable
         raise ValueError(f"{name} must be a 2x2 array of numbers") from exc
     except ValueError:  # a row count or row length other than 2
-        raise ValueError(f"{name} must be 2x2, got {cells!r}") from None
+        raise ValueError(f"{name} must be 2x2, got {_shown(cells)}") from None
     try:  # + 0.0 stores -0.0 as 0.0
         rows = (float(a) + 0.0, float(b) + 0.0), (float(c) + 0.0, float(d) + 0.0)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be a 2x2 array of numbers") from exc
     except OverflowError:  # an int beyond every float, so beyond MAX_PAYOFF
         raise ValueError(f"{name} entries must be finite and at most "
-                         f"{MAX_PAYOFF:g} in magnitude, got {cells!r}") from None
+                         f"{MAX_PAYOFF:g} in magnitude, got {_shown(cells)}") from None
     for v in rows[0] + rows[1]:
         if not abs(v) <= MAX_PAYOFF:  # also false for nan
             raise ValueError(f"{name} entries must be finite and at most "
@@ -149,7 +165,8 @@ class GameMatrix(_record("GameMatrix", "alice bob bos")):
         alice, bob, bos = iterable
         game = cls(alice, bob)
         if bos != game.bos:
-            raise ValueError(f"bos must be {game.bos!r}, derived from the cells, got {bos!r}")
+            raise ValueError(f"bos must be {game.bos!r}, derived from the cells, "
+                             f"got {_shown(bos)}")
         return game
 
     def alice_by_outcome(self) -> tuple[float, float, float, float]:
@@ -169,7 +186,8 @@ def battle_of_sexes(alpha: float, beta: float, sigma: float) -> GameMatrix:
     """
     if not (alpha > beta > sigma):
         raise ValueError(
-            f"battle of sexes requires alpha > beta > sigma, got {alpha!r}, {beta!r}, {sigma!r}"
+            f"battle of sexes requires alpha > beta > sigma, got {_shown(alpha)}, "
+            f"{_shown(beta)}, {_shown(sigma)}"
         )
     return GameMatrix(alice=((alpha, sigma), (sigma, beta)),
                       bob=((beta, sigma), (sigma, alpha)))
@@ -179,8 +197,12 @@ class PayoffPair(_record("PayoffPair", "alice bob")):
     __slots__ = ()
 
     def __new__(cls, alice: float, bob: float):
-        if not (math.isfinite(alice) and math.isfinite(bob)):
-            raise ValueError(f"payoffs must be finite, got {alice!r}, {bob!r}")
+        try:
+            finite = math.isfinite(alice) and math.isfinite(bob)
+        except OverflowError:  # an int beyond every float
+            finite = False
+        if not finite:
+            raise ValueError(f"payoffs must be finite, got {_shown(alice)}, {_shown(bob)}")
         return super().__new__(cls, alice, bob)
 
 

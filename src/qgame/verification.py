@@ -259,15 +259,12 @@ def _check_classical(rng, game: GameMatrix) -> list[CheckResult]:
                     abs(form.alice - ca), abs(form.bob - cb))
     limit = _within("classical_limit_mixed_strategies", worst, IDENTITY_TOL)
 
-    grid = StrategyGrid(theta_steps=2, phi_steps=1)  # theta 0 plays O, theta pi plays T
+    grid = StrategyGrid(theta_steps=2, phi_steps=1)  # theta index 0 plays O, 1 plays T
     profiles, values = epsilon_nash(game, scheme, grid, eps=CLASSICAL_EPS)
-    a, b = np.divmod(profiles, 2)
-    grid_thetas = grid.angles()[0]
-    thetas = list(zip(grid_thetas[a].tolist(), grid_thetas[b].tolist()))
-    moves = (0.0, math.pi)
-    expected = [(moves[i], moves[j]) for i, j in _classical_pure_equilibria(game)]
+    theta1, _, theta2, _ = grid.indices(profiles)
     cert = float(values[:, 2].max()) if len(profiles) else math.inf
-    ok = thetas == expected and cert <= IDENTITY_TOL
+    ok = (list(zip(theta1.tolist(), theta2.tolist())) == _classical_pure_equilibria(game)
+          and cert <= IDENTITY_TOL)
     eq = CheckResult("classical_pure_equilibria", cert, IDENTITY_TOL, ok,
                      note=f"{len(profiles)} equilibria on the pure-strategy grid")
     return [limit, eq]

@@ -1101,8 +1101,11 @@ class TestEquilibriaStreaming:
          "at most 1e+300 in magnitude"),
         (["--bos", "2,1,0", "--gamma", "0.5", "--delta", "0.1", "--grid", "4096,2048"],
          "4096x2048 grid has 8388608 points"),
+        # a point count of 4,400 digits, more than Python prints
+        (["--bos", "2,1,0", "--gamma", "0.5", "--delta", "0.1", "--grid",
+          f"{'9' * 2200},{'9' * 2200}"], f"error: a {'9' * 2200}x{'9' * 2200} grid has "),
     ], ids=["gamma-out-of-range", "eps-negative", "eps-nan", "overflowing-payoffs",
-            "oversized-grid"])
+            "oversized-grid", "grid-too-large-to-print"])
     def test_invalid_input_writes_nothing(self, capsys, tmp_path, fmt, to_file, bad, message):
         target = tmp_path / "equilibria"
         out_args = ["--out", str(target)] if to_file else []

@@ -149,6 +149,32 @@ class TestStrategyGrid:
         with pytest.raises(ValueError, match="phi_range"):
             StrategyGrid(2, 2, phi_range="wide")
 
+    @pytest.mark.parametrize("steps,message", [
+        ((10**5000, 1), "^a .*x1 grid has .* points, over the limit of"),
+        ((1, -10**5000), "^phi_steps must be a positive integer, got"),
+    ], ids=["over-the-limit", "negative"])
+    def test_steps_too_long_to_print_named(self, steps, message):
+        # Python prints no int of over 4,300 digits: the message must still be the grid's
+        with pytest.raises(ValueError, match=message):
+            StrategyGrid(*steps)
+
+    @pytest.mark.parametrize("grid", [StrategyGrid(1, 1), StrategyGrid(2, 1), StrategyGrid(5, 3),
+                                      StrategyGrid(9, 5), StrategyGrid(17, 9, "full")],
+                             ids=["1x1", "2x1", "5x3", "9x5", "17x9-full"])
+    def test_indices_decode_every_profile(self, grid):
+        n = grid.theta_steps * grid.phi_steps
+        profiles = np.arange(n * n)
+        got = grid.indices(profiles)
+        a, b = np.divmod(profiles, n)
+        want = (*np.divmod(a, grid.phi_steps), *np.divmod(b, grid.phi_steps))
+        assert all(np.array_equal(x, y) for x, y in zip(got, want, strict=True))
+        thetas, phis = grid.theta_values(), grid.phi_values()
+        points = grid.points()
+        t1, p1, t2, p2 = got
+        assert [(points[i], points[j]) for i, j in zip(a.tolist(), b.tolist())] == [
+            (StrategyParams(thetas[i], phis[j]), StrategyParams(thetas[k], phis[m]))
+            for i, j, k, m in zip(t1.tolist(), p1.tolist(), t2.tolist(), p2.tolist())]
+
     def test_steps_are_stored_as_checked_ints(self):
         grid = StrategyGrid(np.int64(3), np.uint8(2))
         assert (grid.theta_steps, grid.phi_steps) == (3, 2)
@@ -236,19 +262,39 @@ class TestGridSizeLimit:
 
 
 def test_table_blocks_slice_the_grid_in_order(monkeypatch):
-    # 15 grid points in blocks of 4, 4, 4 and 3 of Alice's rows
+    # 15 grid points in blocks of 4, 4, 4 and 3 of Alice's rows, so of the
+    # profiles a * 15 + b of those rows a
     scheme, grid = SchemeParams(0.7, 0.4), StrategyGrid(5, 3)
     monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 4 * 32 * 15 + 31)
     blocks = list(table_blocks(bos210(), scheme, grid))
-    assert [rows for rows, *_ in blocks] == [slice(0, 4), slice(4, 8), slice(8, 12),
-                                             slice(12, 15)]
+    slices = [slice(0, 4), slice(4, 8), slice(8, 12), slice(12, 15)]
+    assert [profiles for profiles, *_ in blocks] == [range(0, 60), range(60, 120),
+                                                     range(120, 180), range(180, 225)]
     features, kernels = _features(*grid.angles()), _outcome_kernels(scheme)
-    for rows, probs, alice, bob in blocks:
+    for rows, (_, probs, alice, bob) in zip(slices, blocks, strict=True):
         want = probability_tables(features, kernels, rows)
         assert np.array_equal(probs, want)
         want_a = np.einsum("o,o...->...", bos210().alice_by_outcome(), want)
         want_b = np.einsum("o,o...->...", bos210().bob_by_outcome(), want)
         assert np.array_equal(alice, want_a) and np.array_equal(bob, want_b)
+
+
+@pytest.mark.parametrize("grid", [StrategyGrid(1, 1), StrategyGrid(5, 3), StrategyGrid(9, 5),
+                                  StrategyGrid(17, 9, "full")],
+                         ids=["1x1", "5x3", "9x5", "17x9-full"])
+@pytest.mark.parametrize("block_bytes", [1, 4 * 32 * 15, 4 * 32 * 15 + 31, 2**16, 2**20])
+def test_table_blocks_tile_the_profiles_in_order(monkeypatch, grid, block_bytes):
+    # each block's range holds the profiles of its tables' raveled entries,
+    # whole rows of Alice's, and the ranges follow each other over all n * n
+    monkeypatch.setattr(equilibrium, "BLOCK_BYTES", block_bytes)
+    n = grid.theta_steps * grid.phi_steps
+    stop = 0
+    for profiles, probs, alice, bob in table_blocks(bos210(), SchemeParams(0.7, 0.4), grid):
+        assert (profiles.start, profiles.step) == (stop, 1) and len(profiles) % n == 0
+        assert probs.shape == (4, len(profiles) // n, n)
+        assert alice.shape == bob.shape == (len(profiles) // n, n)
+        stop = profiles.stop
+    assert stop == n * n
 
 
 PRISONERS = GameMatrix(alice=((3, 0), (5, 1)), bob=((3, 5), (0, 1)))
@@ -498,10 +544,11 @@ class TestSweep:
         with pytest.raises(ValueError, match=message):
             sweep_schemes(gammas, deltas)
 
-    @pytest.mark.parametrize("eps", ["x", None, 10**400, -10**400],
-                             ids=["text", "none", "int-beyond-floats", "negative-int-beyond"])
+    @pytest.mark.parametrize("eps", ["x", None, 10**400, -10**400, 10**5000],
+                             ids=["text", "none", "int-beyond-floats", "negative-int-beyond",
+                                  "int-too-long-to-print"])
     def test_eps_that_is_no_finite_float_rejected(self, eps):
-        with pytest.raises(ValueError, match="eps must be nonnegative and finite"):
+        with pytest.raises(ValueError, match="^eps must be nonnegative and finite"):
             check_eps(eps)
 
     def test_eps_is_returned_as_a_float(self):
@@ -827,6 +874,18 @@ class TestRowBlockMemory:
         epsilon_nash(bos210(), SchemeParams(0.7, 0.4), grid, eps=1e-9)
         sweep(bos210(), [0.7], [0.4], grid, eps=1e-9)
         assert len(freed) == 8
+
+    def test_a_handed_over_block_is_unreferenced(self, monkeypatch):
+        # table_blocks keeps nothing of a block it has handed over, so a
+        # consumer that drops the block frees it before asking for the next
+        monkeypatch.setattr(equilibrium, "BLOCK_BYTES", 4 * 32 * 15)
+        blocks = table_blocks(bos210(), SchemeParams(0.7, 0.4), StrategyGrid(5, 3))
+        for _ in range(4):  # blocks of 4, 4, 4 and 3 rows
+            block = next(blocks)
+            refs = [weakref.ref(table) for table in block[1:]]  # probs, alice, bob
+            del block
+            assert all(ref() is None for ref in refs)
+        assert next(blocks, None) is None
 
     def test_each_block_of_payoffs_is_freed_before_the_next(self, monkeypatch):
         # the certificates hold copies of the candidates only, so a block's

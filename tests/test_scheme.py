@@ -12,6 +12,7 @@ from qgame.scheme import (
     PayoffPair,
     SchemeParams,
     StrategyParams,
+    _shown,
     battle_of_sexes,
     check_phi,
     final_state,
@@ -115,6 +116,40 @@ class TestParams:
         # float() raises OverflowError for these, not the documented ValueError
         with pytest.raises(ValueError, match=message):
             make()
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: SchemeParams(10**5000, 0), r"^gamma must be in \[0, pi/2\], got"),
+        (lambda: SchemeParams(0, [-10**5000]), "^delta must be a finite number, got"),
+        (lambda: StrategyParams(10**5000, 0), r"^theta must be in \[0, pi\], got"),
+        (lambda: check_phi(-10**5000, "full"), r"^phi must be in \[0, 2\*pi\), got"),
+        (lambda: GameMatrix(ALICE, ((1, 0), (0, 10**5000))),
+         r"^bob payoffs entries must be finite and at most 1e\+300 in magnitude, got"),
+        (lambda: GameMatrix(ALICE, (BOB[0], BOB[1], (10**5000, 0))), "^bob payoffs must be 2x2"),
+        (lambda: bos210()._replace(bos=10**5000), r"^bos must be \(2.0, 1.0, 0.0\)"),
+        (lambda: battle_of_sexes(10**5000, 1, 0), "^alice payoffs entries must be finite"),
+        (lambda: battle_of_sexes(1, 10**5000, 0),
+         "^battle of sexes requires alpha > beta > sigma, got 1, "),
+        (lambda: PayoffPair(0.0, 10**5000), "^payoffs must be finite, got 0.0, "),
+    ], ids=["scheme", "scheme-list", "strategy", "check-phi", "game-matrix", "game-matrix-rows",
+            "game-matrix-bos", "battle-of-sexes-cells", "battle-of-sexes-order", "payoff-pair"])
+    def test_int_too_long_to_print_rejected(self, make, message):
+        # Python prints no int of over 4,300 digits, and its own ValueError
+        # for that would replace the check's, which names the parameter
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python prints every int")
+    def test_int_too_long_to_print_shown_by_its_digits(self):
+        limit = sys.get_int_max_str_digits()
+        for k in (limit, limit + 1, 5000):
+            assert _shown(10**k) == f"<int of {k + 1} digits>"
+            assert _shown(-10**k) == f"<negative int of {k + 1} digits>"
+            assert _shown(10 ** (k + 1) - 1) == f"<int of {k + 1} digits>"
+            assert _shown(2 * 10**k - 1) == f"<int of {k + 1} digits>"
+        assert _shown(10**limit - 1) == repr(10**limit - 1)
+        assert _shown((1, 10**limit)).startswith("<tuple whose repr fails: Exceeds the limit")
+        assert [_shown(v) for v in (5, -1.5, "x", (1, None))] == ["5", "-1.5", "'x'", "(1, None)"]
 
     def test_negative_zero_angles_are_stored_as_zero(self):
         scheme, s = SchemeParams(-0.0, -0.0), StrategyParams(-0.0, -0.0)
@@ -450,6 +485,13 @@ class TestPayoffsOracle:
     def test_payoff_pair_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             PayoffPair(math.nan, 1.0)
+
+    @pytest.mark.parametrize("alice,bob", [(10**400, 0), (0, -10**400)],
+                             ids=["alice", "bob-negative"])
+    def test_payoff_pair_rejects_int_beyond_every_float(self, alice, bob):
+        # math.isfinite raises OverflowError for these, not the documented ValueError
+        with pytest.raises(ValueError, match="^payoffs must be finite"):
+            PayoffPair(alice, bob)
 
     @staticmethod
     def weighted(game, scheme, s1, s2):
