@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import signal
 import sys
 from collections.abc import Iterable
@@ -78,6 +79,25 @@ def parse_strategy(text: str, phi_range: str) -> StrategyParams:
     return StrategyParams(theta, phi)
 
 
+def _too_long(text: str) -> str | None:
+    """For integer text of over sys.get_int_max_str_digits() digits, which
+    int() refuses for its length alone, the number as scheme._shown shows an
+    int too long to print: by its digit count. None for any other text."""
+    # integer text as int() reads it: an optional sign, then digits that
+    # single underscores may separate, with whitespace around; compiled on
+    # first use, so a valid command does not pay for it
+    match = re.fullmatch(r"\s*([+-]?)(\d+(?:_\d+)*)\s*", text)
+    # Python 3.10 before 3.10.7 reads integer text of any length
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if match is None or not limit:
+        return None
+    sign, digits = match.groups()
+    count = len(digits) - digits.count("_")
+    if count <= limit:
+        return None
+    return f"<{'negative ' if sign == '-' else ''}int of {count} digits>"
+
+
 def parse_grid(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -85,7 +105,16 @@ def parse_grid(text: str) -> tuple[int, int]:
     try:
         t, p = int(parts[0]), int(parts[1])
     except ValueError:
-        raise ValueError(f"grid steps must be integers, got {text!r}") from None
+        shown = next(filter(None, map(_too_long, parts)), None)
+        if shown is None:
+            raise ValueError(f"grid steps must be integers, got {text!r}") from None
+        if shown.startswith("<negative"):
+            raise ValueError(f"--grid step {shown} is too long, and grid steps must be "
+                             f"positive") from None
+        from .equilibrium import MAX_TABLE_BYTES, POINT_BYTES
+
+        raise ValueError(f"--grid step {shown} is too long, over the grid limit of "
+                         f"{MAX_TABLE_BYTES // POINT_BYTES} points") from None
     return t, p
 
 
@@ -175,6 +204,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         seed = int(args.seed)
     except ValueError:
+        if (shown := _too_long(args.seed)) is not None:
+            raise ValueError(f"--seed {shown} is too long: a seed must be a nonnegative "
+                             f"integer of at most {sys.get_int_max_str_digits()} digits") from None
         raise ValueError(f"seed must be a nonnegative integer, got {args.seed!r}") from None
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")

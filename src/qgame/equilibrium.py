@@ -204,6 +204,15 @@ def _keep(chunk: tuple[np.ndarray, ...], mask: np.ndarray) -> tuple[np.ndarray, 
     return chunk if mask.all() else tuple(part[mask] for part in chunk)
 
 
+def _merge(held: list, best_a: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The held chunks as one, with each bound raised in place by Alice's
+    gain against the column maxima best_a and the rows over eps dropped."""
+    for profiles, values in held:
+        np.maximum(best_a[profiles % len(best_a)] - values[:, 0], values[:, 2], out=values[:, 2])
+    held = [_keep(chunk, chunk[1][:, 2] <= eps) for chunk in held]
+    return tuple(np.concatenate(parts) for parts in zip(*held))
+
+
 def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
                  eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Every grid profile no player can improve by more than eps on-grid:
@@ -214,48 +223,43 @@ def epsilon_nash(game: GameMatrix, scheme: SchemeParams, grid: StrategyGrid,
 
     The tables are built and certified in one pass over table_blocks, so
     memory is O(n * block + profiles). Bob's best replies are exact within a
-    block, and Alice's are running column maxima. A profile more than eps
-    short of either can never be certified, because the maxima only grow, so
-    only the profiles within eps of both (the candidates) are held. Each time
-    their count doubles they are pruned and merged into one chunk, so a prune
-    visits that chunk and one chunk per block since: the work is linear in
-    blocks plus profiles. Once the maxima are final, eps_cert is computed as
-    max(column max - payoff_a, row max - payoff_b), so it equals, bit for
-    bit, the certificate of the blocks' tables stacked and certified whole.
+    block and Alice's are running column maxima, which only grow, so each
+    profile's bound max(column max - payoff_a, row max - payoff_b) never
+    exceeds its eps_cert. Only the profiles bounded within eps are held.
+    Each time their count doubles, and after the last block, _merge raises
+    the bounds, drops those over eps and merges the rest into one chunk, so
+    the work is linear in blocks plus profiles. Rounding is monotone and a
+    tie keeps Alice's gain, so the last raise gives eps_cert bit for bit as
+    the blocks' tables stacked and certified whole give it.
 
     Raises ValueError when the candidates left after a block take more than
     MAX_TABLE_BYTES at PROFILE_BYTES each."""
     eps = check_eps(eps)
-    n = grid.theta_steps * grid.phi_steps
-    best_a = np.full(n, -np.inf)
+    best_a = np.full(grid.theta_steps * grid.phi_steps, -np.inf)
     # candidate chunks (profiles, values); a value row is payoff_a, payoff_b
-    # and Bob's gain from deviating, which is final when the chunk is made
+    # and the bound, raised at each merge
     held: list[tuple[np.ndarray, np.ndarray]] = []
     count = pruned = 0
     for profiles, probs, alice, bob in table_blocks(game, scheme, grid):
         del probs  # only the payoffs are certified; free the block now
         np.maximum(best_a, alice.max(axis=0), out=best_a)
-        gain_b = bob.max(axis=1)[:, np.newaxis] - bob
-        ids = np.flatnonzero((best_a - alice <= eps) & (gain_b <= eps))
+        bound = np.maximum(best_a - alice, bob.max(axis=1)[:, np.newaxis] - bob)
+        ids = np.flatnonzero(bound <= eps)
         # only held refers to a chunk, so a merge frees all and the heap shrinks
         held.append((ids + profiles.start,
-                     np.stack([table.ravel()[ids] for table in (alice, bob, gain_b)], axis=1)))
+                     np.stack([table.ravel()[ids] for table in (alice, bob, bound)], axis=1)))
         count += len(ids)
-        # pruning into one chunk each time the count doubles keeps it linear
+        # merging into one chunk each time the count doubles keeps it linear
         if count > 2 * pruned or count * PROFILE_BYTES > MAX_TABLE_BYTES:
-            held = [_keep(chunk, best_a[chunk[0] % n] - chunk[1][:, 0] <= eps) for chunk in held]
-            held = [tuple(np.concatenate(parts) for parts in zip(*held))]
+            held = [_merge(held, best_a, eps)]
             count = pruned = len(held[0][0])
             if count * PROFILE_BYTES > MAX_TABLE_BYTES:
                 raise ValueError(
                     f"a {grid.theta_steps}x{grid.phi_steps} grid holds over "
                     f"{MAX_TABLE_BYTES // PROFILE_BYTES} candidate profiles, the limit of "
                     f"{MAX_TABLE_BYTES} bytes at {PROFILE_BYTES} bytes per profile")
-        del ids, alice, bob, gain_b  # free the block's tables before the next is built
-    for profiles, values in held:
-        np.maximum(best_a[profiles % n] - values[:, 0], values[:, 2], out=values[:, 2])
-    held = [_keep(chunk, chunk[1][:, 2] <= eps) for chunk in held]
-    return tuple(np.concatenate(parts) for parts in zip(*held))
+        del ids, alice, bob, bound  # free the block's tables before the next is built
+    return _merge(held, best_a, eps)
 
 
 def sweep_schemes(gamma_values, delta_values) -> list[SchemeParams]:

@@ -277,21 +277,39 @@ def _projections(state, rows) -> tuple[float, float, float, float]:
             abs(w3 * a + x3 * b + y3 * c + z3 * d) ** 2)
 
 
+def _finite(x) -> bool:
+    """Whether the number x is finite; an int beyond every float is not."""
+    try:
+        return cmath.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def outcome_probabilities(state, basis) -> tuple[float, float, float, float]:
     """|<psi_b|state>|^2 for each outcome ket psi_b, a row of basis, in order
-    OO, OT, TO, TT. state is 4 amplitudes and basis 4 rows of 4, as tuples,
-    lists or numpy arrays."""
+    OO, OT, TO, TT. state is 4 finite amplitudes and basis 4 rows of 4
+    finite numbers, as tuples, lists or numpy arrays; other input, or
+    probabilities beyond every float, raise ValueError."""
     values = state.tolist() if hasattr(state, "tolist") else state
     try:
         amps = tuple(map(complex, values))
-    except (TypeError, ValueError):  # not a flat sequence of numbers
+    except (TypeError, ValueError, OverflowError):  # not numbers, or an int beyond every float
         amps = ()
     if len(amps) != 4 or isinstance(values, str) or not all(map(cmath.isfinite, amps)):
-        raise ValueError(f"state must be 4 finite amplitudes, got {state!r}")
+        raise ValueError(f"state must be 4 finite amplitudes, got {_shown(state)}")
+    rows = basis.tolist() if hasattr(basis, "tolist") else basis
     try:
-        return _projections(amps, basis.tolist() if hasattr(basis, "tolist") else basis)
+        probs = _projections(amps, rows)
     except (TypeError, ValueError):  # not 4 rows of 4 numbers
-        raise ValueError(f"basis must be 4 rows of 4 numbers, got {basis!r}") from None
+        raise ValueError(f"basis must be 4 rows of 4 numbers, got {_shown(basis)}") from None
+    except OverflowError:  # an entry, or a probability, beyond every float
+        probs = (math.inf,)
+    if all(map(math.isfinite, probs)):
+        return probs
+    if not all(_finite(x) for row in rows for x in row):
+        raise ValueError(f"basis entries must be finite, got {_shown(basis)}")
+    raise ValueError(f"probabilities must be finite, but state {_shown(state)} and "
+                     f"basis {_shown(basis)} give some beyond every float")
 
 
 def payoffs_oracle(game: GameMatrix, scheme: SchemeParams, s1: StrategyParams,

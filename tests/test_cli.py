@@ -67,6 +67,27 @@ class TestParsing:
                                  "--delta", "0", f"--grid={grid}")
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python reads integer text of any length")
+    @pytest.mark.parametrize("grid,message", [
+        ("9" * 4400 + ",1", "<int of 4400 digits> is too long, over the grid limit of "
+                            "4793490 points"),
+        ("1, +" + "9_9" * 2200, "<int of 4400 digits> is too long, over the grid limit of "
+                                "4793490 points"),
+        ("-" + "9" * 4400 + ",1", "<negative int of 4400 digits> is too long, and grid steps "
+                                  "must be positive"),
+    ], ids=["theta", "phi-underscores", "negative"])
+    @pytest.mark.parametrize("command", ["sweep", "equilibria"])
+    def test_grid_step_too_long_to_read_exits_one(self, capsys, tmp_path, command, grid,
+                                                  message):
+        # int() refuses integer text of over 4,300 digits with its own
+        # ValueError, which blamed the type and printed every digit
+        out_file = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, command, "--bos", "2,1,0", "--gamma", "0.5",
+                                 "--delta", "0.1", f"--grid={grid}", "--out", str(out_file))
+        assert (code, out, err) == (1, "", f"error: --grid step {message}\n")
+        assert not out_file.exists()
+
 
 class TestPayoff:
     def test_classical_json(self, capsys):
@@ -428,6 +449,28 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", f"--seed={seed}")
         assert (code, out) == (1, "")
         assert err == f"error: seed must be a nonnegative integer, got {seed!r}\n"
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python reads integer text of any length")
+    @pytest.mark.parametrize("seed,shown", [("9" * 5000, "<int of 5000 digits>"),
+                                            ("-" + "9" * 5000, "<negative int of 5000 digits>")],
+                             ids=["positive", "negative"])
+    def test_seed_too_long_to_read_exits_one(self, capsys, tmp_path, seed, shown):
+        # int() refuses integer text of over 4,300 digits with its own
+        # ValueError, which blamed the type and printed every digit
+        out_file = tmp_path / "report.txt"
+        code, out, err = run_cli(capsys, "verify", f"--seed={seed}", "--out", str(out_file))
+        assert (code, out) == (1, "")
+        assert err == (f"error: --seed {shown} is too long: a seed must be a nonnegative "
+                       f"integer of at most {sys.get_int_max_str_digits()} digits\n")
+        assert not out_file.exists()
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python reads integer text of any length")
+    def test_seed_of_the_most_digits_python_reads_runs(self, capsys):
+        seed = "9" * sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "verify", f"--seed={seed}")
+        assert code == 0 and "result: PASS" in out
 
     def test_matrix_without_bos_form_exits_one(self, capsys):
         # the Prisoner's Dilemma: verification needs the battle-of-sexes form

@@ -725,7 +725,11 @@ class TestRowBlocks:
             bound = kernel_bound(game, scheme)
             # the kernel bound covers every strategy pair, so the whole grid
             assert max(np.abs(al - alice).max(), np.abs(bo - bob).max()) <= bound
-        for eps in (0.0, 1e-12, 1e-9):
+        # certificates the reference attains, the smallest and the median
+        # positive one, pin a profile whose eps_cert equals eps as certified
+        attained = np.unique(cert[cert > 0])
+        ties = attained[[0, len(attained) // 2]].tolist() if len(attained) else []
+        for eps in (0.0, 1e-12, 1e-9, *ties):
             a, b = np.nonzero(cert <= eps)
             values = np.stack([alice[a, b], bob[a, b], cert[a, b]], axis=1)
             profiles, got_values = epsilon_nash(game, scheme, grid, eps)

@@ -415,6 +415,46 @@ class TestOutcomeProbabilities:
         with pytest.raises(ValueError, match="basis must be 4 rows of 4 numbers"):
             outcome_probabilities(KET_OO, basis)
 
+    def test_rejects_state_int_beyond_every_float(self):
+        # complex() raises OverflowError for it, not the documented ValueError
+        with pytest.raises(ValueError, match=r"^state must be 4 finite amplitudes, got \[1000"):
+            outcome_probabilities([10**400, 0, 0, 0], measurement_basis(0.3))
+
+    @pytest.mark.parametrize("bad", [10**400, math.inf, -math.inf, math.nan,
+                                     complex(0, math.nan)],
+                             ids=["int-beyond-float", "inf", "-inf", "nan", "nan-imag"])
+    @pytest.mark.parametrize("where", [(0, 0), (3, 2)])
+    def test_rejects_nonfinite_basis_entry(self, bad, where):
+        # a nonfinite entry gave nonfinite probabilities, and an int beyond
+        # every float an OverflowError, instead of the documented ValueError
+        rows = [list(row) for row in measurement_basis(0.3)]
+        rows[where[0]][where[1]] = bad
+        with pytest.raises(ValueError, match="^basis entries must be finite, got "):
+            outcome_probabilities(KET_OO, rows)
+
+    @pytest.mark.parametrize("state", [[1e200, 0, 0, 0], [1e160, 0, 0, 0]],
+                             ids=["inf-amplitude", "overflowing-square"])
+    def test_rejects_probabilities_beyond_every_float(self, state):
+        # the state and the basis are finite, but their products are not
+        with pytest.raises(ValueError, match="^probabilities must be finite, but state "):
+            outcome_probabilities(state, measurement_basis(0.3))
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python prints every int")
+    def test_int_too_long_to_print_rejected(self):
+        # repr of an int of over 4,300 digits raises its own ValueError
+        rows = [list(row) for row in measurement_basis(0.3)]
+        rows[1][1] = 10**5000
+        with pytest.raises(ValueError, match=r"^state must be 4 finite amplitudes, got <list "
+                                             r"whose repr fails: Exceeds the limit"):
+            outcome_probabilities([10**5000, 0, 0, 0], measurement_basis(0.3))
+        with pytest.raises(ValueError, match=r"^basis entries must be finite, got <list "
+                                             r"whose repr fails: Exceeds the limit"):
+            outcome_probabilities(KET_OO, rows)
+        with pytest.raises(ValueError, match=r"^basis must be 4 rows of 4 numbers, got <list "
+                                             r"whose repr fails: Exceeds the limit"):
+            outcome_probabilities(KET_OO, [[10**5000, 0, 0]] + rows[1:])
+
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(23)
         for _ in range(300):
