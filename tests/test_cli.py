@@ -36,6 +36,9 @@ HP = math.pi / 2
 OVERFLOWING = ["--matrix", ",".join(["1.7976931348623157e308,1"] * 4)]
 # a constant game: every profile is an equilibrium
 CONSTANT = ["--matrix", "1,1,1,1,1,1,1,1", "--gamma", "0.3", "--delta", "0.2"]
+# Python 3.10 before 3.10.7 reads integer text of any length
+INT_TEXT_LIMIT = pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                                    reason="this Python reads integer text of any length")
 
 
 def run_cli(capsys, *argv):
@@ -67,8 +70,7 @@ class TestParsing:
                                  "--delta", "0", f"--grid={grid}")
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-                        reason="this Python reads integer text of any length")
+    @INT_TEXT_LIMIT
     @pytest.mark.parametrize("grid,message", [
         ("9" * 4400 + ",1", "<int of 4400 digits> is too long, over the grid limit of "
                             "4793490 points"),
@@ -450,8 +452,7 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err == f"error: seed must be a nonnegative integer, got {seed!r}\n"
 
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-                        reason="this Python reads integer text of any length")
+    @INT_TEXT_LIMIT
     @pytest.mark.parametrize("seed,shown", [("9" * 5000, "<int of 5000 digits>"),
                                             ("-" + "9" * 5000, "<negative int of 5000 digits>")],
                              ids=["positive", "negative"])
@@ -465,8 +466,7 @@ class TestVerify:
                        f"integer of at most {sys.get_int_max_str_digits()} digits\n")
         assert not out_file.exists()
 
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-                        reason="this Python reads integer text of any length")
+    @INT_TEXT_LIMIT
     def test_seed_of_the_most_digits_python_reads_runs(self, capsys):
         seed = "9" * sys.get_int_max_str_digits()
         code, out, _ = run_cli(capsys, "verify", f"--seed={seed}")
