@@ -21,6 +21,7 @@ import sys
 
 from .scheme import (
     HALF_PI,
+    MAX_PAYOFF,
     GameMatrix,
     PayoffPair,
     SchemeParams,
@@ -44,8 +45,14 @@ def bos_coefficients(alpha: float, beta: float, delta: float) -> tuple[float, fl
     """(xi, eta, chi) for measurement angle delta: payoff weights with
     xi + eta = alpha + beta, and interference weight chi.
 
-    Any alpha and beta are accepted: swapping them gives (eta, xi, -chi),
-    which exchanges the players' roles."""
+    alpha and beta are bounded as payoff cells are, in either order: swapping
+    them gives (eta, xi, -chi), which exchanges the players' roles. delta need
+    only be finite, as payoff_case_c passes gamma - delta."""
+    if not (type(alpha) is type(beta) is type(delta) is float and abs(alpha) <= MAX_PAYOFF
+            and abs(beta) <= MAX_PAYOFF and math.isfinite(delta)):  # else convert or reject
+        alpha = _check_interval("alpha", alpha, -MAX_PAYOFF, MAX_PAYOFF)
+        beta = _check_interval("beta", beta, -MAX_PAYOFF, MAX_PAYOFF)
+        delta = _check_interval("delta", delta, -sys.float_info.max, sys.float_info.max)
     c2, s2 = math.cos(delta / 2) ** 2, math.sin(delta / 2) ** 2
     chi = 0.5 * (alpha - beta) * math.sin(delta)
     return alpha * c2 + beta * s2, alpha * s2 + beta * c2, chi
@@ -100,9 +107,8 @@ def payoff_general(game: GameMatrix, scheme: SchemeParams, s1: StrategyParams,
                    s2: StrategyParams) -> PayoffPair:
     """Full closed form in gamma and delta; equals payoffs_oracle everywhere."""
     alpha, beta, sigma = _require_bos(game)
-    alice, bob = _general(alpha, beta, sigma, scheme.gamma, scheme.delta,
-                          s1.theta, s1.phi, s2.theta, s2.phi)
-    return PayoffPair(float(alice), float(bob))
+    return PayoffPair(*_general(alpha, beta, sigma, scheme.gamma, scheme.delta,
+                                s1.theta, s1.phi, s2.theta, s2.phi))
 
 
 def _marinatto_weber(alpha, beta, sigma, angle, theta1, theta2):
@@ -124,20 +130,18 @@ def payoff_case_a_i(game: GameMatrix, gamma: float, theta1: float,
     Equivalent to Marinatto-Weber play with identity probabilities
     cos^2(theta_i / 2) on the gamma-entangled state.
     """
-    _check_interval("gamma", gamma, 0.0, HALF_PI, "[0, pi/2]")
-    _check_interval("theta1", theta1, 0.0, math.pi, "[0, pi]")
-    _check_interval("theta2", theta2, 0.0, math.pi, "[0, pi]")
-    alpha, beta, sigma = _require_bos(game)
-    alice, bob = _marinatto_weber(alpha, beta, sigma, gamma, theta1, theta2)
-    return PayoffPair(alice, bob)
+    gamma = _check_interval("gamma", gamma, 0.0, HALF_PI, "[0, pi/2]")
+    theta1 = _check_interval("theta1", theta1, 0.0, math.pi, "[0, pi]")
+    theta2 = _check_interval("theta2", theta2, 0.0, math.pi, "[0, pi]")
+    return PayoffPair(*_marinatto_weber(*_require_bos(game), gamma, theta1, theta2))
 
 
 def payoff_case_a_ii(game: GameMatrix, gamma: float, theta1: float,
                      theta2: float) -> PayoffPair:
     """delta = 0, phi1 + phi2 = pi/2: adds the entanglement interference term."""
-    _check_interval("gamma", gamma, 0.0, HALF_PI, "[0, pi/2]")
-    _check_interval("theta1", theta1, 0.0, math.pi, "[0, pi]")
-    _check_interval("theta2", theta2, 0.0, math.pi, "[0, pi]")
+    gamma = _check_interval("gamma", gamma, 0.0, HALF_PI, "[0, pi/2]")
+    theta1 = _check_interval("theta1", theta1, 0.0, math.pi, "[0, pi]")
+    theta2 = _check_interval("theta2", theta2, 0.0, math.pi, "[0, pi]")
     alpha, beta, sigma = _require_bos(game)
     alice, bob = _marinatto_weber(alpha, beta, sigma, gamma, theta1, theta2)
     shared = ((alpha + beta - 2 * sigma) / 4 * math.sin(gamma)
@@ -148,7 +152,7 @@ def payoff_case_a_ii(game: GameMatrix, gamma: float, theta1: float,
 def payoff_case_b_i(game: GameMatrix, gamma: float, s1: StrategyParams,
                     s2: StrategyParams) -> PayoffPair:
     """delta = gamma: the Eisert-style regime with free phases."""
-    _check_interval("gamma", gamma, 0.0, HALF_PI, "[0, pi/2]")
+    gamma = _check_interval("gamma", gamma, 0.0, HALF_PI, "[0, pi/2]")
     alpha, beta, sigma = _require_bos(game)
     xi1, eta1, _ = bos_coefficients(alpha, beta, gamma)
     # unlike bos_coefficients' chi, chi1 carries sin(gamma) squared
@@ -195,8 +199,8 @@ def payoff_du_maximal(game: GameMatrix, s1: StrategyParams, s2: StrategyParams,
 
 def payoff_case_b_ii(game: GameMatrix, s1_theta: float, s2_theta: float) -> PayoffPair:
     """delta = gamma = pi/2, phi1 = phi2 = 0: classical mixed strategies."""
-    _check_interval("s1_theta", s1_theta, 0.0, math.pi, "[0, pi]")
-    _check_interval("s2_theta", s2_theta, 0.0, math.pi, "[0, pi]")
+    s1_theta = _check_interval("s1_theta", s1_theta, 0.0, math.pi, "[0, pi]")
+    s2_theta = _check_interval("s2_theta", s2_theta, 0.0, math.pi, "[0, pi]")
     alpha, beta, sigma = _require_bos(game)
     p = math.cos(s1_theta / 2) ** 2
     q = math.cos(s2_theta / 2) ** 2
@@ -208,13 +212,11 @@ def payoff_case_b_ii(game: GameMatrix, s1_theta: float, s2_theta: float) -> Payo
 def payoff_case_c(game: GameMatrix, gamma: float, delta: float, s1_theta: float,
                   s2_theta: float) -> PayoffPair:
     """phi1 = phi2 = 0 with independent gamma, delta: effective angle gamma - delta."""
-    _check_interval("gamma", gamma, 0.0, HALF_PI, "[0, pi/2]")
-    _check_interval("delta", delta, 0.0, HALF_PI, "[0, pi/2]")
-    _check_interval("s1_theta", s1_theta, 0.0, math.pi, "[0, pi]")
-    _check_interval("s2_theta", s2_theta, 0.0, math.pi, "[0, pi]")
-    alpha, beta, sigma = _require_bos(game)
-    alice, bob = _marinatto_weber(alpha, beta, sigma, gamma - delta, s1_theta, s2_theta)
-    return PayoffPair(alice, bob)
+    gamma = _check_interval("gamma", gamma, 0.0, HALF_PI, "[0, pi/2]")
+    delta = _check_interval("delta", delta, 0.0, HALF_PI, "[0, pi/2]")
+    s1_theta = _check_interval("s1_theta", s1_theta, 0.0, math.pi, "[0, pi]")
+    s2_theta = _check_interval("s2_theta", s2_theta, 0.0, math.pi, "[0, pi]")
+    return PayoffPair(*_marinatto_weber(*_require_bos(game), gamma - delta, s1_theta, s2_theta))
 
 
 def payoff_case_d(game: GameMatrix, delta: float, s1: StrategyParams,
@@ -226,7 +228,7 @@ def payoff_case_d(game: GameMatrix, delta: float, s1: StrategyParams,
     regime show twice that coefficient, which simulation rejects; the factor
     here is the exact gamma=0 specialization of payoff_general.
     """
-    _check_interval("delta", delta, 0.0, HALF_PI, "[0, pi/2]")
+    delta = _check_interval("delta", delta, 0.0, HALF_PI, "[0, pi/2]")
     alpha, beta, sigma = _require_bos(game)
     alice, bob = _marinatto_weber(alpha, beta, sigma, delta, s1.theta, s2.theta)
     shift = (0.25 * (alpha - beta) * math.sin(delta) * math.sin(s1.theta)

@@ -10,7 +10,6 @@ unilateral on-grid deviation.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .scheme import (
     GameMatrix,
     SchemeParams,
     StrategyParams,
+    _number,
     _phi_interval,
     _record,
     _shown,
@@ -54,12 +54,9 @@ _PAIR_P, _PAIR_Q = np.triu_indices(3)
 
 
 def _steps(name: str, steps) -> int:
-    """steps as an int, checked to be a positive integer (a bool is not)."""
-    try:
-        value = operator.index(steps)
-    except TypeError:
-        value = 0
-    if isinstance(steps, bool) or value < 1:
+    """steps as an int (see scheme._number), checked to be positive."""
+    value = _number(name, steps, "a positive integer", int)
+    if value < 1:
         raise ValueError(f"{name} must be a positive integer, got {_shown(steps)}")
     return value
 
@@ -189,11 +186,8 @@ def _table_block(features, kernels, weights, rows: slice) -> tuple:
 
 
 def check_eps(eps: float) -> float:
-    """An equilibrium tolerance as a float, checked to be finite and nonnegative."""
-    try:
-        value = float(eps)
-    except (TypeError, ValueError, OverflowError):
-        value = math.nan  # rejected below, with the message of any other bad eps
+    """An equilibrium tolerance as a float (see scheme._number), finite and nonnegative."""
+    value = eps if type(eps) is float else _number("eps", eps, "nonnegative and finite")
     if not 0 <= value < math.inf:  # also false for nan
         raise ValueError(f"eps must be nonnegative and finite, got {_shown(eps)}")
     return value + 0.0  # -0.0 as 0.0

@@ -49,21 +49,35 @@ def _shown(value) -> str:
         return f"<{'negative ' if value < 0 else ''}int of {digits} digits>"
 
 
-def _check_interval(name: str, value: float, lo: float, hi: float, label: str,
+# _number's Python types and numpy dtype kinds (ints i, u; floats f; complex c) of each kind
+_KINDS = {int: (int, "iu"), float: ((int, float), "iuf"), complex: ((int, float, complex), "iufc")}
+
+
+def _number(name: str, value, want: str = "a finite number", kind: type = float):
+    """value as a kind (int, float or complex) if it is of one of the kind's types in _KINDS, or a
+    numpy scalar or 0-d array of one of its dtype kinds; else, as for text, bytes and bools,
+    ValueError(f"{name} must be {want}, got ..."). An int beyond every float becomes +-inf."""
+    types, dtype_kinds = _KINDS[kind]
+    if (isinstance(value, types) and not isinstance(value, bool)
+            or getattr(value, "ndim", None) == 0  # a numpy scalar or 0-d array
+            and getattr(getattr(value, "dtype", None), "kind", "-") in dtype_kinds):
+        try:
+            return kind(value)
+        except OverflowError:  # an int beyond every float, for the caller's bound to reject
+            return kind(math.inf if value > 0 else -math.inf)
+    raise ValueError(f"{name} must be {want}, got {_shown(value)}")
+
+
+def _check_interval(name: str, value: float, lo: float, hi: float, label: str | None = None,
                     open_upper: bool = False) -> float:
-    """value as a float, checked to lie in [lo, hi], or [lo, hi) if open_upper."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a finite number, got {_shown(value)}") from None
-    except OverflowError:  # an int beyond every float, so outside [lo, hi]
-        raise ValueError(f"{name} must be in {label}, got {_shown(value)}") from None
+    """value as a float (see _number) in [lo, hi] (or [lo, hi) if open_upper), shown as label."""
+    x = value if type(value) is float else _number(name, value)
     # lo and hi are finite, so nan and inf fail this test too
-    if lo <= value < hi if open_upper else lo <= value <= hi:
-        return value + 0.0  # -0.0 as 0.0
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    raise ValueError(f"{name} must be in {label}, got {value!r}")
+    if lo <= x < hi if open_upper else lo <= x <= hi:
+        return x + 0.0  # -0.0 as 0.0
+    finite = math.isfinite(x) or isinstance(value, int)  # an int, even one beyond every float
+    want = f"in {label or f'[{lo:g}, {hi:g}]'}" if finite else "a finite number"
+    raise ValueError(f"{name} must be {want}, got {_shown(value)}")
 
 
 def _phi_interval(phi_range: str) -> tuple[float, float]:
@@ -116,6 +130,15 @@ class StrategyParams(_record("StrategyParams", "theta phi")):
             _check_interval("phi", phi, 0.0, TWO_PI, "[0, 2*pi)", open_upper=True))
 
 
+def _cell(name: str, value) -> float:
+    """A payoff cell as a float (see _number) at most MAX_PAYOFF in magnitude."""
+    x = value if type(value) is float else _number(name, value, "a 2x2 array of numbers")
+    if abs(x) <= MAX_PAYOFF:  # false for nan too
+        return x + 0.0  # -0.0 as 0.0
+    raise ValueError(f"{name} entries must be finite and at most {MAX_PAYOFF:g} in "
+                     f"magnitude, got {_shown(value)}")
+
+
 def _as_cells(name, cells) -> tuple[tuple[float, float], tuple[float, float]]:
     try:
         (a, b), (c, d) = cells
@@ -123,18 +146,7 @@ def _as_cells(name, cells) -> tuple[tuple[float, float], tuple[float, float]]:
         raise ValueError(f"{name} must be a 2x2 array of numbers") from exc
     except ValueError:  # a row count or row length other than 2
         raise ValueError(f"{name} must be 2x2, got {_shown(cells)}") from None
-    try:  # + 0.0 stores -0.0 as 0.0
-        rows = (float(a) + 0.0, float(b) + 0.0), (float(c) + 0.0, float(d) + 0.0)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be a 2x2 array of numbers") from exc
-    except OverflowError:  # an int beyond every float, so beyond MAX_PAYOFF
-        raise ValueError(f"{name} entries must be finite and at most "
-                         f"{MAX_PAYOFF:g} in magnitude, got {_shown(cells)}") from None
-    for v in rows[0] + rows[1]:
-        if not abs(v) <= MAX_PAYOFF:  # also false for nan
-            raise ValueError(f"{name} entries must be finite and at most "
-                             f"{MAX_PAYOFF:g} in magnitude, got {v!r}")
-    return rows
+    return (_cell(name, a), _cell(name, b)), (_cell(name, c), _cell(name, d))
 
 
 class GameMatrix(_record("GameMatrix", "alice bob bos")):
@@ -148,8 +160,7 @@ class GameMatrix(_record("GameMatrix", "alice bob bos")):
     __slots__ = ()
 
     def __new__(cls, alice, bob):
-        alice = _as_cells("alice payoffs", alice)
-        bob = _as_cells("bob payoffs", bob)
+        alice, bob = _as_cells("alice payoffs", alice), _as_cells("bob payoffs", bob)
         (alpha, sigma), (_, beta) = alice
         form = alice[1][0] == sigma and bob == ((beta, sigma), (sigma, alpha))
         return super().__new__(cls, alice, bob, (alpha, beta, sigma) if form else None)
@@ -180,30 +191,26 @@ class GameMatrix(_record("GameMatrix", "alice bob bos")):
 
 
 def battle_of_sexes(alpha: float, beta: float, sigma: float) -> GameMatrix:
-    """Coordination game with matched payoffs alpha/beta and mismatch sigma.
-
-    Requires alpha > beta > sigma strictly; GameMatrix derives bos from the cells.
-    """
-    if not (alpha > beta > sigma):
-        raise ValueError(
-            f"battle of sexes requires alpha > beta > sigma, got {_shown(alpha)}, "
-            f"{_shown(beta)}, {_shown(sigma)}"
-        )
-    return GameMatrix(alice=((alpha, sigma), (sigma, beta)),
-                      bob=((beta, sigma), (sigma, alpha)))
+    """Coordination game with matched payoffs alpha/beta and mismatch sigma, numbers
+    (see _number) with alpha > beta > sigma strictly; GameMatrix derives bos from the cells."""
+    a = alpha if type(alpha) is float else _number("alpha", alpha)
+    b = beta if type(beta) is float else _number("beta", beta)
+    s = sigma if type(sigma) is float else _number("sigma", sigma)
+    if not (a > b > s):
+        raise ValueError(f"battle of sexes requires alpha > beta > sigma, got "
+                         f"{_shown(alpha)}, {_shown(beta)}, {_shown(sigma)}")
+    return GameMatrix(alice=((a, s), (s, b)), bob=((b, s), (s, a)))
 
 
 class PayoffPair(_record("PayoffPair", "alice bob")):
     __slots__ = ()
 
     def __new__(cls, alice: float, bob: float):
-        try:
-            finite = math.isfinite(alice) and math.isfinite(bob)
-        except OverflowError:  # an int beyond every float
-            finite = False
-        if not finite:
-            raise ValueError(f"payoffs must be finite, got {_shown(alice)}, {_shown(bob)}")
-        return super().__new__(cls, alice, bob)
+        a = alice if type(alice) is float else _number("payoffs", alice, "finite")
+        b = bob if type(bob) is float else _number("payoffs", bob, "finite")
+        if math.isfinite(a) and math.isfinite(b):
+            return super().__new__(cls, a, b)
+        raise ValueError(f"payoffs must be finite, got {_shown(alice)}, {_shown(bob)}")
 
 
 def initial_state(gamma: float) -> tuple[complex, complex, complex, complex]:
@@ -254,7 +261,7 @@ def measurement_basis(delta: float) -> tuple[tuple[complex, ...], ...]:
     verify's measurement_orthonormal_complete check and the tests confirm
     it, so it is not re-checked here.
     """
-    _check_interval("delta", delta, 0.0, HALF_PI, "[0, pi/2]")
+    delta = _check_interval("delta", delta, 0.0, HALF_PI, "[0, pi/2]")
     c, s = complex(math.cos(delta / 2)), math.sin(delta / 2)
     up, down, zero = 1j * s, -1j * s, 0j
     return ((c, zero, zero, up),
@@ -266,8 +273,7 @@ def measurement_basis(delta: float) -> tuple[tuple[complex, ...], ...]:
 def _projections(state, rows) -> tuple[float, float, float, float]:
     """|<psi_b|state>|^2 for each outcome ket psi_b of rows, from the state's
     4 amplitudes, with no checks. |<psi_b|state>| = |sum_k b_k conj(state_k)|:
-    the state is conjugated once, not the 16 basis entries. rows other than
-    4 rows of 4 numbers raise TypeError or ValueError."""
+    the state is conjugated once, not the 16 basis entries."""
     a, b, c, d = state
     a, b, c, d = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
     (w0, x0, y0, z0), (w1, x1, y1, z1), (w2, x2, y2, z2), (w3, x3, y3, z3) = rows
@@ -277,37 +283,34 @@ def _projections(state, rows) -> tuple[float, float, float, float]:
             abs(w3 * a + x3 * b + y3 * c + z3 * d) ** 2)
 
 
-def _finite(x) -> bool:
-    """Whether the number x is finite; an int beyond every float is not."""
-    try:
-        return cmath.isfinite(x)
-    except OverflowError:
-        return False
+def _complexes(name: str, values, want: str) -> list[complex]:
+    """A tuple, list or numpy array of numbers as complex ones (see _number)."""
+    values = values.tolist() if hasattr(values, "tolist") else values
+    return ([v if type(v) is complex else _number(name, v, want, complex) for v in values]
+            if isinstance(values, (list, tuple)) else [])
 
 
 def outcome_probabilities(state, basis) -> tuple[float, float, float, float]:
     """|<psi_b|state>|^2 for each outcome ket psi_b, a row of basis, in order
-    OO, OT, TO, TT. state is 4 finite amplitudes and basis 4 rows of 4
-    finite numbers, as tuples, lists or numpy arrays; other input, or
-    probabilities beyond every float, raise ValueError."""
-    values = state.tolist() if hasattr(state, "tolist") else state
-    try:
-        amps = tuple(map(complex, values))
-    except (TypeError, ValueError, OverflowError):  # not numbers, or an int beyond every float
-        amps = ()
-    if len(amps) != 4 or isinstance(values, str) or not all(map(cmath.isfinite, amps)):
+    OO, OT, TO, TT. state is 4 finite amplitudes and basis 4 rows of 4 finite
+    numbers (see _number; complex ones too), as tuples, lists or numpy arrays;
+    other input, or probabilities beyond every float, raise ValueError."""
+    amps = _complexes("state", state, "4 finite amplitudes")
+    if len(amps) != 4 or not all(map(cmath.isfinite, amps)):
         raise ValueError(f"state must be 4 finite amplitudes, got {_shown(state)}")
     rows = basis.tolist() if hasattr(basis, "tolist") else basis
+    rows = ([_complexes("basis", row, "4 rows of 4 numbers") for row in rows]
+            if isinstance(rows, (list, tuple)) else [])
+    if len(rows) != 4 or any(len(row) != 4 for row in rows):
+        raise ValueError(f"basis must be 4 rows of 4 numbers, got {_shown(basis)}")
+    if not all(cmath.isfinite(x) for row in rows for x in row):
+        raise ValueError(f"basis entries must be finite, got {_shown(basis)}")
     try:
         probs = _projections(amps, rows)
-    except (TypeError, ValueError):  # not 4 rows of 4 numbers
-        raise ValueError(f"basis must be 4 rows of 4 numbers, got {_shown(basis)}") from None
-    except OverflowError:  # an entry, or a probability, beyond every float
+    except OverflowError:  # a probability beyond every float
         probs = (math.inf,)
     if all(map(math.isfinite, probs)):
         return probs
-    if not all(_finite(x) for row in rows for x in row):
-        raise ValueError(f"basis entries must be finite, got {_shown(basis)}")
     raise ValueError(f"probabilities must be finite, but state {_shown(state)} and "
                      f"basis {_shown(basis)} give some beyond every float")
 

@@ -1186,8 +1186,9 @@ LOADED_SCRIPT = """
 import json, sys
 from qgame.cli import main
 code = main(sys.argv[2:])
-loaded = [name for name in ("dataclasses", "numpy", "numpy.random", "qgame.cells",
-                           "qgame.equilibrium", "qgame.verification") if name in sys.modules]
+loaded = [name for name in ("dataclasses", "decimal", "numbers", "numpy", "numpy.random",
+                           "qgame.cells", "qgame.equilibrium", "qgame.verification")
+          if name in sys.modules]
 with open(sys.argv[1], "w", encoding="utf-8") as fh:
     json.dump({"code": code, "loaded": loaded}, fh)
 """
@@ -1221,8 +1222,9 @@ def test_negative_zero_cell_is_zero(capsys):
     assert not any(math.copysign(1.0, v) < 0 for row in game.alice + game.bob for v in row)
 
 
-GRID_MODULES = ["numpy", "qgame.equilibrium"]
-ROW_MODULES = ["numpy", "qgame.cells", "qgame.equilibrium"]
+# numpy loads numbers itself
+GRID_MODULES = ["numbers", "numpy", "qgame.equilibrium"]
+ROW_MODULES = ["numbers", "numpy", "qgame.cells", "qgame.equilibrium"]
 MATRIX_SCHEME = ["--matrix", "3,3,0,5,5,0,1,1", "--gamma", "0.7", "--delta", "0.4"]
 
 
@@ -1230,7 +1232,8 @@ class TestLazyImports:
     # numpy costs about half the start-up time of a one-profile payoff,
     # numpy.random about 5 MiB of peak RSS, cells.py its own 0.3-0.5 MiB; a
     # command that draws nothing or writes no rows must not load them, and
-    # payoff, which simulates one profile in plain Python, loads none of them
+    # payoff, which simulates one profile in plain Python, loads none of them,
+    # nor numbers or decimal, which scheme's number checks do without
     @pytest.mark.parametrize("argv,want", [
         (["payoff", *BOS_SCHEME, "--s1", "1,0.5", "--s2", "0.3,0.2"], []),
         (["payoff", *BOS_SCHEME, "--s1", "1,0.5", "--s2", "0.3,0.2", "--format", "csv"], []),
@@ -1240,7 +1243,7 @@ class TestLazyImports:
         (["equilibria", *BOS_SCHEME, "--grid", "5,3"], ROW_MODULES),
         (["sweep", *BOS_SCHEME, "--grid", "5,3"], ROW_MODULES),
         (["sweep", *BOS_SCHEME, "--grid", "5,3", "--format", "csv"], ROW_MODULES),
-        (["verify", "--seed", "0"], ["numpy", "numpy.random", "qgame.equilibrium",
+        (["verify", "--seed", "0"], ["numbers", "numpy", "numpy.random", "qgame.equilibrium",
                                      "qgame.verification"]),
     ], ids=["payoff-bos-json", "payoff-bos-csv", "payoff-matrix-json", "payoff-matrix-csv",
             "sweep-summary", "equilibria", "sweep-json", "sweep-csv", "verify"])

@@ -76,6 +76,27 @@ class TestBosCoefficients:
             xi, eta, chi = bos_coefficients(alpha, beta, delta)
             assert bos_coefficients(beta, alpha, delta) == (eta, xi, -chi)
 
+    @pytest.mark.parametrize("delta", [-HP, -0.3, 7.0])
+    def test_any_finite_delta_is_taken(self, delta):
+        # payoff_case_c passes gamma - delta, negative where delta > gamma
+        xi, eta, chi = bos_coefficients(2.0, 1.0, delta)
+        c2, s2 = math.cos(delta / 2) ** 2, math.sin(delta / 2) ** 2
+        assert (xi, eta, chi) == (2 * c2 + s2, 2 * s2 + c2, 0.5 * math.sin(delta))
+
+    @pytest.mark.parametrize("args,message", [
+        ((10**400, 1, 0.3), r"^alpha must be in \[-1e\+300, 1e\+300\], got 1000"),
+        ((2, -1e301, 0.3), r"^beta must be in \[-1e\+300, 1e\+300\], got -1e\+301"),
+        ((2, "1", 0.3), "^beta must be a finite number, got '1'"),
+        ((math.nan, 1, 0.3), "^alpha must be a finite number, got nan"),
+        ((2, 1, math.inf), "^delta must be a finite number, got inf"),
+        ((2, 1, 10**400), r"^delta must be in \[-1.79769e\+308, 1.79769e\+308\], got 1000"),
+    ], ids=["int-beyond-floats", "beyond-max-payoff", "text", "nan", "inf-delta",
+            "int-delta-beyond-floats"])
+    def test_checks_payoffs_as_cells_and_delta_as_finite(self, args, message):
+        # alpha and beta are bounded as GameMatrix bounds its cells
+        with pytest.raises(ValueError, match=message):
+            bos_coefficients(*args)
+
 
 class TestPayoffGeneral:
     def test_classical_limit(self):

@@ -552,8 +552,9 @@ class TestSweep:
             check_eps(eps)
 
     def test_eps_is_returned_as_a_float(self):
-        assert [check_eps(v) for v in (0, np.float64(1e-9), "0.5", -0.0)] == [0.0, 1e-9, 0.5, 0.0]
-        assert all(type(check_eps(v)) is float for v in (0, np.float64(1e-9)))
+        values = (0, np.float64(1e-9), np.array(0.5), -0.0)
+        assert [check_eps(v) for v in values] == [0.0, 1e-9, 0.5, 0.0]
+        assert all(type(check_eps(v)) is float for v in values)
         assert math.copysign(1.0, check_eps(-0.0)) == 1.0
 
 

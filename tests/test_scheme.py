@@ -67,9 +67,10 @@ class TestParams:
             StrategyParams(0.0, 2 * math.pi)
 
     def test_checked_values_are_stored_as_floats(self):
-        # a numeric string passes the check, so the float it was checked as
-        # is what the simulation must see
-        scheme, s = SchemeParams("0.5", "0"), StrategyParams("1", 0)
+        # a numpy scalar or 0-d array passes the check, so the float it was
+        # checked as is what the simulation must see
+        scheme = SchemeParams(np.float32(0.5), np.array(0.0))
+        s = StrategyParams(np.int64(1), 0)
         assert (scheme.gamma, scheme.delta, s.theta, s.phi) == (0.5, 0.0, 1.0, 0.0)
         assert all(type(v) is float
                    for v in (scheme.gamma, scheme.delta, s.theta, s.phi))
