@@ -34,10 +34,8 @@ DU_FORMS = ("printed", "corrected")
 
 def _require_bos(game: GameMatrix) -> tuple[float, float, float]:
     if game.bos is None:
-        raise ValueError(
-            "closed-form payoffs need a battle-of-sexes game (alpha, beta, sigma); "
-            "use the simulation path for general matrices"
-        )
+        raise ValueError("closed-form payoffs need a battle-of-sexes game (alpha, beta, sigma); "
+                         "use the simulation path for general matrices")
     return game.bos
 
 
@@ -46,13 +44,15 @@ def bos_coefficients(alpha: float, beta: float, delta: float) -> tuple[float, fl
     xi + eta = alpha + beta, and interference weight chi.
 
     alpha and beta are bounded as payoff cells are, in either order: swapping
-    them gives (eta, xi, -chi), which exchanges the players' roles. delta need
-    only be finite, as payoff_case_c passes gamma - delta."""
+    them gives (eta, xi, -chi), which exchanges the players' roles. delta is
+    any finite float, as payoff_case_c passes gamma - delta."""
     if not (type(alpha) is type(beta) is type(delta) is float and abs(alpha) <= MAX_PAYOFF
             and abs(beta) <= MAX_PAYOFF and math.isfinite(delta)):  # else convert or reject
-        alpha = _check_interval("alpha", alpha, -MAX_PAYOFF, MAX_PAYOFF)
-        beta = _check_interval("beta", beta, -MAX_PAYOFF, MAX_PAYOFF)
-        delta = _check_interval("delta", delta, -sys.float_info.max, sys.float_info.max)
+        label = f"[{-MAX_PAYOFF:g}, {MAX_PAYOFF:g}]"  # the payoff cells' bound
+        alpha = _check_interval("alpha", alpha, -MAX_PAYOFF, MAX_PAYOFF, label)
+        beta = _check_interval("beta", beta, -MAX_PAYOFF, MAX_PAYOFF, label)
+        delta = _check_interval("delta", delta, -sys.float_info.max, sys.float_info.max,
+                                "the finite floats")
     c2, s2 = math.cos(delta / 2) ** 2, math.sin(delta / 2) ** 2
     chi = 0.5 * (alpha - beta) * math.sin(delta)
     return alpha * c2 + beta * s2, alpha * s2 + beta * c2, chi
@@ -106,8 +106,7 @@ def _general(alpha, beta, sigma, gamma, delta, theta1, phi1, theta2, phi2):
 def payoff_general(game: GameMatrix, scheme: SchemeParams, s1: StrategyParams,
                    s2: StrategyParams) -> PayoffPair:
     """Full closed form in gamma and delta; equals payoffs_oracle everywhere."""
-    alpha, beta, sigma = _require_bos(game)
-    return PayoffPair(*_general(alpha, beta, sigma, scheme.gamma, scheme.delta,
+    return PayoffPair(*_general(*_require_bos(game), scheme.gamma, scheme.delta,
                                 s1.theta, s1.phi, s2.theta, s2.phi))
 
 

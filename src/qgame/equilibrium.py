@@ -73,8 +73,7 @@ class StrategyGrid(_record("StrategyGrid", "theta_steps phi_steps phi_range")):
     __slots__ = ()
 
     def __new__(cls, theta_steps: int, phi_steps: int, phi_range: str = "narrow"):
-        theta_steps = _steps("theta_steps", theta_steps)
-        phi_steps = _steps("phi_steps", phi_steps)
+        theta_steps, phi_steps = _steps("theta_steps", theta_steps), _steps("phi_steps", phi_steps)
         _phi_interval(phi_range)
         n = theta_steps * phi_steps
         if POINT_BYTES * n > MAX_TABLE_BYTES:
@@ -187,7 +186,7 @@ def _table_block(features, kernels, weights, rows: slice) -> tuple:
 
 def check_eps(eps: float) -> float:
     """An equilibrium tolerance as a float (see scheme._number), finite and nonnegative."""
-    value = eps if type(eps) is float else _number("eps", eps, "nonnegative and finite")
+    value = _number("eps", eps, "nonnegative and finite")
     if not 0 <= value < math.inf:  # also false for nan
         raise ValueError(f"eps must be nonnegative and finite, got {_shown(eps)}")
     return value + 0.0  # -0.0 as 0.0

@@ -57,6 +57,8 @@ def _number(name: str, value, want: str = "a finite number", kind: type = float)
     """value as a kind (int, float or complex) if it is of one of the kind's types in _KINDS, or a
     numpy scalar or 0-d array of one of its dtype kinds; else, as for text, bytes and bools,
     ValueError(f"{name} must be {want}, got ..."). An int beyond every float becomes +-inf."""
+    if type(value) is kind:  # the common case, returned as is
+        return value
     types, dtype_kinds = _KINDS[kind]
     if (isinstance(value, types) and not isinstance(value, bool)
             or getattr(value, "ndim", None) == 0  # a numpy scalar or 0-d array
@@ -68,7 +70,7 @@ def _number(name: str, value, want: str = "a finite number", kind: type = float)
     raise ValueError(f"{name} must be {want}, got {_shown(value)}")
 
 
-def _check_interval(name: str, value: float, lo: float, hi: float, label: str | None = None,
+def _check_interval(name: str, value: float, lo: float, hi: float, label: str,
                     open_upper: bool = False) -> float:
     """value as a float (see _number) in [lo, hi] (or [lo, hi) if open_upper), shown as label."""
     x = value if type(value) is float else _number(name, value)
@@ -76,7 +78,7 @@ def _check_interval(name: str, value: float, lo: float, hi: float, label: str | 
     if lo <= x < hi if open_upper else lo <= x <= hi:
         return x + 0.0  # -0.0 as 0.0
     finite = math.isfinite(x) or isinstance(value, int)  # an int, even one beyond every float
-    want = f"in {label or f'[{lo:g}, {hi:g}]'}" if finite else "a finite number"
+    want = f"in {label}" if finite else "a finite number"
     raise ValueError(f"{name} must be {want}, got {_shown(value)}")
 
 
@@ -191,15 +193,17 @@ class GameMatrix(_record("GameMatrix", "alice bob bos")):
 
 
 def battle_of_sexes(alpha: float, beta: float, sigma: float) -> GameMatrix:
-    """Coordination game with matched payoffs alpha/beta and mismatch sigma, numbers
-    (see _number) with alpha > beta > sigma strictly; GameMatrix derives bos from the cells."""
-    a = alpha if type(alpha) is float else _number("alpha", alpha)
-    b = beta if type(beta) is float else _number("beta", beta)
-    s = sigma if type(sigma) is float else _number("sigma", sigma)
+    """Coordination game with matched payoffs alpha/beta and mismatch sigma.
+
+    Requires numbers (see _number) with alpha > beta > sigma strictly, ints
+    compared exactly; GameMatrix bounds the cells as given and derives bos."""
+    a = alpha if type(alpha) is int else _number("alpha", alpha)
+    b = beta if type(beta) is int else _number("beta", beta)
+    s = sigma if type(sigma) is int else _number("sigma", sigma)
     if not (a > b > s):
         raise ValueError(f"battle of sexes requires alpha > beta > sigma, got "
                          f"{_shown(alpha)}, {_shown(beta)}, {_shown(sigma)}")
-    return GameMatrix(alice=((a, s), (s, b)), bob=((b, s), (s, a)))
+    return GameMatrix(alice=((alpha, sigma), (sigma, beta)), bob=((beta, sigma), (sigma, alpha)))
 
 
 class PayoffPair(_record("PayoffPair", "alice bob")):
@@ -273,7 +277,8 @@ def measurement_basis(delta: float) -> tuple[tuple[complex, ...], ...]:
 def _projections(state, rows) -> tuple[float, float, float, float]:
     """|<psi_b|state>|^2 for each outcome ket psi_b of rows, from the state's
     4 amplitudes, with no checks. |<psi_b|state>| = |sum_k b_k conj(state_k)|:
-    the state is conjugated once, not the 16 basis entries."""
+    the state is conjugated once, not the 16 basis entries. rows other than
+    4 rows of 4 raise ValueError."""
     a, b, c, d = state
     a, b, c, d = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
     (w0, x0, y0, z0), (w1, x1, y1, z1), (w2, x2, y2, z2), (w3, x3, y3, z3) = rows
@@ -283,11 +288,10 @@ def _projections(state, rows) -> tuple[float, float, float, float]:
             abs(w3 * a + x3 * b + y3 * c + z3 * d) ** 2)
 
 
-def _complexes(name: str, values, want: str) -> list[complex]:
-    """A tuple, list or numpy array of numbers as complex ones (see _number)."""
+def _listed(values) -> list | tuple:
+    """A tuple, list or numpy array as a tuple or list; anything else as ()."""
     values = values.tolist() if hasattr(values, "tolist") else values
-    return ([v if type(v) is complex else _number(name, v, want, complex) for v in values]
-            if isinstance(values, (list, tuple)) else [])
+    return values if isinstance(values, (list, tuple)) else ()
 
 
 def outcome_probabilities(state, basis) -> tuple[float, float, float, float]:
@@ -295,22 +299,21 @@ def outcome_probabilities(state, basis) -> tuple[float, float, float, float]:
     OO, OT, TO, TT. state is 4 finite amplitudes and basis 4 rows of 4 finite
     numbers (see _number; complex ones too), as tuples, lists or numpy arrays;
     other input, or probabilities beyond every float, raise ValueError."""
-    amps = _complexes("state", state, "4 finite amplitudes")
+    amps = [_number("state", v, "4 finite amplitudes", complex) for v in _listed(state)]
     if len(amps) != 4 or not all(map(cmath.isfinite, amps)):
         raise ValueError(f"state must be 4 finite amplitudes, got {_shown(state)}")
-    rows = basis.tolist() if hasattr(basis, "tolist") else basis
-    rows = ([_complexes("basis", row, "4 rows of 4 numbers") for row in rows]
-            if isinstance(rows, (list, tuple)) else [])
-    if len(rows) != 4 or any(len(row) != 4 for row in rows):
-        raise ValueError(f"basis must be 4 rows of 4 numbers, got {_shown(basis)}")
-    if not all(cmath.isfinite(x) for row in rows for x in row):
-        raise ValueError(f"basis entries must be finite, got {_shown(basis)}")
+    rows = [[_number("basis", v, "4 rows of 4 numbers", complex) for v in _listed(row)]
+            for row in _listed(basis)]
     try:
         probs = _projections(amps, rows)
+    except ValueError:  # not 4 rows of 4
+        raise ValueError(f"basis must be 4 rows of 4 numbers, got {_shown(basis)}") from None
     except OverflowError:  # a probability beyond every float
         probs = (math.inf,)
     if all(map(math.isfinite, probs)):
         return probs
+    if not all(cmath.isfinite(x) for row in rows for x in row):
+        raise ValueError(f"basis entries must be finite, got {_shown(basis)}")
     raise ValueError(f"probabilities must be finite, but state {_shown(state)} and "
                      f"basis {_shown(basis)} give some beyond every float")
 

@@ -64,9 +64,10 @@ ENTRY_POINTS = {
     "final_state": (lambda v: final_state(v, STRATEGY, STRATEGY), "gamma", float),
     "outcome_probabilities": (lambda v: outcome_probabilities([v, 0, 0, 0], BASIS), "state",
                               complex),
-    # the game's cells bound its payoffs, and their message names the cells,
-    # as it does for qgame's --bos
-    "battle_of_sexes": (lambda v: battle_of_sexes(3, 2, v), "sigma|alice payoffs", float),
+    # sigma is named by its own message, by the cells' bound (as for qgame's
+    # --bos) or by the order message, which shows alpha and beta as given
+    "battle_of_sexes": (lambda v: battle_of_sexes(3, 2, v), "^sigma |^alice payoffs |^battle of "
+                        "sexes requires alpha > beta > sigma, got 3, 2, ", float),
     "bos_coefficients": (lambda v: bos_coefficients(v, 1, 0.3), "alpha", float),
     "payoff_case_a_i": (lambda v: payoff_case_a_i(GAME, v, 0.5, 0.5), "gamma", float),
     "payoff_case_a_ii": (lambda v: payoff_case_a_ii(GAME, 0.5, v, 0.5), "theta1", float),

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ class TestBosCoefficients:
             xi, eta, chi = bos_coefficients(alpha, beta, delta)
             assert bos_coefficients(beta, alpha, delta) == (eta, xi, -chi)
 
-    @pytest.mark.parametrize("delta", [-HP, -0.3, 7.0])
+    @pytest.mark.parametrize("delta", [-HP, -0.3, 7.0, sys.float_info.max])
     def test_any_finite_delta_is_taken(self, delta):
         # payoff_case_c passes gamma - delta, negative where delta > gamma
         xi, eta, chi = bos_coefficients(2.0, 1.0, delta)
@@ -89,7 +90,7 @@ class TestBosCoefficients:
         ((2, "1", 0.3), "^beta must be a finite number, got '1'"),
         ((math.nan, 1, 0.3), "^alpha must be a finite number, got nan"),
         ((2, 1, math.inf), "^delta must be a finite number, got inf"),
-        ((2, 1, 10**400), r"^delta must be in \[-1.79769e\+308, 1.79769e\+308\], got 1000"),
+        ((2, 1, 10**400), "^delta must be in the finite floats, got 1000"),
     ], ids=["int-beyond-floats", "beyond-max-payoff", "text", "nan", "inf-delta",
             "int-delta-beyond-floats"])
     def test_checks_payoffs_as_cells_and_delta_as_finite(self, args, message):

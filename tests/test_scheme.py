@@ -112,7 +112,13 @@ class TestParams:
         (lambda: check_phi(10**400), r"phi must be in \[0, pi/2\], got 1000"),
         (lambda: battle_of_sexes(10**400, 1, 0),
          r"alice payoffs entries must be finite and at most 1e\+300 in magnitude"),
-    ], ids=["scheme", "strategy", "check-phi", "battle-of-sexes"])
+        # ordered as given, and bounded by the cells, which show them as given
+        (lambda: battle_of_sexes(10**400, 10**399, 0),
+         r"^alice payoffs entries must be finite and at most 1e\+300 in magnitude, got 1000"),
+        (lambda: battle_of_sexes(10**400, np.float64(2), 1), r"^alice payoffs .*, got 1000"),
+        (lambda: battle_of_sexes(np.float32(3), 2, -10**400), r"^alice payoffs .*, got -1000"),
+    ], ids=["scheme", "strategy", "check-phi", "battle-of-sexes", "battle-of-sexes-alpha-beta",
+            "battle-of-sexes-numpy-alpha", "battle-of-sexes-numpy-sigma"])
     def test_int_beyond_every_float_rejected(self, make, message):
         # float() raises OverflowError for these, not the documented ValueError
         with pytest.raises(ValueError, match=message):
