@@ -210,8 +210,7 @@ class PayoffPair(_record("PayoffPair", "alice bob")):
     __slots__ = ()
 
     def __new__(cls, alice: float, bob: float):
-        a = alice if type(alice) is float else _number("payoffs", alice, "finite")
-        b = bob if type(bob) is float else _number("payoffs", bob, "finite")
+        a, b = _number("payoffs", alice, "finite"), _number("payoffs", bob, "finite")
         if math.isfinite(a) and math.isfinite(b):
             return super().__new__(cls, a, b)
         raise ValueError(f"payoffs must be finite, got {_shown(alice)}, {_shown(bob)}")
