@@ -27,35 +27,36 @@ from .scheme import (
     SchemeParams,
     StrategyParams,
     _check_interval,
+    _strategy,
 )
 
 DU_FORMS = ("printed", "corrected")
 
 
 def _require_bos(game: GameMatrix) -> tuple[float, float, float]:
-    if game.bos is None:
+    if (bos := game.bos) is None:  # read once: each read recomputes it from the cells
         raise ValueError("closed-form payoffs need a battle-of-sexes game (alpha, beta, sigma); "
                          "use the simulation path for general matrices")
-    return game.bos
+    return bos
 
 
-def bos_coefficients(alpha: float, beta: float, delta: float) -> tuple[float, float, float]:
-    """(xi, eta, chi) for measurement angle delta: payoff weights with
-    xi + eta = alpha + beta, and interference weight chi.
-
-    alpha and beta are bounded as payoff cells are, in either order: swapping
-    them gives (eta, xi, -chi), which exchanges the players' roles. delta is
-    any finite float, as payoff_case_c passes gamma - delta."""
-    if not (type(alpha) is type(beta) is type(delta) is float and abs(alpha) <= MAX_PAYOFF
-            and abs(beta) <= MAX_PAYOFF and math.isfinite(delta)):  # else convert or reject
-        label = f"[{-MAX_PAYOFF:g}, {MAX_PAYOFF:g}]"  # the payoff cells' bound
-        alpha = _check_interval("alpha", alpha, -MAX_PAYOFF, MAX_PAYOFF, label)
-        beta = _check_interval("beta", beta, -MAX_PAYOFF, MAX_PAYOFF, label)
-        delta = _check_interval("delta", delta, -sys.float_info.max, sys.float_info.max,
-                                "the finite floats")
+def _coefficients(alpha: float, beta: float, delta: float) -> tuple[float, float, float]:
+    """bos_coefficients unchecked, at any float delta: payoff_case_c's is gamma - delta."""
     c2, s2 = math.cos(delta / 2) ** 2, math.sin(delta / 2) ** 2
     chi = 0.5 * (alpha - beta) * math.sin(delta)
     return alpha * c2 + beta * s2, alpha * s2 + beta * c2, chi
+
+
+def bos_coefficients(alpha: float, beta: float, delta: float) -> tuple[float, float, float]:
+    """(xi, eta, chi) for measurement angle delta in [0, pi/2]: payoff
+    weights with xi + eta = alpha + beta, and interference weight chi.
+
+    alpha and beta are bounded as payoff cells are, in either order: swapping
+    them gives (eta, xi, -chi), which exchanges the players' roles."""
+    label = f"[{-MAX_PAYOFF:g}, {MAX_PAYOFF:g}]"  # the payoff cells' bound
+    return _coefficients(_check_interval("alpha", alpha, -MAX_PAYOFF, MAX_PAYOFF, label),
+                         _check_interval("beta", beta, -MAX_PAYOFF, MAX_PAYOFF, label),
+                         _check_interval("delta", delta, 0.0, HALF_PI, "[0, pi/2]"))
 
 
 def _general(alpha, beta, sigma, gamma, delta, theta1, phi1, theta2, phi2):
@@ -67,7 +68,7 @@ def _general(alpha, beta, sigma, gamma, delta, theta1, phi1, theta2, phi2):
     players' roles."""
     np = sys.modules.get("numpy")  # not imported: an array argument means it is loaded
     trig = np if np and np.ndarray in map(type, (gamma, theta1, phi1, theta2, phi2)) else math
-    xi, eta, chi = bos_coefficients(alpha, beta, delta)
+    xi, eta, chi = _coefficients(alpha, beta, delta)
     cg2 = trig.cos(gamma / 2) ** 2
     sg2 = trig.sin(gamma / 2) ** 2
     sing = trig.sin(gamma)
@@ -107,14 +108,14 @@ def payoff_general(game: GameMatrix, scheme: SchemeParams, s1: StrategyParams,
                    s2: StrategyParams) -> PayoffPair:
     """Full closed form in gamma and delta; equals payoffs_oracle everywhere."""
     return PayoffPair(*_general(*_require_bos(game), scheme.gamma, scheme.delta,
-                                s1.theta, s1.phi, s2.theta, s2.phi))
+                                *_strategy("s1", s1), *_strategy("s2", s2)))
 
 
 def _marinatto_weber(alpha, beta, sigma, angle, theta1, theta2):
     """Probabilistic-tactics payoffs at measurement angle zero and phases zero."""
     c1 = math.cos(theta1 / 2) ** 2
     c2 = math.cos(theta2 / 2) ** 2
-    xi, eta, _ = bos_coefficients(alpha, beta, angle)
+    xi, eta, _ = _coefficients(alpha, beta, angle)
     alice = (c1 * (c2 * (alpha + beta - 2 * sigma) - eta + sigma)
              + c2 * (-eta + sigma) + eta)
     bob = (c2 * (c1 * (alpha + beta - 2 * sigma) - xi + sigma)
@@ -153,16 +154,16 @@ def payoff_case_b_i(game: GameMatrix, gamma: float, s1: StrategyParams,
     """delta = gamma: the Eisert-style regime with free phases."""
     gamma = _check_interval("gamma", gamma, 0.0, HALF_PI, "[0, pi/2]")
     alpha, beta, sigma = _require_bos(game)
-    xi1, eta1, _ = bos_coefficients(alpha, beta, gamma)
+    (theta1, phi1), (theta2, phi2) = _strategy("s1", s1), _strategy("s2", s2)
+    xi1, eta1, _ = _coefficients(alpha, beta, gamma)
     # unlike bos_coefficients' chi, chi1 carries sin(gamma) squared
     chi1 = 0.5 * (alpha - beta) * math.sin(gamma) ** 2
     cg2 = math.cos(gamma / 2) ** 2
     sg2 = math.sin(gamma / 2) ** 2
-    cc = math.cos(s1.theta / 2) ** 2 * math.cos(s2.theta / 2) ** 2
-    ss = math.sin(s1.theta / 2) ** 2 * math.sin(s2.theta / 2) ** 2
-    cos2p = math.cos(2 * (s1.phi + s2.phi))
-    cross = (math.sin(gamma) * math.sin(s1.theta) * math.sin(s2.theta)
-             * math.sin(s1.phi + s2.phi))
+    cc = math.cos(theta1 / 2) ** 2 * math.cos(theta2 / 2) ** 2
+    ss = math.sin(theta1 / 2) ** 2 * math.sin(theta2 / 2) ** 2
+    cos2p = math.cos(2 * (phi1 + phi2))
+    cross = math.sin(gamma) * math.sin(theta1) * math.sin(theta2) * math.sin(phi1 + phi2)
     alice = (cc * (eta1 * sg2 + xi1 * cg2 + chi1 * cos2p - sigma)
              + ss * (eta1 * cg2 + xi1 * sg2 - chi1 - sigma)
              + 0.5 * (beta - sigma) * cross + sigma)
@@ -182,12 +183,13 @@ def payoff_du_maximal(game: GameMatrix, s1: StrategyParams, s2: StrategyParams,
     cos^2(phi1+phi2), the direct specialization of payoff_general, and matches
     the oracle.
     """
+    (theta1, phi1), (theta2, phi2) = _strategy("s1", s1), _strategy("s2", s2)
     if form not in DU_FORMS:
         raise ValueError(f"form must be one of {DU_FORMS}, got {form!r}")
     alpha, beta, sigma = _require_bos(game)
-    c1, s1_ = math.cos(s1.theta / 2), math.sin(s1.theta / 2)
-    c2, s2_ = math.cos(s2.theta / 2), math.sin(s2.theta / 2)
-    phi_sum = s1.phi + s2.phi
+    c1, s1_ = math.cos(theta1 / 2), math.sin(theta1 / 2)
+    c2, s2_ = math.cos(theta2 / 2), math.sin(theta2 / 2)
+    phi_sum = phi1 + phi2
     mixed = (c1 * c2 * math.sin(phi_sum) + s1_ * s2_) ** 2
     lone = (math.sin(phi_sum) ** 2 if form == "printed"
             else math.cos(phi_sum) ** 2) * c1 ** 2 * c2 ** 2
@@ -229,7 +231,8 @@ def payoff_case_d(game: GameMatrix, delta: float, s1: StrategyParams,
     """
     delta = _check_interval("delta", delta, 0.0, HALF_PI, "[0, pi/2]")
     alpha, beta, sigma = _require_bos(game)
-    alice, bob = _marinatto_weber(alpha, beta, sigma, delta, s1.theta, s2.theta)
-    shift = (0.25 * (alpha - beta) * math.sin(delta) * math.sin(s1.theta)
-             * math.sin(s2.theta) * math.sin(s1.phi + s2.phi))
+    (theta1, phi1), (theta2, phi2) = _strategy("s1", s1), _strategy("s2", s2)
+    alice, bob = _marinatto_weber(alpha, beta, sigma, delta, theta1, theta2)
+    shift = (0.25 * (alpha - beta) * math.sin(delta) * math.sin(theta1)
+             * math.sin(theta2) * math.sin(phi1 + phi2))
     return PayoffPair(alice - shift, bob + shift)

@@ -132,6 +132,13 @@ class StrategyParams(_record("StrategyParams", "theta phi")):
             _check_interval("phi", phi, 0.0, TWO_PI, "[0, 2*pi)", open_upper=True))
 
 
+def _strategy(name: str, s) -> StrategyParams:
+    """s if it is a StrategyParams (a plain (theta, phi) pair is not), else ValueError."""
+    if isinstance(s, StrategyParams):
+        return s
+    raise ValueError(f"{name} must be a StrategyParams, got {_shown(s)}")
+
+
 def _cell(name: str, value) -> float:
     """A payoff cell as a float (see _number) at most MAX_PAYOFF in magnitude."""
     x = value if type(value) is float else _number(name, value, "a 2x2 array of numbers")
@@ -151,36 +158,24 @@ def _as_cells(name, cells) -> tuple[tuple[float, float], tuple[float, float]]:
     return (_cell(name, a), _cell(name, b)), (_cell(name, c), _cell(name, d))
 
 
-class GameMatrix(_record("GameMatrix", "alice bob bos")):
-    """2x2 bimatrix: alice[i][j], bob[i][j] with i Alice's move, O=0 and T=1.
-
-    bos is (alpha, beta, sigma) when alice = ((alpha, sigma), (sigma, beta))
-    and bob = ((beta, sigma), (sigma, alpha)), in any order, else None. It is
-    derived from the cells, once, and the closed forms need it.
-    """
+class GameMatrix(_record("GameMatrix", "alice bob")):
+    """2x2 bimatrix: alice[i][j], bob[i][j] with i Alice's move, O=0 and T=1."""
 
     __slots__ = ()
 
     def __new__(cls, alice, bob):
-        alice, bob = _as_cells("alice payoffs", alice), _as_cells("bob payoffs", bob)
-        (alpha, sigma), (_, beta) = alice
-        form = alice[1][0] == sigma and bob == ((beta, sigma), (sigma, alpha))
-        return super().__new__(cls, alice, bob, (alpha, beta, sigma) if form else None)
+        return super().__new__(cls, _as_cells("alice payoffs", alice),
+                               _as_cells("bob payoffs", bob))
 
-    def __getnewargs__(self):
-        # copy and pickle call __new__ with these; bos is derived, not passed
-        return self.alice, self.bob
-
-    @classmethod
-    def _make(cls, iterable):
-        """The game of the cells alice and bob; bos, derived from them, must
-        equal the given one (so _replace of a cell cannot keep a stale bos)."""
-        alice, bob, bos = iterable
-        game = cls(alice, bob)
-        if bos != game.bos:
-            raise ValueError(f"bos must be {game.bos!r}, derived from the cells, "
-                             f"got {_shown(bos)}")
-        return game
+    @property
+    def bos(self) -> tuple[float, float, float] | None:
+        """(alpha, beta, sigma) when alice = ((alpha, sigma), (sigma, beta))
+        and bob = ((beta, sigma), (sigma, alpha)), in any order, else None:
+        the form the closed forms need, read off the cells."""
+        ((alpha, sigma), (to, beta)), ((b_oo, b_ot), (b_to, b_tt)) = self
+        if to == sigma == b_ot == b_to and b_oo == beta and b_tt == alpha:
+            return alpha, beta, sigma
+        return None
 
     def alice_by_outcome(self) -> tuple[float, float, float, float]:
         """Alice's payoffs in basis order OO, OT, TO, TT."""
@@ -229,7 +224,7 @@ def strategy_op(s: StrategyParams) -> tuple[tuple[complex, complex], tuple[compl
     Its two rows are [c e^{i phi}, s] and [-s, c e^{-i phi}], with c, s the
     cosine and sine of theta/2; np.array(strategy_op(s)) is the 2x2 matrix.
     """
-    theta, phi = s  # unpacking is cheaper than two field reads each
+    theta, phi = _strategy("s", s)  # unpacking is cheaper than two field reads each
     c, s_ = math.cos(theta / 2), math.sin(theta / 2)
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     return ((complex(c * cos_phi, c * sin_phi), complex(s_)),
@@ -247,8 +242,8 @@ def final_state(gamma: float, s1: StrategyParams,
     done in Python: two 2x2 numpy matmuls cost several times more in call
     overhead."""
     oo, _, _, tt = initial_state(gamma)
-    (a, b), (c, d) = strategy_op(s1)
-    (e, f), (g, h) = strategy_op(s2)
+    (a, b), (c, d) = strategy_op(_strategy("s1", s1))
+    (e, f), (g, h) = strategy_op(_strategy("s2", s2))
     t00, t01, t10, t11 = a * oo, b * tt, c * oo, d * tt  # U1 M
     # (U1 M) U2^T: entry [i, j] pairs row i of U1 M with row j of U2
     return (t00 * e + t01 * f, t00 * g + t01 * h,
@@ -321,8 +316,8 @@ def payoffs_oracle(game: GameMatrix, scheme: SchemeParams, s1: StrategyParams,
                    s2: StrategyParams) -> PayoffPair:
     """Payoffs by full state simulation: evolve, project, weight by the matrix.
 
-    final_state's amplitudes and measurement_basis's rows are well formed,
-    so they go to the projection without outcome_probabilities' checks."""
+    final_state checks s1 and s2; its amplitudes and measurement_basis's rows
+    are well formed, so they go to the projection without outcome_probabilities' checks."""
     gamma, delta = scheme
     oo, ot, to, tt = _projections(final_state(gamma, s1, s2), measurement_basis(delta))
     (a_oo, a_ot), (a_to, a_tt) = game.alice

@@ -209,8 +209,9 @@ def _check_case_identities(rng) -> list[CheckResult]:
         devs = [_pair_dev(*pair) for pair in pairs]
         # with phases zero, the general form depends on gamma - delta alone
         glo, ghi = min(gamma, delta), max(gamma, delta)
-        sa, sb = cf._general(*game.bos, ghi, glo, th1, 0.0, th2, 0.0)
-        ua, ub = cf._general(*game.bos, ghi - glo, 0.0, th1, 0.0, th2, 0.0)
+        bos = game.bos  # read once: each read recomputes it from the cells
+        sa, sb = cf._general(*bos, ghi, glo, th1, 0.0, th2, 0.0)
+        ua, ub = cf._general(*bos, ghi - glo, 0.0, th1, 0.0, th2, 0.0)
         devs.append(max(abs(sa - ua), abs(sb - ub)))
         worst = list(map(max, worst, devs))
     return [_within(name, dev, IDENTITY_TOL) for name, dev in zip(_CASE_CHECKS, worst)]

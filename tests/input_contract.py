@@ -34,6 +34,8 @@ from qgame.closedform import (
     payoff_case_b_ii,
     payoff_case_c,
     payoff_case_d,
+    payoff_du_maximal,
+    payoff_general,
 )
 from qgame.scheme import (
     GameMatrix,
@@ -45,6 +47,8 @@ from qgame.scheme import (
     initial_state,
     measurement_basis,
     outcome_probabilities,
+    payoffs_oracle,
+    strategy_op,
 )
 
 GAME = battle_of_sexes(2, 1, 0)
@@ -98,6 +102,33 @@ VALUES = [
     ("subnormal", 1e-320, float),
 ]
 
+# A strategy is a StrategyParams, whose fields are checked when it is built.
+# entry point:strategy parameter: a call with the value in that parameter
+SCHEME = SchemeParams(0.3, 0.2)
+STRATEGY_ENTRY_POINTS = {
+    "strategy_op:s": strategy_op,
+    "final_state:s1": lambda v: final_state(0.3, v, STRATEGY),
+    "final_state:s2": lambda v: final_state(0.3, STRATEGY, v),
+    "payoffs_oracle:s1": lambda v: payoffs_oracle(GAME, SCHEME, v, STRATEGY),
+    "payoffs_oracle:s2": lambda v: payoffs_oracle(GAME, SCHEME, STRATEGY, v),
+    "payoff_general:s1": lambda v: payoff_general(GAME, SCHEME, v, STRATEGY),
+    "payoff_general:s2": lambda v: payoff_general(GAME, SCHEME, STRATEGY, v),
+    "payoff_case_b_i:s1": lambda v: payoff_case_b_i(GAME, 0.3, v, STRATEGY),
+    "payoff_case_b_i:s2": lambda v: payoff_case_b_i(GAME, 0.3, STRATEGY, v),
+    "payoff_case_d:s1": lambda v: payoff_case_d(GAME, 0.3, v, STRATEGY),
+    "payoff_case_d:s2": lambda v: payoff_case_d(GAME, 0.3, STRATEGY, v),
+    "payoff_du_maximal:s1": lambda v: payoff_du_maximal(GAME, v, STRATEGY, "corrected"),
+    "payoff_du_maximal:s2": lambda v: payoff_du_maximal(GAME, STRATEGY, v, "corrected"),
+}
+
+# (id, value) of values that are no strategy: a pair out of range (theta and
+# phi are checked only when a StrategyParams is built), a pair with text, None
+NOT_STRATEGIES = [
+    ("pair-out-of-range", (10.0, -7.0)),
+    ("pair-with-text", (0.5, "x")),
+    ("none", None),
+]
+
 
 def _outcome(call, value):
     """("returns", the result) or ("rejects", the ValueError's message); any
@@ -136,9 +167,23 @@ def check(entry_point, value, what) -> str:
     return outcome
 
 
+def check_strategy(name, value) -> None:
+    """Assert that the entry point of STRATEGY_ENTRY_POINTS called name takes
+    STRATEGY and rejects value with a ValueError that names its parameter."""
+    call, parameter = STRATEGY_ENTRY_POINTS[name], name.split(":")[1]
+    assert _outcome(call, STRATEGY)[0] == "returns", f"{name} rejects {STRATEGY!r}"
+    outcome, detail = _outcome(call, value)
+    assert outcome == "rejects", f"{name} took {value!r} and gave {detail!r}"
+    assert detail == f"{parameter} must be a StrategyParams, got {value!r}", detail
+
+
 def check_all(entry_points=ENTRY_POINTS, values=VALUES) -> int:
-    """Check every entry point at every value; the number of calls checked."""
+    """Check every entry point at every value, and every strategy parameter
+    at every value that is no strategy; the number of calls checked."""
     for entry in entry_points.values():
         for _, value, what in values:
             check(entry, value, what)
-    return len(entry_points) * len(values)
+    for name in STRATEGY_ENTRY_POINTS:
+        for _, value in NOT_STRATEGIES:
+            check_strategy(name, value)
+    return len(entry_points) * len(values) + len(STRATEGY_ENTRY_POINTS) * len(NOT_STRATEGIES)

@@ -1,10 +1,20 @@
 """The numeric input contract (see input_contract.py) of all 19 public entry
-points that take numbers, at 20 values: the numpy-free ones and numpy's."""
+points that take numbers, at 20 values: the numpy-free ones and numpy's; and
+each strategy parameter of the 7 that take strategies, at values that are no
+strategy."""
 
 import numpy as np
 import pytest
 
-from input_contract import ENTRY_POINTS, NOT_A_NUMBER, VALUES, check
+from input_contract import (
+    ENTRY_POINTS,
+    NOT_A_NUMBER,
+    NOT_STRATEGIES,
+    STRATEGY_ENTRY_POINTS,
+    VALUES,
+    check,
+    check_strategy,
+)
 from qgame.equilibrium import StrategyGrid, check_eps, sweep_schemes
 
 ALL_ENTRY_POINTS = {
@@ -57,3 +67,10 @@ class ArithmeticFails(float):
 def test_entry_points_compute_with_the_checked_float(entry):
     call = ALL_ENTRY_POINTS[entry][0]
     assert call(ArithmeticFails(0.5)) == call(0.5)
+
+
+@pytest.mark.parametrize("value", [v[1] for v in NOT_STRATEGIES], ids=[v[0] for v in NOT_STRATEGIES])
+@pytest.mark.parametrize("entry", STRATEGY_ENTRY_POINTS)
+def test_strategy_input_contract(entry, value):
+    # a strategy is checked where it enters, and the message names the parameter
+    check_strategy(entry, value)

@@ -597,8 +597,8 @@ class TestFormulaKernels:
         assert row["max_formula_dev"] <= 1e-12
 
     @pytest.mark.parametrize("old,new", [
-        ("xi, eta, chi = bos_coefficients(alpha, beta, delta)\n",
-         "xi, eta, chi = bos_coefficients(alpha, beta, delta)\n    chi = -chi\n"),
+        ("xi, eta, chi = _coefficients(alpha, beta, delta)\n",
+         "xi, eta, chi = _coefficients(alpha, beta, delta)\n    chi = -chi\n"),
         ("cross = (", "cross = 0 * ("),
     ], ids=["chi-sign-flipped", "cross-term-dropped"])
     def test_catches_a_wrong_closed_form(self, monkeypatch, old, new):

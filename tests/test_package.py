@@ -8,7 +8,7 @@ import pytest
 import qgame
 from qgame import PayoffPair
 from qgame.equilibrium import StrategyGrid
-from qgame.scheme import GameMatrix, SchemeParams, StrategyParams
+from qgame.scheme import GameMatrix, SchemeParams, StrategyParams, battle_of_sexes
 from qgame.verification import CheckResult, VerificationReport
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -40,8 +40,7 @@ def test_readme_quick_tour_runs_as_documented():
 
 
 GAME = dict(alice=((2, 0), (0, 1)), bob=((1, 0), (0, 2)))
-GAME_TEXT = ("GameMatrix(alice=((2.0, 0.0), (0.0, 1.0)), bob=((1.0, 0.0), (0.0, 2.0)), "
-             "bos=(2.0, 1.0, 0.0))")
+GAME_TEXT = "GameMatrix(alice=((2.0, 0.0), (0.0, 1.0)), bob=((1.0, 0.0), (0.0, 2.0)))"
 CHECK = dict(name="x", value=0.0, tol=1e-9, passed=True)
 CHECK_TEXT = "CheckResult(name='x', value=0.0, tol=1e-09, passed=True, note='')"
 # each record type, the keyword arguments of one value and that value's repr
@@ -87,8 +86,7 @@ def test_make_and_replace_build_through_the_constructor(monkeypatch, cls, kwargs
     built = []
     monkeypatch.setattr(cls, "__new__", lambda cls_, *args: built.append(args) or value)
     assert cls._make(value) is value and value._replace() is value
-    fields = (value.alice, value.bob) if cls is GameMatrix else tuple(value)  # bos is derived
-    assert built == [fields, fields]
+    assert built == [tuple(value), tuple(value)]
 
 
 @pytest.mark.parametrize("make", [
@@ -97,7 +95,7 @@ def test_make_and_replace_build_through_the_constructor(monkeypatch, cls, kwargs
     lambda: StrategyParams(0, 0)._replace(theta=100.0),
     lambda: PayoffPair(1.0, 2.0)._replace(bob=math.inf),
     lambda: StrategyGrid(5, 3)._replace(phi_range="wide"),
-    lambda: GameMatrix._make((((1, 2), (3,)), ((1, 2), (3, 4)), None)),
+    lambda: GameMatrix._make((((1, 2), (3,)), ((1, 2), (3, 4)))),
 ], ids=["scheme-gamma", "strategy-make", "strategy-theta", "payoff-inf", "grid-phi-range",
         "game-cells"])
 def test_make_and_replace_check_the_fields(make):
@@ -106,12 +104,16 @@ def test_make_and_replace_check_the_fields(make):
 
 
 def test_game_replace_cannot_keep_a_stale_bos():
-    game = GameMatrix(**GAME)  # bos (2.0, 1.0, 0.0)
-    with pytest.raises(ValueError, match=r"bos must be None, derived from the cells, "
-                                         r"got \(2.0, 1.0, 0.0\)"):
-        game._replace(alice=((5, 0), (0, 1)))
-    with pytest.raises(ValueError, match=r"bos must be \(2.0, 1.0, 0.0\)"):
-        game._make((game.alice, game.bob, (2.0, 1.0, 1.0)))
-    plain = game._replace(alice=((5, 0), (0, 1)), bos=None)
+    # bos is read off the cells, so a _replace of a cell recomputes it
+    game = battle_of_sexes(2, 1, 0)
+    assert game._fields == ("alice", "bob") and game.bos == (2.0, 1.0, 0.0)
+    plain = game._replace(alice=((5, 0), (0, 1)))
     assert plain == GameMatrix(alice=((5, 0), (0, 1)), bob=GAME["bob"]) and plain.bos is None
     assert game._replace(bob=((1, 0), (0, 2))) == game
+    # and a cell that completes the form makes a game of it
+    odd = GameMatrix(alice=((3, 1), (1, 2)), bob=((0, 0), (0, 0)))
+    assert odd.bos is None and odd._replace(bob=((2, 1), (1, 3))).bos == (3.0, 2.0, 1.0)
+    with pytest.raises(ValueError, match=r"^Got unexpected field names: \['bos'\]"):
+        game._replace(bos=None)
+    with pytest.raises(AttributeError):
+        game.bos = None

@@ -132,7 +132,8 @@ class TestParams:
         (lambda: GameMatrix(ALICE, ((1, 0), (0, 10**5000))),
          r"^bob payoffs entries must be finite and at most 1e\+300 in magnitude, got"),
         (lambda: GameMatrix(ALICE, (BOB[0], BOB[1], (10**5000, 0))), "^bob payoffs must be 2x2"),
-        (lambda: bos210()._replace(bos=10**5000), r"^bos must be \(2.0, 1.0, 0.0\)"),
+        # bos is no field, so namedtuple's _replace names it without showing the value
+        (lambda: bos210()._replace(bos=10**5000), r"^Got unexpected field names: \['bos'\]$"),
         (lambda: battle_of_sexes(10**5000, 1, 0), "^alice payoffs entries must be finite"),
         (lambda: battle_of_sexes(1, 10**5000, 0),
          "^battle of sexes requires alpha > beta > sigma, got 1, "),
